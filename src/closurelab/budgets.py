@@ -1,16 +1,19 @@
 """Compute budgets and error types shared across the package.
 
-All desk-scale guards live here.  The group-exponent ceiling can be raised
-or lowered with the CLOSURELAB_BUDGET_EXP environment variable.
+All desk-scale guards live here.  One :class:`Budget` holds the three
+limits a manifest's ``budgets`` section may set; it is the only override.
+``closurelab.cli.run`` makes the manifest's budget active for the length
+of a command with :func:`using`, and the library reads the active one.
 """
 
 from __future__ import annotations
 
-import os
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
+from typing import Iterator
 
-DEFAULT_MAX_GROUP_EXPONENT = 24
 DEFAULT_ENUMERATION_BUDGET = 2**24
-DEFAULT_WITNESS_BUDGET = 2**24
 
 
 class ClosureLabError(Exception):
@@ -37,22 +40,34 @@ class IntegerOverflowGuard(ClosureLabError):
     """Exact integer arithmetic would not fit the fast signed-64 path."""
 
 
-def max_group_exponent() -> int:
-    """Maximum n for dense 2^n work, possibly overridden by environment."""
-    raw = os.environ.get("CLOSURELAB_BUDGET_EXP")
-    if raw is None:
-        return DEFAULT_MAX_GROUP_EXPONENT
+@dataclass(frozen=True)
+class Budget:
+    """The manifest ``budgets`` section, with its defaults."""
+
+    max_group_exponent: int = 24  # largest n for dense 2^n work
+    witness_budget: int = 2**24  # largest sumset bitmap SumsetReach builds
+    max_samples: int = 10**8  # most Monte Carlo samples a command may ask for
+
+
+_ACTIVE: ContextVar[Budget] = ContextVar("closurelab_budget", default=Budget())
+
+
+def active() -> Budget:
+    return _ACTIVE.get()
+
+
+@contextmanager
+def using(budget: Budget) -> Iterator[Budget]:
+    """Make ``budget`` the active one; the previous one returns on exit."""
+    token = _ACTIVE.set(budget)
     try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ClosureLabError(f"CLOSURELAB_BUDGET_EXP not an integer: {raw!r}") from exc
-    if value < 1:
-        raise ClosureLabError(f"CLOSURELAB_BUDGET_EXP must be positive: {value}")
-    return value
+        yield budget
+    finally:
+        _ACTIVE.reset(token)
 
 
-def check_group_exponent(n: int, limit: int | None = None) -> None:
-    cap = max_group_exponent() if limit is None else limit
+def check_group_exponent(n: int) -> None:
+    cap = _ACTIVE.get().max_group_exponent
     if n > cap:
         raise BudgetExceeded(f"group exponent {n} exceeds budget {cap}")
 

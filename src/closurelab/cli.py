@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -28,12 +28,15 @@ import numpy as np
 
 from . import __version__
 from .budgets import (
+    Budget,
     BudgetExceeded,
     ClosureLabError,
     DensityTooLow,
     IntegerOverflowGuard,
     VerificationFailure,
-    max_group_exponent,
+    active,
+    check_group_exponent,
+    using,
 )
 from .closure import (
     closedness_exact,
@@ -68,7 +71,7 @@ from .spectral import (
     spectral_closedness,
     wht,
 )
-from .tensor import SimpleSet, Tensor, TensorShape, rank_one_counter, simple_set_size
+from .tensor import SimpleSet, Tensor, TensorShape, rank_one_counter
 
 COMMANDS = (
     "closedness",
@@ -81,7 +84,7 @@ COMMANDS = (
     "scenarios",
 )
 
-_BUDGET_KEYS = {"max_group_exponent", "max_samples", "witness_budget"}
+_BUDGET_KEYS = {f.name for f in fields(Budget)}
 _OUTPUT_KEYS = {"path", "format"}
 _MANIFEST_KEYS = {"command", "params", "seed", "budgets", "output"}
 
@@ -132,15 +135,6 @@ class Manifest:
             out["output"] = self.output
         return out
 
-    def exponent_cap(self) -> int:
-        return int(self.budgets.get("max_group_exponent", max_group_exponent()))
-
-    def check_exponent(self, n: int) -> None:
-        if n > self.exponent_cap():
-            raise BudgetExceeded(
-                f"group exponent {n} exceeds budget {self.exponent_cap()}"
-            )
-
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -158,6 +152,14 @@ def _parse_fraction(value, default: Fraction) -> Fraction:
     if isinstance(value, (int, float)):
         return Fraction(value).limit_denominator(10**6)
     raise ManifestError(f"cannot parse fraction from {value!r}")
+
+
+def _samples(p: dict, default: int) -> int:
+    samples = int(p.get("samples", default))
+    cap = active().max_samples
+    if samples > cap:
+        raise BudgetExceeded(f"samples {samples} exceed budget {cap}")
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +217,7 @@ def build_multiset(n: int, spec: dict, rng) -> GroupMultiset:
 def cmd_closedness(manifest: Manifest):
     p = manifest.params
     n = int(p["n"])
-    manifest.check_exponent(n)
+    check_group_exponent(n)  # before the set spec, which may be malformed
     rng = np.random.default_rng(manifest.seed)
     a = build_groupset(n, p.get("set", {}), rng)
     b = build_multiset(n, p.get("generators", {}), rng)
@@ -233,10 +235,7 @@ def cmd_closedness(manifest: Manifest):
         }
         return payload, report.eta == spectral
     if mode == "sampled":
-        samples = int(p.get("samples", 10**4))
-        cap = int(manifest.budgets.get("max_samples", 10**8))
-        if samples > cap:
-            raise BudgetExceeded(f"samples {samples} exceed budget {cap}")
+        samples = _samples(p, 10**4)
         member, sampler = groupset_oracle(a)
         report = closedness_sampled(
             member, sampler, b, samples, manifest.seed,
@@ -249,7 +248,7 @@ def cmd_closedness(manifest: Manifest):
 def cmd_spectrum(manifest: Manifest):
     p = manifest.params
     n = int(p["n"])
-    manifest.check_exponent(n)
+    check_group_exponent(n)  # before the set spec, which may be malformed
     rng = np.random.default_rng(manifest.seed)
     a = build_groupset(n, p.get("set", {}), rng)
     spec = indicator_spectrum(a)
@@ -263,7 +262,7 @@ def cmd_spectrum(manifest: Manifest):
 def cmd_bogolyubov(manifest: Manifest):
     p = manifest.params
     n = int(p["n"])
-    manifest.check_exponent(n)
+    check_group_exponent(n)  # before the set spec, which may be malformed
     rng = np.random.default_rng(manifest.seed)
     a = build_groupset(n, p.get("set", {"kind": "random"}), rng)
     space = bogolyubov(a)  # verified internally; failure raises
@@ -283,10 +282,6 @@ def cmd_forcing_pipeline(manifest: Manifest):
     p = manifest.params
     dims = tuple(int(d) for d in p.get("shape", (4, 4)))
     shape = TensorShape(dims)
-    manifest.check_exponent(shape.total)
-    witness_budget = int(manifest.budgets.get("witness_budget", 2**24))
-    if (1 << shape.total) > witness_budget:
-        raise BudgetExceeded("witness search space exceeds witness_budget")
     delta = _parse_fraction(p.get("delta"), Fraction(1, 2))
     epsilon = _parse_fraction(p.get("epsilon"), Fraction(1, 32))
     rank_threshold = int(p.get("rank_threshold", 1))
@@ -320,7 +315,6 @@ def cmd_simple_set(manifest: Manifest):
     p = manifest.params
     dims = tuple(int(d) for d in p.get("shape", (3, 3)))
     shape = TensorShape(dims)
-    manifest.check_exponent(shape.total)
     k = int(p.get("k", 1))
     rng = np.random.default_rng(manifest.seed)
     spaces = {}
@@ -332,7 +326,7 @@ def cmd_simple_set(manifest: Manifest):
         spaces[axes] = random_subspace(amb, amb - codim, rng)
     translate = Tensor(shape, int(rng.integers(0, 1 << shape.total)))
     simple = SimpleSet(shape, translate, spaces)
-    size = simple_set_size(simple)
+    size = simple.size()
     ok = True
     if shape.total <= 12:
         members = sum(
@@ -356,7 +350,6 @@ def cmd_lsystem(manifest: Manifest):
     p = manifest.params
     dims = tuple(int(d) for d in p.get("shape", (4, 4)))
     shape = TensorShape(dims)
-    manifest.check_exponent(shape.total)
     delta = _parse_fraction(p.get("delta"), Fraction(1, 2))
     rng = np.random.default_rng(manifest.seed)
     count = int(p.get("tuples", math.ceil(delta * (1 << sum(dims)))))
@@ -382,10 +375,7 @@ def cmd_counterexample(manifest: Manifest):
     if mode == "compatibility":
         ns = [int(v) for v in p.get("ns", (36, 49, 64))]
         c = float(p.get("c", 0.1))
-        samples = int(p.get("samples", 10**5))
-        cap = int(manifest.budgets.get("max_samples", 10**8))
-        if samples > cap:
-            raise BudgetExceeded(f"samples {samples} exceed budget {cap}")
+        samples = _samples(p, 10**5)
         rows = []
         for n in ns:
             w = round(math.sqrt(n))  # exact on the perfect-square test grid
@@ -598,7 +588,9 @@ def run(manifest: Manifest, quiet: bool = False) -> int:
         return 1
     start = time.monotonic()
     try:
-        payload, ok = handler(manifest)
+        budget = Budget(**{key: int(value) for key, value in manifest.budgets.items()})
+        with using(budget):
+            payload, ok = handler(manifest)
     except (BudgetExceeded, IntegerOverflowGuard) as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
@@ -628,11 +620,6 @@ def run(manifest: Manifest, quiet: bool = False) -> int:
 def _add_common(sub):
     sub.add_argument("--manifest", help="JSON manifest path (flags override)")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=1,
-                     help="accepted for interface stability; execution is sequential")
-    sub.add_argument("--exact", action="store_true",
-                     help="refuse any spectrum outside the exact integer range "
-                          "(always enforced; flag kept for scripting parity)")
     sub.add_argument("--out", help="output path")
     sub.add_argument("--format", choices=("json", "csv"), default=None)
 
@@ -661,6 +648,12 @@ def _collect(args, command: str, params: dict) -> Manifest:
             out["format"] = args.format
         manifest.output = out
     return manifest
+
+
+def _set_spec(args) -> dict:
+    """The ``set`` parameter from --set-kind, --lo, --hi and --set-size."""
+    spec = {"kind": args.set_kind, "lo": args.lo, "hi": args.hi, "size": args.set_size}
+    return {key: value for key, value in spec.items() if value is not None}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -716,7 +709,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(s)
     s.add_argument("--mode", choices=("compatibility", "concentration"))
     s.add_argument("--ns", type=int, nargs="+")
-    s.add_argument("--c", type=float)
+    s.add_argument("--c", type=float,
+                   help="cutoff constant c of the layer set {|u| <= n/2 - c*n^(3/4)} "
+                        "(default 0.1). The fraction falls to 0 as n grows only above "
+                        "c* = Phi^-1(2/3)/2 ~ 0.2154; the default lies below c*, where "
+                        "it tends to 1")
     s.add_argument("--samples", type=int)
     s.add_argument("--n", type=int)
     s.add_argument("--w", type=int)
@@ -739,28 +736,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "closedness":
             params: dict = {"n": args.n, "mode": args.mode, "samples": args.samples}
             if args.set_kind:
-                set_spec = {"kind": args.set_kind}
-                if args.lo is not None:
-                    set_spec["lo"] = args.lo
-                if args.hi is not None:
-                    set_spec["hi"] = args.hi
-                if args.set_size is not None:
-                    set_spec["size"] = args.set_size
-                params["set"] = set_spec
+                params["set"] = _set_spec(args)
             if args.generators:
                 params["generators"] = {"kind": args.generators}
             manifest = _collect(args, "closedness", params)
         elif args.command == "spectrum":
             params = {"n": args.n}
             if args.set_kind:
-                set_spec = {"kind": args.set_kind}
-                if args.lo is not None:
-                    set_spec["lo"] = args.lo
-                if args.hi is not None:
-                    set_spec["hi"] = args.hi
-                if args.set_size is not None:
-                    set_spec["size"] = args.set_size
-                params["set"] = set_spec
+                params["set"] = _set_spec(args)
             manifest = _collect(args, "spectrum", params)
         elif args.command == "bogolyubov":
             params = {"n": args.n}

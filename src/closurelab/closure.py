@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -104,6 +104,19 @@ def groupset_oracle(a: GroupSet):
     return member, sample
 
 
+def seeded_chunks(
+    samples: int, seed: int, chunk_size: int
+) -> Iterator[tuple[np.random.Generator, int]]:
+    """(rng, count) per fixed chunk of ``samples``.
+
+    Each chunk draws from its own SeedSequence((seed, chunk_index)) stream,
+    so a result depends only on (seed, samples) and not on any scheduling.
+    """
+    for chunk_index, start in enumerate(range(0, samples, chunk_size)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
+        yield rng, min(chunk_size, samples - start)
+
+
 def closedness_sampled(
     a_member: Callable[[np.ndarray], np.ndarray],
     a_sampler: Callable,
@@ -114,19 +127,13 @@ def closedness_sampled(
     radius_method: str = "hoeffding",
     chunk_size: int = 4096,
 ) -> ClosednessReport:
-    """Seeded Monte Carlo estimate of (B,eta)-closedness.
-
-    Samples are drawn in fixed chunks, each chunk from its own
-    SeedSequence((seed, chunk_index)) stream, so the result depends only
-    on (seed, samples) and not on any scheduling.
-    """
+    """Seeded Monte Carlo estimate of (B,eta)-closedness, drawn in
+    :func:`seeded_chunks`."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     b_sample = b if callable(b) else multiset_sampler(b)
     hits = 0
-    for chunk_index, start in enumerate(range(0, samples, chunk_size)):
-        count = min(chunk_size, samples - start)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
+    for rng, count in seeded_chunks(samples, seed, chunk_size):
         a_batch = np.asarray(a_sampler(rng, count))
         b_batch = np.asarray(b_sample(rng, count))
         hits += int(np.count_nonzero(a_member(a_batch ^ b_batch)))

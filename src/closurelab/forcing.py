@@ -27,6 +27,7 @@ from .budgets import (
     DensityTooLow,
     DimensionMismatch,
     VerificationFailure,
+    active,
     check_enumeration,
 )
 from .gf2 import Subspace, rref
@@ -144,9 +145,9 @@ class SumsetReach:
     """Layered BFS bitmaps: sums of at most j generators, with witnesses."""
 
     def __init__(self, generators: Iterable[int], nbits: int, depth: int,
-                 budget: int = 2**24):
+                 budget: int | None = None):
         size = 1 << nbits
-        check_enumeration(size, budget)
+        check_enumeration(size, active().witness_budget if budget is None else budget)
         self.nbits = nbits
         self.depth = depth
         self.generators = sorted(set(int(g) for g in generators))
@@ -193,10 +194,6 @@ class SumsetReach:
 # ---------------------------------------------------------------------------
 
 
-def tuple_to_tensor_int(dims: tuple[int, ...], factors: tuple[int, ...]) -> int:
-    return rank1_flat(dims, factors)
-
-
 def random_factor_tuples(
     dims: tuple[int, ...], count: int, rng
 ) -> set[tuple[int, ...]]:
@@ -228,6 +225,20 @@ def tensor_multiset(shape: TensorShape, tuples) -> GroupMultiset:
 # ---------------------------------------------------------------------------
 # the matrix-case structure finder
 # ---------------------------------------------------------------------------
+
+
+def _four_split(
+    u: int, t_set: Sequence[int], t_lookup: set[int]
+) -> tuple[int, int, int, int]:
+    """Lexicographically first (t1, t2, t3, t4) over sorted T summing to u."""
+    for t1 in t_set:
+        for t2 in t_set:
+            partial = u ^ t1 ^ t2
+            for t3 in t_set:
+                if partial ^ t3 in t_lookup:
+                    return t1, t2, t3, partial ^ t3
+    # Bogolyubov guarantees a split
+    raise VerificationFailure(f"no 4-decomposition of {u:#x} over T")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -285,21 +296,7 @@ def find_structure_matrix(
     decompositions: dict[int, tuple[int, int, int, int]] = {}
     v_raw: dict[int, Subspace] = {}
     for u in u_space.enumerate():
-        found = None
-        for t1 in t_set:
-            for t2 in t_set:
-                partial = u ^ t1 ^ t2
-                for t3 in t_set:
-                    if partial ^ t3 in t_lookup:
-                        found = (t1, t2, t3, partial ^ t3)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:  # pragma: no cover - Bogolyubov guarantees a split
-            raise VerificationFailure(f"no 4-decomposition of {u:#x} over T")
-        decompositions[u] = found
+        found = decompositions[u] = _four_split(u, t_set, t_lookup)
         meet = w_spaces[found[0]]
         for t in found[1:]:
             meet = meet.intersect(w_spaces[t])
@@ -312,11 +309,11 @@ def find_structure_matrix(
 
     witnesses: dict[tuple[int, int], list[int]] = {}
     if verify:
-        matrices = [tuple_to_tensor_int(shape.dims, tup) for tup in pair_set]
+        matrices = [rank1_flat(shape.dims, tup) for tup in pair_set]
         reach = SumsetReach(matrices, shape.total, 16)
         for u, space in v_spaces.items():
             for v in space.enumerate():
-                wit = reach.witness(tuple_to_tensor_int(shape.dims, (u, v)))
+                wit = reach.witness(rank1_flat(shape.dims, (u, v)))
                 if wit is None:
                     raise VerificationFailure(
                         f"{u:#x} (x) {v:#x} missed the 16-fold sumset"
@@ -357,15 +354,12 @@ def build_q_matrix(
     for u in u_space.enumerate():
         space = v_spaces[u]
         for v in space.enumerate():
-            counter[tuple_to_tensor_int(shape.dims, (u, v))] += 1
+            counter[rank1_flat(shape.dims, (u, v))] += 1
     q = StructuredMultiset(shape, u_space, dict(v_spaces), dict(counter))
     expected = (1 << u_space.dim) * (1 << next(iter(v_spaces.values())).dim)
     if q.total != expected:  # pragma: no cover - arithmetic identity
         raise VerificationFailure("structured multiset size mismatch")
     return q
-
-
-build_Q_matrix = build_q_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +507,7 @@ def find_system(
     depth = 4**shape.d
     witnesses = None
     if verify:
-        gens = [tuple_to_tensor_int(shape.dims, tup) for tup in tuples]
+        gens = [rank1_flat(shape.dims, tup) for tup in tuples]
         reach = SumsetReach(gens, shape.total, depth)
         witnesses = {}
         for elem in system.element_counter():
@@ -554,20 +548,7 @@ def _find_system_inner(tuples, shape: TensorShape, delta: Fraction) -> LSystem:
     children: dict[tuple[int, ...], Subspace] = {}
     bound = u_space.codim
     for u in u_space.enumerate():
-        found = None
-        for t1 in t_set:
-            for t2 in t_set:
-                partial = u ^ t1 ^ t2
-                for t3 in t_set:
-                    if partial ^ t3 in t_lookup:
-                        found = (t1, t2, t3, partial ^ t3)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:  # pragma: no cover - Bogolyubov guarantees a split
-            raise VerificationFailure(f"no 4-decomposition of {u:#x} over T")
+        found = _four_split(u, t_set, t_lookup)
         sub = lsystem_intersect(
             lsystem_intersect(recursive[found[0]], recursive[found[1]]),
             lsystem_intersect(recursive[found[2]], recursive[found[3]]),
@@ -755,7 +736,7 @@ def rank_reach(shape: TensorShape) -> SumsetReach:
     """
     n1, n2 = shape.dims
     gens = [
-        tuple_to_tensor_int(shape.dims, (u, v))
+        rank1_flat(shape.dims, (u, v))
         for u in range(1, 1 << n1)
         for v in range(1, 1 << n2)
     ]

@@ -183,18 +183,6 @@ def rref(vectors: Iterable[int], ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, tuple(rows), tuple(pivots))
 
 
-def rank(vectors: Iterable[int], ambient_dim: int) -> int:
-    return rref(vectors, ambient_dim).dim
-
-
-def orthogonal_complement(space: Subspace) -> Subspace:
-    return space.complement()
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
 def count_small_support(
     space: Subspace, k: int, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> int:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .budgets import BudgetExceeded, check_group_exponent
-from .closure import closedness_exact
+from .closure import closedness_exact, seeded_chunks
 from .confidence import ChernoffBound, ChernoffParams, chernoff_bound, hoeffding_radius
 from .gf2 import rref
 from .spectral import GroupMultiset, GroupSet, mu_hat
@@ -234,15 +234,7 @@ def compatibility_fraction(
     sample only needs its weight; an explicit B' is scanned directly.
     """
     n = layer.n
-    masses = layer.weight_masses()
-    weights = sorted(masses)
-    cums = np.cumsum([masses[m] for m in weights])
-    total = int(cums[-1])
-    if total >= 2**63:
-        raise BudgetExceeded("layer set too large for 64-bit uniform sampling")
-    cums_arr = cums.astype(np.int64)
-    weights_arr = np.array(weights, dtype=np.int64)
-
+    draw_weights = _weight_sampler(layer)
     full_slice = isinstance(bprime, SliceSet)
     if full_slice:
         good = _slice_compatible_weights(layer, bprime)
@@ -255,11 +247,8 @@ def compatibility_fraction(
         b_total = len(b_list)
 
     hits = 0
-    for chunk_index, start in enumerate(range(0, u_samples, chunk_size)):
-        count = min(chunk_size, u_samples - start)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        draws = rng.integers(0, total, size=count)
-        m_batch = weights_arr[np.searchsorted(cums_arr, draws, side="right")]
+    for rng, count in seeded_chunks(u_samples, seed, chunk_size):
+        m_batch = draw_weights(rng, count)
         if full_slice:
             hits += int(np.count_nonzero(good_mask[m_batch]))
         else:
@@ -316,22 +305,32 @@ def fixed_weight_sampler(n: int, w: int):
     return sample
 
 
-def layer_sampler(layer: LayerSet):
-    """Uniform sampler over a layer set: weight by mass, then positions."""
-    if layer.n > 64:
-        raise BudgetExceeded("samplers support n <= 64")
+def _weight_sampler(layer: LayerSet):
+    """Weights of uniform layer points: m with probability C(n, m) / |layer|."""
     masses = layer.weight_masses()
     weights = sorted(masses)
-    total = sum(masses[m] for m in weights)
+    total = sum(masses.values())
     if total >= 2**63:
         raise BudgetExceeded("layer set too large for 64-bit uniform sampling")
     cums = np.cumsum([masses[m] for m in weights]).astype(np.int64)
     weights_arr = np.array(weights, dtype=np.int64)
-    n = layer.n
 
     def sample(rng, count: int) -> np.ndarray:
         draws = rng.integers(0, total, size=count)
-        m_batch = weights_arr[np.searchsorted(cums, draws, side="right")]
+        return weights_arr[np.searchsorted(cums, draws, side="right")]
+
+    return sample
+
+
+def layer_sampler(layer: LayerSet):
+    """Uniform sampler over a layer set: weight by mass, then positions."""
+    if layer.n > 64:
+        raise BudgetExceeded("samplers support n <= 64")
+    draw_weights = _weight_sampler(layer)
+    n = layer.n
+
+    def sample(rng, count: int) -> np.ndarray:
+        m_batch = draw_weights(rng, count)
         ranks = rng.random((count, n)).argsort(axis=1).argsort(axis=1)
         return _pack_rank_bits(ranks, m_batch, n)
 

@@ -17,11 +17,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .budgets import (
-    BudgetExceeded,
-    DimensionMismatch,
-    check_enumeration,
-)
+from .budgets import DimensionMismatch, check_enumeration, check_group_exponent
 from .gf2 import Subspace, all_subspaces, rref, to_hex
 
 
@@ -32,13 +28,7 @@ class TensorShape:
     def __post_init__(self):
         if not self.dims or any(n < 1 for n in self.dims):
             raise ValueError(f"invalid dims {self.dims}")
-        from .budgets import max_group_exponent
-
-        if math.prod(self.dims) > max_group_exponent():
-            raise BudgetExceeded(
-                f"shape {self.dims} has {math.prod(self.dims)} cells, over the "
-                f"group-exponent budget {max_group_exponent()}"
-            )
+        check_group_exponent(math.prod(self.dims))
 
     @property
     def d(self) -> int:
@@ -152,10 +142,6 @@ def contract(r: Tensor, s: Tensor) -> Tensor | int:
     if r.shape.d == a:
         return int(out)
     return Tensor.from_array(out.astype(np.uint8))
-
-
-def dot_flat(x: int, y: int) -> int:
-    return (x & y).bit_count() & 1
 
 
 def matvec_first(data: int, u: int, n1: int, n2: int) -> int:
@@ -281,21 +267,12 @@ class SimpleSet:
         return True
 
     def subspace(self) -> Subspace:
-        """The underlying subspace (ignoring the translate)."""
-        constraints: list[int] = []
-        for axes, space in self.spaces.items():
-            comp_space = space.complement()
-            if not comp_space.rows:
-                continue
-            posmap = axis_position_map(self.shape, axes)
-            for z in comp_space.rows:
-                bit_rows = [k for k in range(space.ambient_dim) if (z >> k) & 1]
-                for j in range(posmap.shape[1]):
-                    v = 0
-                    for k in bit_rows:
-                        v |= 1 << int(posmap[k, j])
-                    constraints.append(v)
-        return rref(constraints, self.shape.total).complement()
+        """The underlying subspace (ignoring the translate).
+
+        Its complement is spanned by the blowups H_I^perp (x) F2^{I^c}.
+        """
+        perps = {axes: space.complement() for axes, space in self.spaces.items()}
+        return sum_of_blowups(self.shape, perps).complement()
 
     def size(self) -> int:
         return 1 << self.subspace().dim
@@ -308,14 +285,6 @@ class SimpleSet:
                 for axes, space in sorted(self.spaces.items())
             ],
         }
-
-
-def simple_set_member(simple: SimpleSet, x: Tensor) -> bool:
-    return simple.member(x)
-
-
-def simple_set_size(simple: SimpleSet) -> int:
-    return simple.size()
 
 
 class LSystem:

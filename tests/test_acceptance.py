@@ -28,12 +28,10 @@ from closurelab.forcing import (
     check_forcing,
     matrix_pipeline,
     random_factor_tuples,
-    tuple_to_tensor_int,
 )
 from closurelab.gf2 import (
     all_subspaces,
     count_small_support,
-    orthogonal_complement,
     random_subspace,
 )
 from closurelab.hamming import (
@@ -55,7 +53,7 @@ from closurelab.spectral import (
     spectral_closedness,
     wht,
 )
-from closurelab.tensor import TensorShape, degenerate_decide, Tensor
+from closurelab.tensor import TensorShape, degenerate_decide, Tensor, rank1_flat
 
 from .oracles import bfs_sum_layers, matrix_rank_oracle, partition_rank_oracle
 
@@ -236,11 +234,11 @@ def test_criterion_6_d1_forcing_agreement_set_is_dual():
                     profile = agreement_profile(q)
                     thresh = agreement_threshold(q.total, Fraction(3, 4))
                     got = set(np.flatnonzero(profile.counts >= thresh).tolist())
-                    assert got == set(orthogonal_complement(u).enumerate())
+                    assert got == set(u.complement().enumerate())
                     cert = check_forcing(
                         profile,
                         Fraction(3, 4),
-                        {(0,): orthogonal_complement(u)},
+                        {(0,): u.complement()},
                         TensorShape((n,)),
                     )
                     assert cert.verified
@@ -258,7 +256,7 @@ def test_criterion_7_matrix_pipeline_end_to_end():
             print(f"  pipeline seed={seed} measured={result.measured}")
             assert result.verified, f"containment failed at seed {seed}"
             # independent validation of every 16B' witness
-            allowed = {tuple_to_tensor_int((4, 4), t) for t in pairs}
+            allowed = {rank1_flat((4, 4), t) for t in pairs}
             assert result.structure.witnesses
             for (u, v), wit in result.structure.witnesses.items():
                 assert len(wit) <= 16
@@ -266,7 +264,7 @@ def test_criterion_7_matrix_pipeline_end_to_end():
                 for g in wit:
                     assert g in allowed
                     acc ^= g
-                assert acc == tuple_to_tensor_int((4, 4), (u, v))
+                assert acc == rank1_flat((4, 4), (u, v))
 
 
 def test_criterion_8_degeneracy_vs_rank_and_partition_rank():

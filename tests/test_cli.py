@@ -65,15 +65,25 @@ def test_budget_refusal_exit_3():
     assert cli.main(["spectrum", "--n", "30", "--set-kind", "random"]) == 3
 
 
-def test_budget_override_via_manifest(tmp_path):
-    manifest = {
-        "command": "spectrum",
-        "params": {"n": 10, "set": {"kind": "random", "size": 100}},
-        "budgets": {"max_group_exponent": 9},
-    }
+def test_budget_override_via_manifest(tmp_path, monkeypatch):
+    """A manifest's budgets bind in both directions, for its own run only."""
+    spectrum_n10 = {"n": 10, "set": {"kind": "random", "size": 100}}
+    cases = [  # (command, params, budgets, exit code)
+        ("spectrum", spectrum_n10, {"max_group_exponent": 9}, 3),
+        ("spectrum", spectrum_n10, {}, 0),  # the cap of 9 ended with its run
+        ("simple-set", {"shape": [5, 5], "k": 1}, {"max_group_exponent": 25}, 0),
+        ("forcing-pipeline", {"shape": [4, 4]}, {"witness_budget": 1024}, 3),
+    ]
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(manifest))
-    assert cli.main(["spectrum", "--manifest", str(path)]) == 3
+    for command, params, budgets, code in cases:
+        manifest = {"command": command, "params": params, "budgets": budgets,
+                    "output": {"path": str(tmp_path / "out.json")}}
+        path.write_text(json.dumps(manifest))
+        assert cli.main([command, "--manifest", str(path)]) == code, (command, budgets)
+
+    # the environment is no budget source
+    monkeypatch.setenv("CLOSURELAB_BUDGET_EXP", "9")
+    assert cli.main(["spectrum", "--n", "10", "--out", str(tmp_path / "env.json")]) == 0
 
 
 def test_csv_output_rfc4180_with_meta_sidecar(tmp_path):

@@ -25,7 +25,6 @@ from closurelab.forcing import (
     system_in_simple,
     tensor_agreement,
     tensor_multiset,
-    tuple_to_tensor_int,
 )
 from closurelab.gf2 import Subspace, random_subspace, rref
 from closurelab.spectral import GroupMultiset
@@ -36,6 +35,7 @@ from closurelab.tensor import (
     TensorShape,
     degenerate_decide,
     matrix_rank,
+    rank1_flat,
     rank_one_counter,
     sum_of_blowups,
 )
@@ -181,14 +181,14 @@ def test_find_structure_random_witnesses_are_sound():
     rng = np.random.default_rng(4)
     pairs = random_factor_tuples((4, 4), 128, rng)
     res = find_structure_matrix(pairs, shape, Fraction(1, 2))
-    allowed = {tuple_to_tensor_int((4, 4), tup) for tup in pairs}
+    allowed = {rank1_flat((4, 4), tup) for tup in pairs}
     for (u, v), wit in res.witnesses.items():
         assert len(wit) <= 16
         acc = 0
         for g in wit:
             assert g in allowed
             acc ^= g
-        assert acc == tuple_to_tensor_int((4, 4), (u, v))
+        assert acc == rank1_flat((4, 4), (u, v))
 
 
 def test_find_structure_density_violation():
@@ -246,7 +246,7 @@ def test_smallrank_all_equal_gives_kernel_u():
     shape, q = _structured_fixture(rng)
     # a full-agreement array: anything in U^perp (x) F2^{n2}
     s = q.u_space.complement().rows[0]
-    r0 = Tensor(shape, tuple_to_tensor_int((4, 4), (s, 0b1011)))
+    r0 = Tensor(shape, rank1_flat((4, 4), (s, 0b1011)))
     assert tensor_agreement(q, r0.data) == q.total
     rs = [r0] * 16
     res = smallrank_pair(q, rs, k=1)
@@ -258,9 +258,9 @@ def test_smallrank_rank_one_perturbation_family():
     rng = np.random.default_rng(6)
     shape, q = _structured_fixture(rng)
     s = q.u_space.complement().rows[0]
-    base = tuple_to_tensor_int((4, 4), (s, 0b0110))
+    base = rank1_flat((4, 4), (s, 0b0110))
     rs = [
-        Tensor(shape, base ^ tuple_to_tensor_int((4, 4), (s, t)))
+        Tensor(shape, base ^ rank1_flat((4, 4), (s, t)))
         for t in range(16)
     ]
     res = smallrank_pair(q, rs, k=1)
@@ -357,7 +357,7 @@ def test_find_system_random_d2_verified():
     tuples = random_factor_tuples((4, 4), 128, rng)
     res = find_system(tuples, shape, Fraction(1, 2))
     assert res.system.max_codim() <= res.system.bound
-    allowed = {tuple_to_tensor_int((4, 4), t) for t in tuples}
+    allowed = {rank1_flat((4, 4), t) for t in tuples}
     for elem, wit in res.witnesses.items():
         assert len(wit) <= 16
         acc = 0

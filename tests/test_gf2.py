@@ -14,8 +14,6 @@ from closurelab.gf2 import (
     count_small_support,
     dot,
     from_hex,
-    intersect,
-    orthogonal_complement,
     private_coordinate_basis,
     random_subspace,
     random_vector,
@@ -60,9 +58,9 @@ def test_rref_canonical_independent_of_generating_set():
 
 
 def test_orthogonal_complement_examples():
-    assert orthogonal_complement(rref([0b001], 3)) == rref([0b010, 0b100], 3)
-    assert orthogonal_complement(Subspace.full(4)) == Subspace.zero(4)
-    assert orthogonal_complement(Subspace.zero(4)) == Subspace.full(4)
+    assert rref([0b001], 3).complement() == rref([0b010, 0b100], 3)
+    assert Subspace.full(4).complement() == Subspace.zero(4)
+    assert Subspace.zero(4).complement() == Subspace.full(4)
 
 
 def test_double_complement_and_exhaustive_orthogonality():
@@ -70,9 +68,9 @@ def test_double_complement_and_exhaustive_orthogonality():
     for _ in range(40):
         n = int(rng.integers(1, 13))
         v = random_subspace(n, int(rng.integers(0, n + 1)), rng)
-        comp = orthogonal_complement(v)
+        comp = v.complement()
         assert comp.dim == n - v.dim
-        assert orthogonal_complement(comp) == v
+        assert comp.complement() == v
         for x in comp.enumerate():
             assert all(dot(x, row) == 0 for row in v.rows)
 
@@ -81,14 +79,14 @@ def test_complement_is_involution_n16():
     rng = np.random.default_rng(5)
     for _ in range(25):
         v = random_subspace(16, int(rng.integers(0, 17)), rng)
-        assert orthogonal_complement(orthogonal_complement(v)) == v
+        assert v.complement().complement() == v
 
 
 def test_intersect_examples():
     v = rref([0b100, 0b010], 3)
-    assert intersect(v, v) == v
+    assert v.intersect(v) == v
     w = rref([0b010, 0b001], 3)
-    assert intersect(v, w) == rref([0b010], 3)
+    assert v.intersect(w) == rref([0b010], 3)
 
 
 def test_intersect_matches_bruteforce_enumeration():
@@ -97,7 +95,7 @@ def test_intersect_matches_bruteforce_enumeration():
         n = int(rng.integers(1, 13))
         a = random_subspace(n, int(rng.integers(0, n + 1)), rng)
         b = random_subspace(n, int(rng.integers(0, n + 1)), rng)
-        got = intersect(a, b)
+        got = a.intersect(b)
         assert got.codim <= a.codim + b.codim
         assert set(got.enumerate()) == set(a.enumerate()) & set(b.enumerate())
 

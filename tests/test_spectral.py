@@ -10,7 +10,7 @@ from closurelab.budgets import (
     IntegerOverflowGuard,
     VerificationFailure,
 )
-from closurelab.gf2 import Subspace, dot, orthogonal_complement, random_subspace, rref
+from closurelab.gf2 import Subspace, dot, random_subspace, rref
 from closurelab.spectral import (
     GroupMultiset,
     GroupSet,
@@ -41,7 +41,7 @@ def test_wht_subspace_indicator_is_scaled_dual_indicator():
         for x in w.enumerate():
             f[x] = 1
         spec = wht(f.tolist())
-        dual = orthogonal_complement(w)
+        dual = w.complement()
         for r in range(1 << n):
             expect = (1 << w.dim) if dual.contains(r) else 0
             assert int(spec.coeffs[r]) == expect
@@ -102,7 +102,7 @@ def test_mu_hat_subspace_is_dual_indicator():
         w = random_subspace(n, int(rng.integers(0, n + 1)), rng)
         b = GroupMultiset.from_elements(n, w.enumerate())
         spec = mu_hat(b)
-        dual = orthogonal_complement(w)
+        dual = w.complement()
         for r in range(1 << n):
             assert spec.value(r) == (1 if dual.contains(r) else 0)
 
@@ -171,7 +171,7 @@ def test_large_spectrum_full_group_and_subspace():
     w = rref([0b0011, 0b0101], 4)
     a = GroupSet.from_elements(4, w.enumerate())
     spec = large_spectrum(a, a.density)
-    dual = orthogonal_complement(w)
+    dual = w.complement()
     assert sorted(spec) == sorted(dual.enumerate())
 
 

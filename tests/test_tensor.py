@@ -24,8 +24,6 @@ from closurelab.tensor import (
     rank1,
     rank1_flat,
     rank_one_counter,
-    simple_set_member,
-    simple_set_size,
     sum_of_blowups,
 )
 
@@ -173,12 +171,12 @@ def test_simple_set_membership_full_and_row_constraint():
     zero = Tensor(shape, 0)
     everything = SimpleSet(shape, zero)
     assert all(
-        simple_set_member(everything, Tensor(shape, x)) for x in range(16)
+        everything.member(Tensor(shape, x)) for x in range(16)
     )
 
     # H_{0} = span{e1} in F2^2: members have zero second row
     constrained = SimpleSet(shape, zero, {(0,): rref([0b01], 2)})
-    members = [x for x in range(16) if simple_set_member(constrained, Tensor(shape, x))]
+    members = [x for x in range(16) if constrained.member(Tensor(shape, x))]
     # row-major (2,2): positions 0,1 = first row; 2,3 = second row
     assert members == [x for x in range(16) if x & 0b1100 == 0]
 
@@ -194,18 +192,18 @@ def test_simple_set_member_count_matches_constraint_rank_oracle():
         translate = Tensor(shape, int(rng.integers(0, 1 << 9)))
         simple = SimpleSet(shape, translate, spaces)
         count = sum(
-            1 for x in range(1 << 9) if simple_set_member(simple, Tensor(shape, x))
+            1 for x in range(1 << 9) if simple.member(Tensor(shape, x))
         )
-        assert count == simple_set_size(simple)
+        assert count == simple.size()
         assert count == 1 << simple.subspace().dim
 
 
 def test_simple_set_size_examples():
     shape = TensorShape((2, 2))
     zero = Tensor(shape, 0)
-    assert simple_set_size(SimpleSet(shape, zero)) == 16
+    assert SimpleSet(shape, zero).size() == 16
     one_constraint = SimpleSet(shape, zero, {(0,): rref([0b01], 2)})
-    assert simple_set_size(one_constraint) == 4
+    assert one_constraint.size() == 4
 
 
 def test_simple_set_size_drop_factor_bound():
@@ -220,7 +218,7 @@ def test_simple_set_size_drop_factor_bound():
         base = SimpleSet(shape, Tensor(shape, 0), spaces)
         h12 = random_subspace(9, int(rng.integers(5, 10)), rng)
         cut = SimpleSet(shape, Tensor(shape, 0), {**spaces, (0, 1): h12})
-        assert simple_set_size(cut) * (1 << h12.codim) >= simple_set_size(base)
+        assert cut.size() * (1 << h12.codim) >= base.size()
 
 
 def test_simple_set_translation_consistency():
@@ -232,9 +230,7 @@ def test_simple_set_translation_consistency():
         t = int(rng.integers(0, 1 << 9))
         x = int(rng.integers(0, 1 << 9))
         shifted = SimpleSet(shape, Tensor(shape, t), spaces)
-        assert simple_set_member(c0, Tensor(shape, x)) == simple_set_member(
-            shifted, Tensor(shape, x ^ t)
-        )
+        assert c0.member(Tensor(shape, x)) == shifted.member(Tensor(shape, x ^ t))
 
 
 def test_embed_blowup_membership_semantics():
