@@ -122,7 +122,15 @@ class Manifest:
         params = raw.get("params") or {}
         if not isinstance(params, dict):
             raise ManifestError("params must be a mapping")
-        return cls(command, params, int(raw.get("seed", 0)), budgets, output)
+        manifest = cls(command, params, int(raw.get("seed", 0)), budgets, output)
+        try:
+            manifest.budget()
+        except (TypeError, ValueError):
+            raise ManifestError(f"budget values must be integers: {budgets}") from None
+        return manifest
+
+    def budget(self) -> Budget:
+        return Budget(**{key: int(value) for key, value in self.budgets.items()})
 
     def to_dict(self) -> dict:
         out = {
@@ -588,8 +596,7 @@ def run(manifest: Manifest, quiet: bool = False) -> int:
         return 1
     start = time.monotonic()
     try:
-        budget = Budget(**{key: int(value) for key, value in manifest.budgets.items()})
-        with using(budget):
+        with using(manifest.budget()):
             payload, ok = handler(manifest)
     except (BudgetExceeded, IntegerOverflowGuard) as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)

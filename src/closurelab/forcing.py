@@ -144,10 +144,9 @@ def check_forcing(
 class SumsetReach:
     """Layered BFS bitmaps: sums of at most j generators, with witnesses."""
 
-    def __init__(self, generators: Iterable[int], nbits: int, depth: int,
-                 budget: int | None = None):
+    def __init__(self, generators: Iterable[int], nbits: int, depth: int):
         size = 1 << nbits
-        check_enumeration(size, active().witness_budget if budget is None else budget)
+        check_enumeration(size, active().witness_budget)
         self.nbits = nbits
         self.depth = depth
         self.generators = sorted(set(int(g) for g in generators))

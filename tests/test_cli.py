@@ -73,6 +73,8 @@ def test_budget_override_via_manifest(tmp_path, monkeypatch):
         ("spectrum", spectrum_n10, {}, 0),  # the cap of 9 ended with its run
         ("simple-set", {"shape": [5, 5], "k": 1}, {"max_group_exponent": 25}, 0),
         ("forcing-pipeline", {"shape": [4, 4]}, {"witness_budget": 1024}, 3),
+        ("spectrum", spectrum_n10, {"witness_budget": None}, 1),  # not an integer
+        ("scenarios", {}, {"max_samples": "many"}, 1),
     ]
     path = tmp_path / "m.json"
     for command, params, budgets, code in cases:
