@@ -45,7 +45,6 @@ from .closure import (
     triangle_compose,
 )
 from .forcing import (
-    agreement_profile,
     find_system,
     matrix_pipeline,
     random_factor_tuples,
@@ -87,6 +86,11 @@ COMMANDS = (
 _BUDGET_KEYS = {f.name for f in fields(Budget)}
 _OUTPUT_KEYS = {"path", "format"}
 _MANIFEST_KEYS = {"command", "params", "seed", "budgets", "output"}
+
+# simple-set checks every tensor up to this many cells (membership_check is
+# null above), MEMBERSHIP_CHECK_CHUNK packed tensors per array pass
+MEMBERSHIP_CHECK_CELLS = 16
+MEMBERSHIP_CHECK_CHUNK = 1 << 12
 
 
 class ManifestError(ClosureLabError):
@@ -297,8 +301,7 @@ def cmd_forcing_pipeline(manifest: Manifest):
     count = int(p.get("pairs", math.ceil(delta * (1 << sum(dims)))))
     pairs = random_factor_tuples(dims, count, rng)
     result = matrix_pipeline(pairs, shape, delta, epsilon, rank_threshold)
-    counts = agreement_profile(result.q, shape).counts
-    values, freqs = np.unique(counts, return_counts=True)
+    values, freqs = np.unique(result.profile.counts, return_counts=True)
     histogram = [
         {"agreement": int(v), "arrays": int(f)} for v, f in zip(values, freqs)
     ]
@@ -335,12 +338,13 @@ def cmd_simple_set(manifest: Manifest):
     translate = Tensor(shape, int(rng.integers(0, 1 << shape.total)))
     simple = SimpleSet(shape, translate, spaces)
     size = simple.size()
-    ok = True
-    if shape.total <= 12:
+    ok = None  # not run: too many cells to check every tensor
+    if shape.total <= MEMBERSHIP_CHECK_CELLS:
+        points = 1 << shape.total
+        chunk = min(points, MEMBERSHIP_CHECK_CHUNK)
         members = sum(
-            1
-            for x in range(1 << shape.total)
-            if simple.member(Tensor(shape, x))
+            int(np.count_nonzero(simple.members(np.arange(lo, lo + chunk, dtype=np.uint64))))
+            for lo in range(0, points, chunk)
         )
         ok = members == size
     payload = {
@@ -351,7 +355,7 @@ def cmd_simple_set(manifest: Manifest):
         "membership_check": ok,
         "definition": simple.to_json(),
     }
-    return payload, ok
+    return payload, ok is not False
 
 
 def cmd_lsystem(manifest: Manifest):

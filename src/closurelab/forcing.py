@@ -141,8 +141,18 @@ def check_forcing(
 # ---------------------------------------------------------------------------
 
 
+UNREACHED = 255  # SumsetReach.dist of an element beyond ``depth``
+
+
 class SumsetReach:
-    """Layered BFS bitmaps: sums of at most j generators, with witnesses."""
+    """Distances to sums of generators, with witnesses.
+
+    dist[x] is the least number of generators summing to x, or UNREACHED
+    when that exceeds ``depth``.  A minimal sum has linearly independent
+    terms, so no distance exceeds nbits and the frontier expansion stops
+    after at most min(depth, nbits) layers, or earlier once it has reached
+    the whole span of the generators.
+    """
 
     def __init__(self, generators: Iterable[int], nbits: int, depth: int):
         size = 1 << nbits
@@ -150,41 +160,56 @@ class SumsetReach:
         self.nbits = nbits
         self.depth = depth
         self.generators = sorted(set(int(g) for g in generators))
-        idx = np.arange(size, dtype=np.int64)
-        reach = np.zeros(size, dtype=bool)
-        reach[0] = True
-        self.layers = [reach.copy()]
-        for _ in range(depth):
-            nxt = reach.copy()
+        self._gens = np.array(self.generators, dtype=np.int64)
+        span = 1 << rref(self.generators, nbits).dim
+        dist = np.full(size, UNREACHED, dtype=np.uint8)
+        dist[0] = 0
+        frontier = np.zeros(1, dtype=np.int64)
+        reached = 1
+        for j in range(1, min(depth, nbits) + 1):
+            if reached == span:
+                break
+            fresh = []
             for g in self.generators:
-                nxt |= reach[idx ^ g]
-            self.layers.append(nxt)
-            reach = nxt
+                step = frontier ^ g
+                step = step[dist[step] == UNREACHED]
+                dist[step] = j
+                fresh.append(step)
+            frontier = np.concatenate(fresh)
+            reached += frontier.size
+        self.dist = dist
+
+    @property
+    def layers(self) -> list[np.ndarray]:
+        """layers[j] is the bitmap of sums of at most j generators.
+
+        Distances never exceed nbits, so capping j there keeps UNREACHED out
+        of every layer, even when depth reaches it.
+        """
+        return [self.dist <= min(j, self.nbits) for j in range(self.depth + 1)]
 
     def depth_of(self, x: int) -> int | None:
-        for j, layer in enumerate(self.layers):
-            if layer[x]:
-                return j
-        return None
+        d = int(self.dist[x])
+        return None if d == UNREACHED else d
 
     def witness(self, x: int) -> list[int] | None:
-        """Generators (at most ``depth`` of them) summing to x, or None."""
-        j = self.depth_of(x)
-        if j is None:
+        """Generators (at most ``depth`` of them) summing to x, or None.
+
+        Each step takes the first generator, in sorted order, that moves x
+        one layer closer to 0.
+        """
+        d = self.depth_of(x)
+        if d is None:
             return None
         out: list[int] = []
-        while j > 0:
-            if self.layers[j - 1][x]:
-                j -= 1
-                continue
-            for g in self.generators:
-                if self.layers[j - 1][x ^ g]:
-                    out.append(g)
-                    x ^= g
-                    j -= 1
-                    break
-            else:  # pragma: no cover - contradicts layer construction
+        while d > 0:
+            closer = np.flatnonzero(self.dist[x ^ self._gens] < d)
+            if not closer.size:  # pragma: no cover - contradicts the distances
                 raise VerificationFailure("witness backtrack lost its path")
+            g = self.generators[closer[0]]
+            out.append(g)
+            x ^= g
+            d -= 1
         return out
 
 
@@ -713,6 +738,7 @@ class PipelineResult:
     rank_threshold: int
     structure: StructureResult
     q: StructuredMultiset
+    profile: AgreementProfile
     agreement_set: list[int]
     centers: list[int]
     w1: Subspace
@@ -727,10 +753,11 @@ class PipelineResult:
         return space.sum(rref(self.centers, self.shape.total))
 
 
-def rank_reach(shape: TensorShape) -> SumsetReach:
-    """Layered reachability over nonzero rank-1 matrices.
+def rank_reach(shape: TensorShape, depth: int | None = None) -> SumsetReach:
+    """Reachability over nonzero rank-1 matrices, up to ``depth`` summands.
 
     Over GF(2), rank(M) equals the minimum number of rank-1 summands, so
+    dist is the rank up to ``depth`` (default min(n1, n2), every rank) and
     layer l is exactly the rank<=l bitmap.
     """
     n1, n2 = shape.dims
@@ -739,7 +766,7 @@ def rank_reach(shape: TensorShape) -> SumsetReach:
         for u in range(1, 1 << n1)
         for v in range(1, 1 << n2)
     ]
-    return SumsetReach(set(gens), shape.total, min(n1, n2))
+    return SumsetReach(set(gens), shape.total, min(n1, n2) if depth is None else depth)
 
 
 def matrix_pipeline(
@@ -762,19 +789,18 @@ def matrix_pipeline(
     profile = agreement_profile(q, shape)
     thresh = agreement_threshold(q.total, 1 - Fraction(epsilon))
     r_arr = np.flatnonzero(profile.counts >= thresh).astype(np.int64)
-    r_set = [int(r) for r in r_arr]
+    r_set = r_arr.tolist()
 
     # greedy clustering in ascending order; a point joins the centers iff
-    # its difference with every earlier center has rank > threshold
-    low_rank = rank_reach(shape).layers[rank_threshold]
-    covered = np.zeros(r_arr.size, dtype=bool)
+    # its difference with every earlier center has rank > threshold, that
+    # is, iff no earlier center's ball {c + m : rank(m) <= threshold} holds it
+    ball = np.flatnonzero(rank_reach(shape, rank_threshold).dist <= rank_threshold)
+    blocked = np.zeros(1 << shape.total, dtype=bool)
     centers: list[int] = []
-    for idx in range(r_arr.size):
-        if covered[idx]:
-            continue
-        c = int(r_arr[idx])
-        centers.append(c)
-        covered |= low_rank[r_arr ^ c]
+    for c in r_set:
+        if not blocked[c]:
+            centers.append(c)
+            blocked[ball ^ c] = True
 
     witness = reduced_witness(q, rank_threshold)
     target = sum_of_blowups(shape, {(0,): witness.w1, (1,): witness.w2})
@@ -806,6 +832,7 @@ def matrix_pipeline(
         rank_threshold=rank_threshold,
         structure=structure,
         q=q,
+        profile=profile,
         agreement_set=r_set,
         centers=centers,
         w1=witness.w1,

@@ -17,7 +17,12 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .budgets import DimensionMismatch, check_enumeration, check_group_exponent
+from .budgets import (
+    BudgetExceeded,
+    DimensionMismatch,
+    check_enumeration,
+    check_group_exponent,
+)
 from .gf2 import Subspace, all_subspaces, rref, to_hex
 
 
@@ -252,19 +257,27 @@ class SimpleSet:
     def member(self, x: Tensor) -> bool:
         if x.shape != self.shape:
             raise DimensionMismatch("tensor shape differs")
-        y = x.data ^ self.translate.data
-        y_arr = Tensor(self.shape, y).to_array()
+        return bool(self.members(np.array([x.data], dtype=np.uint64))[0])
+
+    def members(self, data: np.ndarray) -> np.ndarray:
+        """Membership of each packed tensor in ``data``, as a bool array.
+
+        One parity pass per constraint row: for each z in H_I^perp and each
+        index j of F2^{I^c}, the slice y[., j] along the I axes must be
+        orthogonal to z.  Built from the definition, not from subspace().
+        """
+        if self.shape.total > 64:
+            raise BudgetExceeded(f"{self.shape.total} cells exceed a 64-bit packed tensor")
+        y = np.asarray(data, dtype=np.uint64) ^ np.uint64(self.translate.data)
+        inside = np.ones(y.shape, dtype=bool)
         for axes, space in self.spaces.items():
-            comp = tuple(a for a in range(self.shape.d) if a not in axes)
-            perm = axes + comp
-            sliced = np.transpose(y_arr, perm).reshape(space.ambient_dim, -1)
+            posmap = axis_position_map(self.shape, axes)
             for z in space.complement().rows:
-                zbits = np.array(
-                    [(z >> k) & 1 for k in range(space.ambient_dim)], dtype=np.int64
-                )
-                if np.any((zbits @ sliced) & 1):
-                    return False
-        return True
+                rows = posmap[[k for k in range(space.ambient_dim) if (z >> k) & 1]]
+                for column in rows.T.tolist():
+                    mask = np.uint64(sum(1 << pos for pos in column))
+                    inside &= np.bitwise_count(y & mask) % 2 == 0
+        return inside
 
     def subspace(self) -> Subspace:
         """The underlying subspace (ignoring the translate).

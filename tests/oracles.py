@@ -86,6 +86,66 @@ def bfs_sum_layers(generators: list[int], nbits: int, depth: int) -> list[np.nda
     return layers
 
 
+def layered_witness(layers: list[np.ndarray], generators: list[int], x: int) -> list[int] | None:
+    """Backtrack through BFS layers: lower j while x is already in layer j-1,
+    else step along the first sorted generator g with x + g in layer j-1."""
+    j = next((j for j, layer in enumerate(layers) if layer[x]), None)
+    if j is None:
+        return None
+    gens = sorted(set(generators))
+    out = []
+    while j > 0:
+        if layers[j - 1][x]:
+            j -= 1
+            continue
+        g = next(g for g in gens if layers[j - 1][x ^ g])
+        out.append(g)
+        x ^= g
+        j -= 1
+    return out
+
+
+def rank_one_matrices(n1: int, n2: int) -> list[int]:
+    """Every nonzero u (x) v, row-major: bit i*n2 + j is u_i v_j."""
+    out = set()
+    for u in range(1, 1 << n1):
+        for v in range(1, 1 << n2):
+            out.add(sum(v << (i * n2) for i in range(n1) if (u >> i) & 1))
+    return sorted(out)
+
+
+def greedy_centers(points: list[int], low_rank: np.ndarray) -> list[int]:
+    """Ascending greedy clustering: gather low_rank[points ^ c] per center."""
+    arr = np.array(points, dtype=np.int64)
+    covered = np.zeros(arr.size, dtype=bool)
+    centers = []
+    for idx in range(arr.size):
+        if not covered[idx]:
+            c = int(arr[idx])
+            centers.append(c)
+            covered |= low_rank[arr ^ c]
+    return centers
+
+
+def simple_set_member_oracle(dims: tuple[int, ...], translate: int, spaces, x: int) -> bool:
+    """Every H_I^perp row annihilates every slice of x + translate along I.
+
+    ``spaces`` maps ascending axis tuples to subspaces with ``complement()``
+    rows; slices come from a transposed dense array, bit by bit.
+    """
+    total = math.prod(dims)
+    y = x ^ translate
+    arr = np.array([(y >> pos) & 1 for pos in range(total)], dtype=np.int64).reshape(dims)
+    for axes, space in spaces.items():
+        rest = tuple(a for a in range(len(dims)) if a not in axes)
+        sliced = np.transpose(arr, tuple(axes) + rest).reshape(space.ambient_dim, -1)
+        for z in space.complement().rows:
+            zbits = np.array([(z >> k) & 1 for k in range(space.ambient_dim)], dtype=np.int64)
+            if np.any((zbits @ sliced) & 1):
+                return False
+    return True
+
+
 def partition_rank_oracle(data: int, dims: tuple[int, ...]) -> int | None:
     """Minimum number of bipartition products summing to the tensor.
 

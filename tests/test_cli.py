@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from closurelab import cli
 from closurelab.cli import Manifest, ManifestError, canonical_json, run, selftest
+from closurelab.tensor import SimpleSet
 
 
 def test_manifest_rejects_unknown_keys():
@@ -159,6 +161,32 @@ def test_simple_set_and_lsystem_commands(tmp_path):
     assert doc["payload"]["verified"] is True
 
 
+def test_simple_set_membership_check_runs_to_16_cells(tmp_path, monkeypatch):
+    def simple_set(shape, seed):
+        out = tmp_path / "ss.json"
+        code = cli.main(["simple-set", "--shape", *map(str, shape), "--k", "1",
+                         "--seed", str(seed), "--out", str(out)])
+        return code, json.loads(out.read_text())["payload"]
+
+    code, payload = simple_set((4, 4), 5)
+    assert (code, payload["membership_check"], payload["size"]) == (0, True, 256)
+    # too many cells to check every tensor: reported as not run
+    code, payload = simple_set((4, 5), 5)
+    assert (code, payload["membership_check"]) == (0, None)
+
+    # the (4,4) check really runs: a membership test that drops one member fails it
+    real = SimpleSet.members
+
+    def drop_one(self, data):
+        inside = real(self, data)
+        inside[np.flatnonzero(inside)[:1]] = False
+        return inside
+
+    monkeypatch.setattr(SimpleSet, "members", drop_one)
+    code, payload = simple_set((4, 4), 5)
+    assert (code, payload["membership_check"]) == (2, False)
+
+
 def test_concentration_command(tmp_path):
     out = tmp_path / "conc.json"
     code = cli.main(
@@ -178,9 +206,10 @@ def test_concentration_command(tmp_path):
     )
 
 
-def test_scenarios_command_exit_zero():
-    assert cli.main(["scenarios", "--seed", "7", "--out", "/tmp/scen.json"]) == 0
-    doc = json.loads(open("/tmp/scen.json").read())
+def test_scenarios_command_exit_zero(tmp_path):
+    out = tmp_path / "scen.json"
+    assert cli.main(["scenarios", "--seed", "7", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
     assert doc["payload"]["all_passed"] is True
 
 

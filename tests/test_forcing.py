@@ -1,6 +1,7 @@
 """Tests for agreement profiles, forcing certificates, the structure
 finder, l-system construction, and the matrix pipeline."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,7 @@ from closurelab.tensor import (
     sum_of_blowups,
 )
 
-from .oracles import bfs_sum_layers
+from .oracles import bfs_sum_layers, greedy_centers, layered_witness, rank_one_matrices
 
 
 def test_agreement_profile_constant_zero_multiset():
@@ -333,6 +334,62 @@ def test_reduced_witness_low_rank_containment_exhaustive():
     for r in np.flatnonzero(profile.counts >= thresh).tolist():
         if low_rank[r]:
             assert target.contains(int(r))
+
+
+def test_sumset_reach_distances_and_witnesses_match_layered_oracle():
+    rng = np.random.default_rng(31)
+    cases = [
+        ([int(g) for g in rng.integers(1, 1 << 7, size=5)], 7, 3),
+        ([int(g) for g in rng.integers(1, 1 << 6, size=9)], 6, 9),  # depth > nbits
+        ([], 5, 4),  # only 0 is reachable
+        ([2 * int(g) for g in rng.integers(1, 1 << 5, size=4)], 6, 6),  # odd x unreachable
+        ([int(g) for g in rng.integers(1, 1 << 8, size=12)], 8, 2),  # depth cuts the reach
+        ([int(g) for g in rng.integers(0, 1 << 6, size=20)], 6, 0),  # depth 0
+    ]
+    for gens, nbits, depth in cases:
+        reach = SumsetReach(gens, nbits, depth)
+        layers = bfs_sum_layers(gens, nbits, depth)
+        assert reach.depth == depth
+        assert reach.generators == sorted(set(gens))
+        assert len(reach.layers) == depth + 1
+        for j in range(depth + 1):
+            assert np.array_equal(reach.layers[j], layers[j])
+        for x in range(1 << nbits):
+            first = next((j for j, layer in enumerate(layers) if layer[x]), None)
+            assert reach.depth_of(x) == first
+            assert reach.witness(x) == layered_witness(layers, gens, x)
+        if not layers[-1].all():
+            assert any(reach.witness(x) is None for x in range(1 << nbits))
+
+
+def test_matrix_pipeline_centers_match_gather_oracle():
+    # (dims, delta, epsilon, seed): agreement sets of 1 to 65,536 arrays
+    runs = [
+        ((3, 3), "1/2", "1/32", 0),
+        ((3, 3), "3/4", "1/4", 1),
+        ((3, 3), "3/4", "3/8", 1),
+        ((3, 3), "7/8", "3/8", 0),
+        ((4, 4), "3/4", "1/32", 2000),
+        ((4, 4), "3/4", "1/32", 2001),
+        ((4, 4), "3/4", "1/4", 0),
+        ((4, 4), "7/8", "3/8", 0),
+        ((4, 4), "3/4", "3/8", 1),
+        ((4, 4), "1/2", "1/32", 2000),
+    ]
+    for dims, delta, epsilon, seed in runs:
+        shape = TensorShape(dims)
+        delta, epsilon = Fraction(delta), Fraction(epsilon)
+        pairs = random_factor_tuples(
+            dims, math.ceil(delta * (1 << sum(dims))), np.random.default_rng(seed)
+        )
+        layers = bfs_sum_layers(rank_one_matrices(*dims), shape.total, 2)
+        for threshold in (0, 1, 2):
+            res = matrix_pipeline(pairs, shape, delta, epsilon, threshold)
+            if threshold == 0 and len(res.agreement_set) > 8192:
+                # every array is its own center at threshold 0
+                assert res.centers == res.agreement_set
+                continue
+            assert res.centers == greedy_centers(res.agreement_set, layers[threshold])
 
 
 def test_find_system_full_input_is_full_system():

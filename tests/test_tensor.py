@@ -27,7 +27,12 @@ from closurelab.tensor import (
     sum_of_blowups,
 )
 
-from .oracles import dense_contract, matrix_rank_oracle, partition_rank_oracle
+from .oracles import (
+    dense_contract,
+    matrix_rank_oracle,
+    partition_rank_oracle,
+    simple_set_member_oracle,
+)
 
 
 def test_flat_unflat_bijection_exhaustive():
@@ -196,6 +201,34 @@ def test_simple_set_member_count_matches_constraint_rank_oracle():
         )
         assert count == simple.size()
         assert count == 1 << simple.subspace().dim
+
+
+def test_simple_set_members_matches_member_subspace_and_oracle():
+    rng = np.random.default_rng(12)
+    for dims in [(3, 3), (2, 2, 2), (2, 2, 3)]:
+        shape = TensorShape(dims)
+        for _ in range(3):
+            spaces = {}
+            for mask in range(1, 1 << shape.d):
+                axes = tuple(a for a in range(shape.d) if (mask >> a) & 1)
+                amb = math.prod(dims[a] for a in axes)
+                spaces[axes] = random_subspace(amb, int(rng.integers(amb - 2, amb + 1)), rng)
+            t = int(rng.integers(1, 1 << shape.total))
+            simple = SimpleSet(shape, Tensor(shape, t), spaces)
+            sub = simple.subspace()
+            everything = simple.members(np.arange(1 << shape.total, dtype=np.uint64))
+            assert int(everything.sum()) == simple.size()
+            # the subspace's own members, shifted, and a seeded sample
+            points = [x ^ t for x in sub.enumerate()]
+            points += rng.integers(0, 1 << shape.total, size=200).tolist()
+            got = simple.members(np.array(points, dtype=np.uint64)).tolist()
+            assert got == everything[points].tolist()
+            assert got == [simple.member(Tensor(shape, x)) for x in points]
+            assert got == [sub.contains(x ^ t) for x in points]
+            assert got == [
+                simple_set_member_oracle(dims, t, simple.spaces, x) for x in points
+            ]
+            assert 0 < sum(got) < len(got)
 
 
 def test_simple_set_size_examples():

@@ -1,0 +1,153 @@
+"""Write a BENCH_<n>.json comparing a parent checkout with this one.
+
+    python3 tools/bench_artifact.py --parent ../parent --out BENCH_6.json
+
+Run from the root of this checkout; ``--parent`` is a checkout of the parent
+commit (``git archive`` or ``git clone`` it).  Both sides run with the same
+interpreter.  The artifact has four parts:
+
+* ``perfbench``: result lines of ``perfbench/run.py --trace 0`` at the
+  benchmark's ``run_seconds``, in pairs that alternate which side runs first
+  (pair k of a workload uses seed ``SEED + k``), and per workload the median of each
+  end-to-end metric on both sides;
+* ``kernels``: ``matrix_pipeline`` at (4,4) and (4,5), delta 1/2, seed 2000,
+  as medians over repeats, each side in a fresh interpreter;
+* ``suite``: the tier-1 suite's wall time and criterion 7's call time;
+* ``machine``: CPU, Python and numpy versions.
+
+perfbench itself is only run, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+CHANGE = Path(__file__).resolve().parent.parent
+PAIRS = {"forcing-pipeline": 5, "dense-spectra": 2, "sampled-estimators": 2}
+SEED = 101
+
+KERNEL_SNIPPET = """
+import json, statistics, sys, time
+from fractions import Fraction
+import numpy as np
+from closurelab.forcing import matrix_pipeline, random_factor_tuples
+from closurelab.tensor import TensorShape
+out = {}
+for dims, repeats in (((4, 4), 7), ((4, 5), 3)):
+    pairs = random_factor_tuples(dims, (1 << sum(dims)) // 2, np.random.default_rng(2000))
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = matrix_pipeline(pairs, TensorShape(dims), Fraction(1, 2))
+        times.append(time.perf_counter() - start)
+    out[f"matrix_pipeline{dims}"] = {"median_s": statistics.median(times),
+                                     "repeats": repeats, "measured": result.measured}
+print(json.dumps(out))
+"""
+
+
+def _run(cmd: list[str], root: Path, env_src: bool = False) -> str:
+    """stdout of ``cmd`` run in ``root``, importing closurelab from root/src if asked."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if env_src:
+        env["PYTHONPATH"] = str(root / "src")
+    return subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True,
+                          env=env).stdout
+
+
+def perfbench_pair(workload: str, seed: int, seconds: float, parent: Path, first: str) -> dict:
+    sides = {"parent": parent, "change": CHANGE}
+    order = [first, "change" if first == "parent" else "parent"]
+    pair = {"workload": workload, "seed": seed, "first": first}
+    for side in order:
+        out = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+                    str(seed), "--seconds", str(seconds), "--trace", "0"], sides[side])
+        line = json.loads(out.strip().splitlines()[-1])
+        pair[side] = {"correct": line["correct"], "attempted": line["attempted"],
+                      "failed": line["failed"],
+                      **{k: m["value"] for k, m in line["metrics"].items()}}
+    return pair
+
+
+def summarize(pairs: list[dict], metrics: list[str]) -> dict:
+    out = {}
+    for workload in dict.fromkeys(p["workload"] for p in pairs):
+        rows = [p for p in pairs if p["workload"] == workload]
+        out[workload] = {"pairs": len(rows)}
+        for name in metrics:
+            parent = statistics.median(p["parent"][name] for p in rows)
+            change = statistics.median(p["change"][name] for p in rows)
+            out[workload][name] = {"parent_median": parent, "change_median": change,
+                                   "change_over_parent": change / parent if parent else None}
+    return out
+
+
+def suite(root: Path) -> dict:
+    start = time.monotonic()
+    out = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "--durations=0", "--continue-on-collection-errors"], root, env_src=True)
+    wall = time.monotonic() - start
+    crit7 = re.search(r"([\d.]+)s call\s+\S+::test_criterion_7_\w+", out)
+    summary = out.strip().splitlines()[-1]
+    return {"wall_s": round(wall, 2), "criterion_7_call_s": float(crit7.group(1)) if crit7 else None,
+            "summary": summary}
+
+
+def machine() -> dict:
+    cpu = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        names = re.findall(r"^model name\s*:\s*(.+)$", cpuinfo.read_text(), re.M)
+        cpu = names[0] if names else cpu
+        cores = len(names)
+    else:
+        cores = None
+    return {"cpu": cpu, "cpus": cores, "system": platform.platform(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    bench = json.loads((CHANGE / "BENCHMARK.json").read_text())
+
+    pairs = []
+    for workload, count in PAIRS.items():
+        for k in range(count):
+            first = "parent" if k % 2 == 0 else "change"
+            pairs.append(perfbench_pair(workload, SEED + k, bench["run_seconds"],
+                                        parent, first))
+            print(f"{workload} pair {k + 1}/{count} done", file=sys.stderr)
+    kernels = {side: json.loads(_run([sys.executable, "-c", KERNEL_SNIPPET], root, env_src=True))
+               for side, root in (("parent", parent), ("change", CHANGE))}
+    suites = {side: suite(root) for side, root in (("parent", parent), ("change", CHANGE))}
+    artifact = {
+        "machine": machine(),
+        "perfbench": {
+            "run_seconds": bench["run_seconds"],
+            "summary": summarize(pairs, [m["name"] for m in bench["end_to_end"]]),
+            "pairs": pairs,
+        },
+        "kernels": kernels,
+        "suite": suites,
+    }
+    args.out.write_text(json.dumps(artifact, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
