@@ -18,12 +18,11 @@ from .budgets import (
     BudgetExceeded,
     DimensionMismatch,
     VerificationFailure,
-    check_enumeration,
     check_group_exponent,
 )
 from .confidence import chernoff_radius, hoeffding_radius
 from .gf2 import Subspace, rref
-from .spectral import GroupMultiset, GroupSet, wht
+from .spectral import GroupMultiset, GroupSet, exact_sum_of_products, subspace_elements, wht
 
 
 @dataclass(frozen=True)
@@ -154,15 +153,6 @@ def closedness_sampled(
     )
 
 
-def _exact_square_product_sum(c: np.ndarray, m: np.ndarray) -> int:
-    cmax = int(np.max(np.abs(c), initial=0))
-    mmax = int(np.max(np.abs(m), initial=0))
-    if c.size * (cmax * cmax) * max(mmax * mmax, 1) < 2**62:
-        cm = (c * c) * (m * m)
-        return int(np.sum(cm))
-    return sum(int(cv) ** 2 * int(mv) ** 2 for cv, mv in zip(c.tolist(), m.tolist()))
-
-
 def mixed_energy(a: GroupSet, b: GroupMultiset) -> Fraction:
     """||1_A * mu_B||_2^2, exactly, via the product of the spectra.
 
@@ -175,7 +165,7 @@ def mixed_energy(a: GroupSet, b: GroupMultiset) -> Fraction:
         raise DimensionMismatch("A and B live in different groups")
     c = wht(a.indicator(), a.n).coeffs
     m = wht(b.counts_array(), b.n).coeffs
-    num = _exact_square_product_sum(c, m)
+    num = exact_sum_of_products(c, c, m, m)
     value = Fraction(num, (1 << (2 * a.n)) * b.total**2)
     alpha = a.density
     if value > alpha:
@@ -253,10 +243,8 @@ def basic_set(kind: str, x: int, y: int, shape: tuple[int, int]) -> GroupSet:
                 particular |= 1 << (t * n + j)
 
     homog = rref(constraints, nbits).complement()
-    check_enumeration(1 << homog.dim)
-    elems = [particular ^ h for h in homog.enumerate()]
-    return GroupSet.from_elements(nbits, elems)
+    return GroupSet.from_elements(nbits, particular ^ subspace_elements(homog))
 
 
 def subspace_groupset(space: Subspace) -> GroupSet:
-    return GroupSet.from_elements(space.ambient_dim, space.enumerate())
+    return GroupSet.from_elements(space.ambient_dim, subspace_elements(space))

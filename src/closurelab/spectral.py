@@ -9,6 +9,7 @@ exact transform could leave signed 64-bit range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -20,14 +21,10 @@ from .budgets import (
     DimensionMismatch,
     IntegerOverflowGuard,
     VerificationFailure,
+    check_enumeration,
     check_group_exponent,
 )
 from .gf2 import Subspace, rref
-
-
-def parity_of_and(values: np.ndarray, mask: int) -> np.ndarray:
-    """Elementwise GF(2) dot of packed vectors against a fixed mask."""
-    return np.bitwise_count(np.bitwise_and(values, np.int64(mask))).astype(np.int64) & 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +36,7 @@ class GroupSet:
 
     @classmethod
     def from_elements(cls, n: int, elems: Iterable[int]) -> "GroupSet":
-        arr = np.unique(np.fromiter((int(e) for e in elems), dtype=np.int64))
+        arr = np.unique(np.fromiter(elems, dtype=np.int64))
         if arr.size and (arr[0] < 0 or arr[-1] >> n):
             raise DimensionMismatch(f"element out of range for F2^{n}")
         return cls(n, arr)
@@ -117,8 +114,10 @@ class GroupMultiset:
     def counts_array(self) -> np.ndarray:
         check_group_exponent(self.n)
         out = np.zeros(1 << self.n, dtype=np.int64)
-        for elem, mult in self.counts.items():
-            out[elem] = mult
+        size = len(self.counts)
+        out[np.fromiter(self.counts.keys(), np.int64, size)] = np.fromiter(
+            self.counts.values(), np.int64, size
+        )
         return out
 
     def scaled(self, factor: int) -> "GroupMultiset":
@@ -149,26 +148,99 @@ class RationalSpectrum:
         return Fraction(int(self.numerators[r]), self.denominator)
 
 
+_H4 = np.array(
+    [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=np.int64
+)
+_H4_MATMUL_MAX = 1 << 11  # up to this size one 4x4 matmul per pass beats four adds
+
+
 def _butterfly(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard butterfly over an int64 array."""
+    """In-place Walsh-Hadamard butterfly over an int64 array.
+
+    Two levels per pass (radix 4), then one radix-2 level for odd n; the
+    levels commute, so the odd one runs last, over contiguous halves.
+    """
     size = a.size
     h = 1
-    while h < size:
-        a = a.reshape(-1, 2 * h)
-        x = a[:, :h].copy()
-        y = a[:, h:].copy()
-        a[:, :h] = x + y
-        a[:, h:] = x - y
-        a = a.reshape(-1)
-        h *= 2
+    while 4 * h <= size:
+        v = a.reshape(-1, 4, h)
+        if size <= _H4_MATMUL_MAX:
+            v[...] = _H4 @ v
+        else:
+            a0, a1, a2, a3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+            s01, d01 = a0 + a1, a0 - a1
+            s23, d23 = a2 + a3, a2 - a3
+            np.add(s01, s23, out=a0)
+            np.subtract(s01, s23, out=a2)
+            np.add(d01, d23, out=a1)
+            np.subtract(d01, d23, out=a3)
+        h *= 4
+    if h < size:
+        v = a.reshape(2, -1)
+        s = v[0] + v[1]
+        np.subtract(v[0], v[1], out=v[1])
+        v[0] = s
     return a
 
 
-def _exact_sum_of_squares(f: np.ndarray) -> int:
-    fmax = int(np.max(np.abs(f), initial=0))
-    if f.size * fmax * fmax < 2**62:
-        return int(np.dot(f, f))
-    return sum(int(v) ** 2 for v in f.tolist())
+# Distinct primes below 2^31: residues and their products stay below 2^62.
+_CRT_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+    2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
+)
+
+
+def exact_sum_of_products(*factors: np.ndarray) -> int:
+    """sum_i prod_k factors[k][i] over equal-length int64 arrays, exactly.
+
+    When every term fits int64, the products are formed in int64; a sum
+    that might not fit is recovered from the exact sum of the terms' high
+    32 bits and their sum modulo 2^64.  Otherwise the sum is taken
+    modulo enough primes below 2^31 and recombined by the Chinese remainder
+    theorem (Knuth, TAOCP vol. 2, 4.3.2) into a signed Python int.  No
+    branch loops over the elements.
+    """
+    if not factors:
+        raise ValueError("need at least one factor")
+    arrays = [np.asarray(f, dtype=np.int64) for f in factors]
+    size = arrays[0].size
+    if any(f.shape != arrays[0].shape for f in arrays) or size >= 2**31:
+        raise DimensionMismatch("factors must be equal-length arrays of < 2^31 terms")
+    if size == 0:
+        return 0
+    # one scan per distinct array: wht and the spectral sums repeat a factor
+    maxima = {id(f): max(int(f.max()), -int(f.min())) for f in arrays}
+    bound = math.prod(maxima[id(f)] for f in arrays)  # on |term|
+    if bound >= 2**63:
+        return _crt_sum_of_products(arrays, size * bound)
+    prod = arrays[0] * arrays[1] if len(arrays) > 1 else arrays[0].copy()
+    for f in arrays[2:]:
+        prod *= f
+    if size * bound < 2**63:
+        return int(prod.sum())
+    # term = 2^32 high + low: the highs (|high| <= 2^31) sum exactly, and the
+    # lows' sum, in [0, 2^63), is the wrapped uint64 sum less 2^32 * highs
+    wrapped = int(prod.view(np.uint64).sum())
+    high = int(np.right_shift(prod, 32, out=prod).sum())
+    return (high << 32) + (wrapped - (high << 32)) % 2**64
+
+
+def _crt_sum_of_products(arrays: list[np.ndarray], bound: int) -> int:
+    """The sum of products with |sum| <= bound, from its residues by CRT."""
+    modulus, residues = 1, []
+    for p in _CRT_PRIMES:
+        if modulus > 2 * bound:
+            break
+        r = np.remainder(arrays[0], p)
+        for f in arrays[1:]:
+            r *= np.remainder(f, p)
+            np.remainder(r, p, out=r)
+        residues.append((p, int(r.sum()) % p))
+        modulus *= p
+    if modulus <= 2 * bound:
+        raise IntegerOverflowGuard(f"a sum of products up to {bound} needs more CRT primes")
+    total = sum(r * (modulus // p) * pow(modulus // p, -1, p) for p, r in residues) % modulus
+    return total - modulus if total > modulus // 2 else total
 
 
 def wht(f, n: int | None = None) -> Spectrum:
@@ -184,7 +256,7 @@ def wht(f, n: int | None = None) -> Spectrum:
     if arr.size != 1 << n:
         raise DimensionMismatch(f"array length {arr.size} is not 2^{n}")
     check_group_exponent(n)
-    s_in = _exact_sum_of_squares(arr)
+    s_in = exact_sum_of_products(arr, arr)
     if (1 << n) * s_in >= 2**63:
         raise IntegerOverflowGuard(
             f"2^{n} * sum(f^2) = {(1 << n) * s_in} exceeds signed-64 range"
@@ -214,15 +286,6 @@ def mu_hat(b: GroupMultiset) -> RationalSpectrum:
     return RationalSpectrum(b.n, spec.coeffs, total)
 
 
-def _weighted_square_sum(c: np.ndarray, m: np.ndarray, n: int) -> int:
-    """Exact sum_r c[r]^2 * m[r] with c a 2^n-scaled indicator spectrum."""
-    cmax = int(np.max(np.abs(c), initial=0))
-    mmax = int(np.max(np.abs(m), initial=0))
-    if c.size * cmax * cmax * max(mmax, 1) < 2**62:
-        return int(np.dot(c * c, m))
-    return sum(int(cv) * int(cv) * int(mv) for cv, mv in zip(c.tolist(), m.tolist()))
-
-
 def spectral_closedness(a: GroupSet, b: GroupMultiset) -> Fraction:
     """(B,eta)-closedness of A computed entirely in Fourier space.
 
@@ -236,7 +299,7 @@ def spectral_closedness(a: GroupSet, b: GroupMultiset) -> Fraction:
         raise DimensionMismatch("A and B live in different groups")
     c = indicator_spectrum(a).coeffs
     m = wht(b.counts_array(), b.n).coeffs
-    num = _weighted_square_sum(c, m, a.n)
+    num = exact_sum_of_products(c, c, m)
     den = b.total * (1 << a.n) * a.size  # = total * sum_r c^2
     return Fraction(num, den)
 
@@ -248,14 +311,14 @@ def large_spectrum(a: GroupSet, threshold: Fraction) -> list[int]:
         raise ValueError("threshold must be positive")
     c = indicator_spectrum(a).coeffs
     bound = -(-threshold.numerator * (1 << a.n) // threshold.denominator)
-    return [int(r) for r in np.flatnonzero(np.abs(c) >= bound)]
+    return np.flatnonzero(np.abs(c) >= bound).tolist()
 
 
 def _large_spectrum_sq(coeffs: np.ndarray, sq_threshold_num: int, sq_threshold_den: int) -> list[int]:
     """{r : coeffs[r]^2 >= num/den} with an exact integer comparison."""
     bound = -(-sq_threshold_num // sq_threshold_den)
     c64 = coeffs.astype(np.int64)
-    return [int(r) for r in np.flatnonzero(c64 * c64 >= bound)]
+    return np.flatnonzero(c64 * c64 >= bound).tolist()
 
 
 def bogolyubov(s: GroupSet) -> Subspace:
@@ -279,15 +342,25 @@ def bogolyubov(s: GroupSet) -> Subspace:
     cmax = int(np.max(np.abs(c)))
     if (1 << n) * cmax**4 >= 2**62:
         raise BudgetExceeded(f"4-fold verification would overflow at n={n}")
-    c4 = c.astype(np.int64) ** 2
-    c4 = c4 * c4
-    for x in v.enumerate():
-        signs = 1 - 2 * parity_of_and(np.arange(1 << n, dtype=np.int64), x)
-        if int(np.dot(c4, signs)) <= 0:
-            raise VerificationFailure(
-                f"element {x:#x} of the extracted subspace failed the 4-sum check"
-            )
+    # conv[x] = sum_r c_r^4 (-1)^(r.x) = 2^n * #{(s1, s2, s3, s4) : s1+s2+s3+s4 = x}
+    conv = _butterfly(c**4)
+    elems = subspace_elements(v)
+    failed = np.flatnonzero(conv[elems] <= 0)
+    if failed.size:
+        raise VerificationFailure(
+            f"element {int(elems[failed[0]]):#x} of the extracted subspace failed the 4-sum check"
+        )
     return v
+
+
+def subspace_elements(v: Subspace) -> np.ndarray:
+    """``v.enumerate()`` as an int64 array: the span by doubling, read in Gray-code order."""
+    check_enumeration(1 << v.dim)
+    span = np.zeros(1, dtype=np.int64)
+    for row in v.rows:
+        span = np.concatenate((span, span ^ row))
+    i = np.arange(span.size, dtype=np.int64)
+    return span[i ^ (i >> 1)]
 
 
 def random_groupset(n: int, size: int, rng) -> GroupSet:

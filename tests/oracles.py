@@ -222,3 +222,36 @@ def naive_convolution_pairs(a_elems: set[int], b_counts: dict[int, int], n: int)
         for b, mult in b_counts.items():
             out[a ^ b] += mult
     return out
+
+
+def sum_of_products_oracle(*factors) -> int:
+    """sum_i prod_k factors[k][i] in Python ints, term by term."""
+    return sum(map(math.prod, zip(*(np.asarray(f).tolist() for f in factors))))
+
+
+def four_sum_first_failure(c: np.ndarray, elements) -> int | None:
+    """First x in ``elements`` with sum_r c[r]^4 (-1)^(r.x) <= 0, else None.
+
+    The per-element check that bogolyubov ran before its single transform:
+    one signed dot product over all 2^n characters per element.
+    """
+    idx = np.arange(c.size, dtype=np.int64)
+    c4 = c.astype(np.int64) ** 2
+    c4 = c4 * c4
+    for x in elements:
+        signs = 1 - 2 * (np.bitwise_count(idx & x).astype(np.int64) & 1)
+        if int(np.dot(c4, signs)) <= 0:
+            return x
+    return None
+
+
+def convolution_floor_oracle(a_bitmap: np.ndarray, l: int) -> np.ndarray:
+    """counts[x] = #{(i_1..i_l) : x + e_i1 + ... + e_il in A}, by l gathers per basis vector."""
+    counts = a_bitmap.astype(np.int64)
+    idx = np.arange(a_bitmap.size, dtype=np.int64)
+    for _ in range(l):
+        nxt = np.zeros_like(counts)
+        for i in range(a_bitmap.size.bit_length() - 1):
+            nxt += counts[idx ^ (1 << i)]
+        counts = nxt
+    return counts

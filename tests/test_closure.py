@@ -23,10 +23,11 @@ from closurelab.spectral import (
     GroupSet,
     random_groupset,
     spectral_closedness,
+    wht,
 )
 from closurelab.tensor import TensorShape, rank_one_counter
 
-from .oracles import naive_closedness, naive_convolution_pairs
+from .oracles import naive_closedness, naive_convolution_pairs, sum_of_products_oracle
 
 
 def layers(n, lo, hi):
@@ -150,6 +151,23 @@ def test_mixed_energy_full_group_and_coset_equality_case():
         idx = rng.choice(len(elems), size=min(3, len(elems)), replace=False)
         b = GroupMultiset.from_elements(n, [elems[int(i)] for i in idx])
         assert mixed_energy(a, b) == a.density
+
+
+def test_mixed_energy_at_n18_n20_matches_python_int_formula():
+    from closurelab.hamming import layer_groupset, standard_basis_multiset
+
+    rng = np.random.default_rng(14)
+    for n, lo in ((18, 8), (20, 9)):
+        a = layer_groupset(n, lo, lo + 2)
+        heavy = rng.choice(1 << n, size=8, replace=False)
+        for b in (
+            standard_basis_multiset(n),
+            GroupMultiset.from_pairs(n, [(int(e), int(rng.integers(1000, 3000))) for e in heavy]),
+        ):
+            c = wht(a.indicator(), n).coeffs
+            m = wht(b.counts_array(), n).coeffs
+            want = Fraction(sum_of_products_oracle(c, c, m, m), (1 << (2 * n)) * b.total**2)
+            assert mixed_energy(a, b) == want
 
 
 def test_mixed_energy_matches_naive_convolution_oracle():

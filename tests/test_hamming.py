@@ -27,7 +27,7 @@ from closurelab.hamming import (
 )
 from closurelab.spectral import GroupMultiset, mu_hat
 
-from .oracles import pascal_binomials
+from .oracles import convolution_floor_oracle, pascal_binomials
 
 
 def test_layer_sizes_match_pascal_oracle():
@@ -255,6 +255,16 @@ def test_section3_pair_eta_reference_value_n64():
     # frozen reference: exact hypergeometric mixture and the seeded estimate
     assert math.isclose(float(exact), 0.6582684645656361, rel_tol=0, abs_tol=1e-12)
     assert rep.estimate == 0.65875
+
+
+def test_convolution_floor_matches_gather_oracle():
+    from closurelab.hamming import _convolution_floor
+
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 5, 9):
+        bitmap = rng.random(1 << n) < 0.4
+        for l in (0, 1, 2, 4):
+            assert np.array_equal(_convolution_floor(bitmap, l), convolution_floor_oracle(bitmap, l))
 
 
 def test_counterexample_scenarios_all_pass():

@@ -1,5 +1,6 @@
 """Tests for the exact Walsh-Hadamard layer and Bogolyubov extraction."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,14 +8,18 @@ import pytest
 
 from closurelab.budgets import (
     BudgetExceeded,
+    DimensionMismatch,
     IntegerOverflowGuard,
     VerificationFailure,
 )
+from closurelab.closure import closedness_exact
 from closurelab.gf2 import Subspace, dot, random_subspace, rref
+from closurelab.hamming import layer_groupset, standard_basis_multiset
 from closurelab.spectral import (
     GroupMultiset,
     GroupSet,
     bogolyubov,
+    exact_sum_of_products,
     indicator_spectrum,
     large_spectrum,
     mu_hat,
@@ -23,7 +28,14 @@ from closurelab.spectral import (
     wht,
 )
 
-from .oracles import bfs_sum_layers, naive_closedness, naive_convolution_pairs, naive_wht
+from .oracles import (
+    bfs_sum_layers,
+    four_sum_first_failure,
+    naive_closedness,
+    naive_convolution_pairs,
+    naive_wht,
+    sum_of_products_oracle,
+)
 
 
 def test_wht_point_mass():
@@ -219,3 +231,150 @@ def test_random_groupset_density():
     a = random_groupset(8, 64, rng)
     assert a.size == 64
     assert a.density == Fraction(1, 4)
+
+
+def _count_crt_calls(monkeypatch):
+    import closurelab.spectral as spectral
+
+    calls = []
+    real = spectral._crt_sum_of_products
+
+    def counted(arrays, bound):
+        calls.append(bound)
+        return real(arrays, bound)
+
+    monkeypatch.setattr(spectral, "_crt_sum_of_products", counted)
+    return calls
+
+
+def test_exact_sum_of_products_int64_branch(monkeypatch):
+    crt = _count_crt_calls(monkeypatch)
+    rng = np.random.default_rng(11)
+    empty = np.zeros(0, dtype=np.int64)
+    assert exact_sum_of_products(empty) == 0
+    assert exact_sum_of_products(empty, empty, empty) == 0
+    assert exact_sum_of_products(np.array([-7]), np.array([6])) == -42
+    assert exact_sum_of_products(np.array([2**62 + 5])) == 2**62 + 5
+    assert exact_sum_of_products(np.array([-(2**63) + 1])) == -(2**63) + 1
+    cases = [
+        # small mixed-sign terms, 1 to 4 factors
+        [rng.integers(-9, 10, size=300) for _ in range(k)] for k in (1, 2, 3, 4)
+    ]
+    # every term fits, but the sum passes 2^63: both signs, and cancelling
+    big = rng.integers(2**40, 2**41, size=1 << 16)
+    scale = np.full(big.size, 3 * 2**20)
+    cases.append([big, scale])
+    cases.append([-big, scale])
+    cases.append([big, rng.choice([-(2**21), 2**21], size=big.size)])
+    cases.append([np.full(4, 2**62), np.ones(4, dtype=np.int64)])
+    cases.append([np.full(1 << 12, -(2**31)), np.full(1 << 12, 2**31 - 1)])
+    for factors in cases:
+        got = exact_sum_of_products(*factors)
+        assert type(got) is int
+        assert got == sum_of_products_oracle(*factors)
+    assert sum_of_products_oracle(big, scale) >= 2**63
+    assert sum_of_products_oracle(-big, scale) < -(2**63)
+    assert crt == []
+
+
+def test_exact_sum_of_products_crt_branch(monkeypatch):
+    crt = _count_crt_calls(monkeypatch)
+    rng = np.random.default_rng(12)
+    cases = [
+        # single terms that overflow int64 on their own
+        [np.array([2**40]), np.array([-(2**40)])],
+        [np.array([2**32]), np.array([2**31])],  # 2^63, one past int64
+        [np.array([2**62, -(2**62)]), np.array([3, 3])],
+        [np.array([2**62, -(2**62)]), np.array([4, 4]), np.array([3, 5])],
+        # many overflowing terms of both signs, 2 to 4 factors
+        [rng.integers(-(2**35), 2**35, size=2000) for _ in range(2)],
+        [rng.integers(-(2**40), 2**40, size=5000) for _ in range(3)],
+        [rng.integers(-(2**62), 2**62, size=1000) for _ in range(4)],
+        # int64 extremes, and a sum that cancels to exactly 0
+        [np.array([-(2**63), 2**63 - 1]), np.array([2**63 - 1, 2**63 - 1])],
+        [np.array([2**50, 2**50]), np.array([2**20, -(2**20)])],
+    ]
+    for factors in cases:
+        assert exact_sum_of_products(*factors) == sum_of_products_oracle(*factors)
+    assert len(crt) == len(cases)
+
+
+def test_exact_sum_of_products_rejects_mismatched_or_missing_factors():
+    with pytest.raises(ValueError):
+        exact_sum_of_products()
+    with pytest.raises(DimensionMismatch):
+        exact_sum_of_products(np.ones(4, dtype=np.int64), np.ones(1, dtype=np.int64))
+
+
+def test_crt_primes_are_distinct_primes_below_2_31():
+    import closurelab.spectral as spectral
+
+    primes = spectral._CRT_PRIMES
+    assert len(set(primes)) == len(primes)
+    for p in primes:
+        assert 2**30 < p < 2**31
+        assert all(p % d for d in [2] + list(range(3, math.isqrt(p) + 1, 2)))
+
+
+def test_spectral_closedness_equals_exact_count_at_n20():
+    a = layer_groupset(20, 9, 11)
+    b = standard_basis_multiset(20)
+    # the parent's int64 guard refused this size: 2^20 * |A|^2 * 20 >= 2^62
+    assert (1 << 20) * a.size**2 * b.total >= 2**62
+    assert spectral_closedness(a, b) == closedness_exact(a, b).eta
+
+
+def _bogolyubov_outcome(s: GroupSet):
+    try:
+        return ("accept", bogolyubov(s).rows)
+    except VerificationFailure as exc:
+        return ("reject", str(exc))
+
+
+def _oracle_outcome(s: GroupSet, v: Subspace):
+    """The old per-element loop over V in enumerate() order."""
+    failed = four_sum_first_failure(indicator_spectrum(s).coeffs, v.enumerate())
+    if failed is None:
+        return ("accept", v.rows)
+    return ("reject", f"element {failed:#x} of the extracted subspace failed the 4-sum check")
+
+
+def test_bogolyubov_verification_can_fail(monkeypatch):
+    import closurelab.spectral as spectral
+
+    # with no large spectrum, V is all of F2^n, far outside 2S - 2S for |S| = 3
+    monkeypatch.setattr(spectral, "_large_spectrum_sq", lambda *args: [])
+    s = GroupSet.from_elements(8, [0b1, 0b110, 0b10000000])
+    expected = _oracle_outcome(s, Subspace.full(8))
+    assert expected[0] == "reject"
+    with pytest.raises(VerificationFailure) as info:
+        bogolyubov(s)
+    assert str(info.value) == expected[1]
+
+
+def test_bogolyubov_outcomes_match_per_element_oracle(monkeypatch):
+    import closurelab.spectral as spectral
+
+    rng = np.random.default_rng(13)
+    cases = []
+    for n in range(8, 14):
+        for size in (1 << (n - 1), 1 << (n - 3), n + 1, 3):
+            cases.append(random_groupset(n, size, rng))
+    real_outcomes = []
+    for s in cases:
+        got = _bogolyubov_outcome(s)
+        assert got[0] == "accept"
+        real_outcomes.append(got)
+    # V = F2^n: sparse sets fail, dense ones may pass; the first failure must agree
+    monkeypatch.setattr(spectral, "_large_spectrum_sq", lambda *args: [])
+    verdicts = set()
+    for s in cases:
+        got = _bogolyubov_outcome(s)
+        assert got == _oracle_outcome(s, Subspace.full(s.n))
+        verdicts.add(got[0])
+    assert verdicts == {"accept", "reject"}
+    monkeypatch.undo()
+    for s, got in zip(cases, real_outcomes):
+        v = rref(spectral._large_spectrum_sq(
+            indicator_spectrum(s).coeffs, s.size**3, 1 << (s.n + 1)), s.n).complement()
+        assert got == _oracle_outcome(s, v)

@@ -10,8 +10,11 @@ interpreter.  The artifact has four parts:
   benchmark's ``run_seconds``, in pairs that alternate which side runs first
   (pair k of a workload uses seed ``SEED + k``), and per workload the median of each
   end-to-end metric on both sides;
-* ``kernels``: ``matrix_pipeline`` at (4,4) and (4,5), delta 1/2, seed 2000,
-  as medians over repeats, each side in a fresh interpreter;
+* ``kernels``: medians over repeats, each side in a fresh interpreter, of
+  ``matrix_pipeline`` at (4,4) and (4,5) (delta 1/2, seed 2000), ``wht`` at
+  n = 8/16/20, ``bogolyubov`` on dense 1/2 sets at n = 12/13,
+  ``closedness_exact`` against ``spectral_closedness`` and ``mixed_energy``
+  on the n = 20 layers 9..11 against the standard basis;
 * ``suite``: the tier-1 suite's wall time and criterion 7's call time;
 * ``machine``: CPU, Python and numpy versions.
 
@@ -34,25 +37,46 @@ from pathlib import Path
 import numpy as np
 
 CHANGE = Path(__file__).resolve().parent.parent
-PAIRS = {"forcing-pipeline": 5, "dense-spectra": 2, "sampled-estimators": 2}
+PAIRS = {"forcing-pipeline": 5, "dense-spectra": 10, "sampled-estimators": 2}
 SEED = 101
 
 KERNEL_SNIPPET = """
-import json, statistics, sys, time
+import json, statistics, time
 from fractions import Fraction
 import numpy as np
+from closurelab import closure, hamming, spectral
 from closurelab.forcing import matrix_pipeline, random_factor_tuples
 from closurelab.tensor import TensorShape
-out = {}
-for dims, repeats in (((4, 4), 7), ((4, 5), 3)):
-    pairs = random_factor_tuples(dims, (1 << sum(dims)) // 2, np.random.default_rng(2000))
+
+
+def median_s(call, repeats):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        result = matrix_pipeline(pairs, TensorShape(dims), Fraction(1, 2))
+        result = call()
         times.append(time.perf_counter() - start)
-    out[f"matrix_pipeline{dims}"] = {"median_s": statistics.median(times),
-                                     "repeats": repeats, "measured": result.measured}
+    return {"median_s": statistics.median(times), "repeats": repeats}, result
+
+
+out = {}
+for dims, repeats in (((4, 4), 7), ((4, 5), 3)):
+    pairs = random_factor_tuples(dims, (1 << sum(dims)) // 2, np.random.default_rng(2000))
+    out[f"matrix_pipeline{dims}"], result = median_s(
+        lambda: matrix_pipeline(pairs, TensorShape(dims), Fraction(1, 2)), repeats)
+    out[f"matrix_pipeline{dims}"]["measured"] = result.measured
+for n, repeats in ((8, 2001), (16, 31), (20, 7)):
+    f = np.random.default_rng(2000).integers(0, 2, size=1 << n)
+    out[f"wht_n{n}"], _ = median_s(lambda: spectral.wht(f, n), repeats)
+for n, repeats in ((12, 7), (13, 5)):
+    s = spectral.random_groupset(n, 1 << (n - 1), np.random.default_rng(2000))
+    out[f"bogolyubov_dense_n{n}"], v = median_s(lambda: spectral.bogolyubov(s), repeats)
+    out[f"bogolyubov_dense_n{n}"]["codim"] = v.codim
+a, b = hamming.layer_groupset(20, 9, 11), hamming.standard_basis_multiset(20)
+for name, call in (("closedness_exact_n20", lambda: closure.closedness_exact(a, b).eta),
+                   ("spectral_closedness_n20", lambda: spectral.spectral_closedness(a, b)),
+                   ("mixed_energy_n20", lambda: closure.mixed_energy(a, b))):
+    out[name], value = median_s(call, 7)
+    out[name]["value"] = str(value)
 print(json.dumps(out))
 """
 
