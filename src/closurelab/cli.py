@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .forcing import (
     matrix_pipeline,
     random_factor_tuples,
 )
-from .gf2 import Subspace, random_subspace, rref, to_hex
+from .gf2 import random_subspace, to_hex_array
 from .hamming import (
     LayerSet,
     SliceSet,
@@ -150,6 +151,83 @@ class Manifest:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# item and key separators of one C-encoded dump of a flat list; json escapes
+# both characters inside strings, so in its output they mark separators only
+_SENTINELS = ("\x00", "\x01")
+
+
+def _json_texts(obj, depth: int = 0) -> tuple[str, str]:
+    """``obj`` as ``canonical_json(obj)`` and as ``json.dumps(obj,
+    sort_keys=True, indent=1)`` nested ``depth`` levels deep.
+
+    Byte-identical to those two dumps, but built from C-encoded pieces:
+    ``json.dumps`` runs its pure-Python encoder whenever it indents. Dicts
+    with str keys are walked in sorted key order. A non-empty list of
+    scalars, or of non-empty flat dicts (str keys, scalar values), is one C
+    dump with sentinel separators, which ``str.replace`` turns into both
+    texts. Everything else (scalars, empty containers, dicts with other keys)
+    goes to ``json.dumps`` whole.
+    """
+    outer = "\n" + " " * depth
+    inner = outer + " "
+    kind = type(obj)
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        return _object_texts(
+            [(key, _json_texts(obj[key], depth + 1)) for key in sorted(obj)], depth
+        )
+    if (kind is list or kind is tuple) and obj:
+        types = set(map(type, obj))
+        if types <= _SCALARS:
+            body = json.dumps(obj, separators=_SENTINELS)[1:-1]
+            return (
+                "[" + body.replace("\x00", ",") + "]",
+                "[" + inner + body.replace("\x00", "," + inner) + outer + "]",
+            )
+        if types == {dict} and _flat_dicts(obj):
+            row = inner + " "
+            body = json.dumps(obj, sort_keys=True, separators=_SENTINELS)
+            return (
+                body.replace("\x00", ",").replace("\x01", ":"),
+                "[" + inner + "{" + row
+                + body[2:-2].replace("}\x00{", inner + "}," + inner + "{" + row)
+                .replace("\x00", "," + row).replace("\x01", ": ")
+                + inner + "}" + outer + "]",
+            )
+        parts = [_json_texts(item, depth + 1) for item in obj]
+        return (
+            "[" + ",".join(c for c, _ in parts) + "]",
+            "[" + inner + ("," + inner).join(i for _, i in parts) + outer + "]",
+        )
+    return (
+        canonical_json(obj),
+        json.dumps(obj, sort_keys=True, indent=1).replace("\n", outer),
+    )
+
+
+def _object_texts(items: list[tuple[str, tuple[str, str]]], depth: int) -> tuple[str, str]:
+    """Both texts of a non-empty dict from its (key, texts of value) items, in order."""
+    inner = "\n" + " " * (depth + 1)
+    canon, indented = [], []
+    for key, (value_canon, value_indented) in items:
+        name = json.dumps(key)
+        canon.append(name + ":" + value_canon)
+        indented.append(name + ": " + value_indented)
+    return (
+        "{" + ",".join(canon) + "}",
+        "{" + inner + ("," + inner).join(indented) + inner[:-1] + "}",
+    )
+
+
+def _flat_dicts(rows: list[dict]) -> bool:
+    """Every row non-empty, with str keys and scalar values."""
+    return (
+        all(rows)
+        and set(map(type, chain.from_iterable(rows))) == {str}
+        and set(map(type, chain.from_iterable(map(dict.values, rows)))) <= _SCALARS
+    )
 
 
 def _sha256(text: str) -> str:
@@ -264,9 +342,9 @@ def cmd_spectrum(manifest: Manifest):
     rng = np.random.default_rng(manifest.seed)
     a = build_groupset(n, p.get("set", {}), rng)
     spec = indicator_spectrum(a)
+    hexes = to_hex_array(np.arange(1 << n), n)
     rows = [
-        {"r": to_hex(r, n), "coefficient": int(spec.coeffs[r])}
-        for r in range(1 << n)
+        {"r": r, "coefficient": c} for r, c in zip(hexes, spec.coeffs.tolist())
     ]
     return {"n": n, "set_size": a.size, "rows": rows}, True
 
@@ -559,7 +637,7 @@ def emit(manifest: Manifest, payload: dict, elapsed: float) -> str:
     echoed = manifest.to_dict()
     echoed.pop("output", None)  # destination is not an experiment input
     payload["manifest"] = echoed
-    canon = canonical_json(payload)
+    canon, indented = _json_texts(payload, 1)
     meta = {
         "tool": "closurelab",
         "version": __version__,
@@ -571,7 +649,9 @@ def emit(manifest: Manifest, payload: dict, elapsed: float) -> str:
     out_format = (manifest.output or {}).get("format", "json")
     out_path = (manifest.output or {}).get("path")
     if out_format == "json":
-        text = json.dumps({"meta": meta, "payload": payload}, sort_keys=True, indent=1)
+        text = _object_texts(
+            [("meta", _json_texts(meta, 1)), ("payload", (canon, indented))], 0
+        )[1]
         if out_path:
             _atomic_write(out_path, text + "\n")
         return text
@@ -582,12 +662,10 @@ def emit(manifest: Manifest, payload: dict, elapsed: float) -> str:
         text = _csv_text(rows)
         if out_path:
             _atomic_write(out_path, text)
-            _atomic_write(
-                out_path + ".meta.json",
-                json.dumps({"meta": meta, "payload_sans_rows": {
-                    k: v for k, v in payload.items() if k != "rows"
-                }}, sort_keys=True, indent=1) + "\n",
-            )
+            sidecar = {"meta": meta, "payload_sans_rows": {
+                k: v for k, v in payload.items() if k != "rows"
+            }}
+            _atomic_write(out_path + ".meta.json", _json_texts(sidecar)[1] + "\n")
         return text
     raise ManifestError(f"unknown output format {out_format!r}")
 
@@ -740,7 +818,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "selftest":
         report = selftest(args.seed)
-        print(json.dumps(report, sort_keys=True, indent=1))
+        print(_json_texts(report)[1])
         return 0 if report["all_ok"] else 2
 
     try:

@@ -218,6 +218,10 @@ class CompatibilityReport:
         }
 
 
+# u samples x B' elements per overlap block of an explicit B'
+_COMPAT_BLOCK = 1 << 16
+
+
 def compatibility_fraction(
     layer: LayerSet,
     bprime: SliceSet | Sequence[int],
@@ -242,9 +246,11 @@ def compatibility_fraction(
         for m in good:
             good_mask[m] = True
     else:
-        b_list = [int(w) for w in bprime]
-        b_sizes = [w.bit_count() for w in b_list]
-        b_total = len(b_list)
+        if n > 64:
+            raise BudgetExceeded("an explicit B' supports n <= 64")
+        b_arr = np.array([int(w) for w in bprime], dtype=np.uint64)
+        b_sizes = np.bitwise_count(b_arr)
+        block = max(1, _COMPAT_BLOCK // max(b_arr.size, 1))
 
     hits = 0
     for rng, count in seeded_chunks(u_samples, seed, chunk_size):
@@ -252,14 +258,14 @@ def compatibility_fraction(
         if full_slice:
             hits += int(np.count_nonzero(good_mask[m_batch]))
         else:
-            for m in m_batch.tolist():
-                u = _random_point_of_weight(n, int(m), rng)
-                stay = sum(
-                    1
-                    for wv, ws in zip(b_list, b_sizes)
-                    if 2 * (u & wv).bit_count() >= ws
-                )
-                hits += 3 * stay >= b_total
+            us = np.array(
+                [_random_point_of_weight(n, m, rng) for m in m_batch.tolist()],
+                dtype=np.uint64,
+            )
+            for lo in range(0, count, block):
+                overlap = np.bitwise_count(us[lo:lo + block, None] & b_arr)
+                stay = np.count_nonzero(2 * overlap >= b_sizes, axis=1)
+                hits += int(np.count_nonzero(3 * stay >= b_arr.size))
     estimate = hits / u_samples
     radius = hoeffding_radius(u_samples, confidence)
     return CompatibilityReport(n, estimate, radius, confidence, u_samples, seed)
@@ -287,10 +293,27 @@ def is_compatible(u: int, bprime: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pack_rank_bits(ranks: np.ndarray, cutoffs: np.ndarray, n: int) -> np.ndarray:
-    bits = ranks < cutoffs[:, None]
-    powers = (np.uint64(1) << np.arange(n, dtype=np.uint64))[None, :]
-    return np.sum(bits.astype(np.uint64) * powers, axis=1, dtype=np.uint64)
+def _smallest_key_bits(keys: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """Row i of ``keys`` as a packed uint64 with bits at its ``cutoffs[i]``
+    smallest keys.
+
+    The bits are ``keys.argsort(1).argsort(1) < cutoffs[:, None]``, read off
+    one sort per row and a threshold; a row whose threshold key is tied, so
+    that it marks more than ``cutoffs[i]`` bits, takes the double argsort.
+    """
+    count, n = keys.shape
+    ordered = np.sort(keys, axis=1)
+    thresholds = np.full(count, -np.inf)
+    marked = cutoffs > 0
+    thresholds[marked] = ordered[marked, cutoffs[marked] - 1]
+    bits = keys <= thresholds[:, None]
+    tied = np.flatnonzero(np.count_nonzero(bits, axis=1) != cutoffs)
+    if tied.size:
+        ranks = keys[tied].argsort(axis=1).argsort(axis=1)
+        bits[tied] = ranks < cutoffs[tied, None]
+    packed = np.zeros((count, 8), dtype=np.uint8)
+    packed[:, : (n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").ravel()
 
 
 def fixed_weight_sampler(n: int, w: int):
@@ -299,8 +322,7 @@ def fixed_weight_sampler(n: int, w: int):
         raise BudgetExceeded("samplers support n <= 64")
 
     def sample(rng, count: int) -> np.ndarray:
-        ranks = rng.random((count, n)).argsort(axis=1).argsort(axis=1)
-        return _pack_rank_bits(ranks, np.full(count, w), n)
+        return _smallest_key_bits(rng.random((count, n)), np.full(count, w))
 
     return sample
 
@@ -331,8 +353,7 @@ def layer_sampler(layer: LayerSet):
 
     def sample(rng, count: int) -> np.ndarray:
         m_batch = draw_weights(rng, count)
-        ranks = rng.random((count, n)).argsort(axis=1).argsort(axis=1)
-        return _pack_rank_bits(ranks, m_batch, n)
+        return _smallest_key_bits(rng.random((count, n)), m_batch)
 
     return sample
 

@@ -36,7 +36,10 @@ class GroupSet:
 
     @classmethod
     def from_elements(cls, n: int, elems: Iterable[int]) -> "GroupSet":
-        arr = np.unique(np.fromiter(elems, dtype=np.int64))
+        arr = np.sort(np.fromiter(elems, dtype=np.int64))
+        dup = arr[1:] == arr[:-1]
+        if dup.any():
+            arr = np.delete(arr, np.flatnonzero(dup) + 1)
         if arr.size and (arr[0] < 0 or arr[-1] >> n):
             raise DimensionMismatch(f"element out of range for F2^{n}")
         return cls(n, arr)

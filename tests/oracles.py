@@ -255,3 +255,14 @@ def convolution_floor_oracle(a_bitmap: np.ndarray, l: int) -> np.ndarray:
             nxt += counts[idx ^ (1 << i)]
         counts = nxt
     return counts
+
+
+def smallest_key_bits_oracle(keys: np.ndarray, cutoffs) -> np.ndarray:
+    """Per row, the packed bits of the keys ranked below its cutoff by the
+    double argsort (ties keep the order that argsort gives them)."""
+    ranks = keys.argsort(axis=1).argsort(axis=1)
+    return np.array(
+        [sum(1 << j for j, r in enumerate(row) if r < m)
+         for row, m in zip(ranks.tolist(), list(cutoffs))],
+        dtype=np.uint64,
+    )

@@ -1,12 +1,15 @@
 """Tests for the manifest-driven CLI harness."""
 
+import hashlib
 import json
+import math
+import random
 
 import numpy as np
 import pytest
 
 from closurelab import cli
-from closurelab.cli import Manifest, ManifestError, canonical_json, run, selftest
+from closurelab.cli import Manifest, ManifestError, _json_texts, canonical_json, run, selftest
 from closurelab.tensor import SimpleSet
 
 
@@ -256,3 +259,117 @@ def test_io_error_exit_1(tmp_path):
         }
     )
     assert run(manifest, quiet=True) == 1
+
+
+# strings json must escape, and the walk's sentinel separators inside strings
+_TRICKY_STRINGS = ["", "a", 'q"uote', "back\\slash", "nul\x00x", "sep\x01y", "new\nline",
+                   "tab\t", "\u00e9 \u00fcn\u00ef", "\u6f22\u5b57", "}\x00{", "{", "}\x01", "\ud800"]
+
+
+def _random_scalar(rnd: random.Random):
+    pick = rnd.randrange(5)
+    if pick == 0:
+        return rnd.randint(-(10**20), 10**20)
+    if pick == 1:
+        return rnd.choice([rnd.random() * 10 ** rnd.randint(-30, 30), math.nan, math.inf,
+                           -math.inf, 0.0, -0.0, 1e16, -2.5])
+    if pick == 2:
+        return rnd.choice([True, False, None])
+    return rnd.choice(_TRICKY_STRINGS)
+
+
+def _random_document(rnd: random.Random, depth: int = 0):
+    """Scalars, lists, tuples, tables of flat or nested rows, str- and int-keyed dicts."""
+    pick = rnd.random()
+    if depth > 3 or pick < 0.25:
+        return _random_scalar(rnd)
+    if pick < 0.4:
+        return [_random_scalar(rnd) for _ in range(rnd.randint(0, 5))]
+    if pick < 0.6:  # a table; rows may differ in keys, be empty or hold a nested value
+        keys = ["r", "coefficient", "a", 'k"', "\u00e9"]
+        return [
+            {key: _random_scalar(rnd) if rnd.random() < 0.9 else _random_document(rnd, depth + 1)
+             for key in rnd.sample(keys, rnd.randint(0, 3))}
+            for _ in range(rnd.randint(0, 4))
+        ]
+    if pick < 0.7:
+        return {rnd.choice([1, 2, 3]): _random_document(rnd, depth + 1)
+                for _ in range(rnd.randint(0, 3))}
+    if pick < 0.8:
+        return tuple(_random_document(rnd, depth + 1) for _ in range(rnd.randint(0, 3)))
+    return {rnd.choice(_TRICKY_STRINGS): _random_document(rnd, depth + 1)
+            for _ in range(rnd.randint(0, 4))}
+
+
+def _assert_walk_matches_json(obj, depth=0):
+    canon, indented = _json_texts(obj, depth)
+    assert canon == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    expected = json.dumps(obj, sort_keys=True, indent=1).replace("\n", "\n" + " " * depth)
+    assert indented == expected, repr(obj)
+
+
+def test_json_texts_match_json_dumps():
+    cases = [
+        1, -2.5, math.nan, math.inf, -math.inf, True, None, "x\x00\n\"\\\u00e9",
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}], [{"a": 1}, {}],
+        [1, 2.5, "s", None, True, math.nan],
+        [{"r": "00", "coefficient": 3}, {"r": "10", "coefficient": -1}],
+        [{"b": 1, "a": 2}, {"c": "}\x00{"}],  # rows with differing keys
+        [{"a": 1}, {"a": [1, 2]}],  # a nested value
+        [{"a": 1}, {"a": {"b": 2}}],
+        [{"a": 1}, 2, "x"],
+        {1: "a", 2: [1, 2]}, {"a": {1: {"b": [1]}}}, {True: 1}, {"x": (1, (2, 3))},
+        {"z": [{"q": 1.0}], "a": {"nested": [[1, [2, {"k": None}]]]}},
+    ]
+    for obj in cases:
+        for depth in (0, 1, 3):
+            _assert_walk_matches_json(obj, depth)
+    rnd = random.Random(20260811)
+    for _ in range(3000):
+        _assert_walk_matches_json(_random_document(rnd), rnd.randint(0, 2))
+
+
+def test_json_texts_raise_like_json_dumps():
+    for obj in ({"a": object()}, [{"a": 1}, {"b": object()}], {1: "a", "b": 2}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, sort_keys=True, indent=1)
+        with pytest.raises(TypeError):
+            _json_texts(obj)
+
+
+@pytest.mark.parametrize("command, params", [
+    ("closedness", {"n": 8}),
+    ("closedness", {"n": 8, "mode": "sampled", "samples": 2000}),
+    ("spectrum", {"n": 1}),
+    ("spectrum", {"n": 5}),
+    ("spectrum", {"n": 9, "set": {"kind": "layers", "lo": 2, "hi": 4}}),
+    ("bogolyubov", {"n": 8}),
+    ("forcing-pipeline", {"shape": [3, 3]}),
+    ("simple-set", {"shape": [2, 3], "k": 1}),
+    ("lsystem", {"shape": [3, 3]}),
+    ("counterexample", {"mode": "compatibility", "ns": [36], "samples": 500}),
+    ("counterexample", {"mode": "concentration", "n": 20, "w": 4}),
+    ("scenarios", {"two_layer_ns": [5], "third_n": 9, "translate_n": 9, "window_n": 9,
+                   "window_m": 7}),
+])
+def test_stdout_is_indented_sorted_json_with_canonical_hash(command, params, capsys):
+    code = run(Manifest.from_dict({"command": command, "params": params, "seed": 3}))
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert code in (0, 2)
+    assert out == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert doc["meta"]["payload_hash"] == hashlib.sha256(
+        canonical_json(doc["payload"]).encode()).hexdigest()
+
+
+def test_csv_sidecar_and_selftest_are_indented_sorted_json(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--n", "3", "--out", str(out), "--format", "csv"]) == 0
+    sidecar = (tmp_path / "spec.csv.meta.json").read_text()
+    doc = json.loads(sidecar)
+    assert sidecar == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert doc["payload_sans_rows"]["n"] == 3 and "rows" not in doc["payload_sans_rows"]
+    capsys.readouterr()
+    assert cli.main(["selftest", "--seed", "2"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == json.dumps(json.loads(printed), sort_keys=True, indent=1) + "\n"

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from closurelab.budgets import BudgetExceeded
 from closurelab.closure import closedness_exact
 from closurelab.hamming import (
     ChernoffParams,
@@ -27,7 +28,7 @@ from closurelab.hamming import (
 )
 from closurelab.spectral import GroupMultiset, mu_hat
 
-from .oracles import convolution_floor_oracle, pascal_binomials
+from .oracles import convolution_floor_oracle, pascal_binomials, smallest_key_bits_oracle
 
 
 def test_layer_sizes_match_pascal_oracle():
@@ -129,6 +130,84 @@ def test_compatibility_explicit_bprime_list():
     listed = compatibility_fraction(layer, blist, 4000, seed=5)
     # closed-form and explicit paths estimate the same quantity
     assert abs(full.estimate - listed.estimate) <= full.radius + listed.radius
+
+
+def _explicit_compatibility_loop(layer, bprime, samples, seed, chunk_size=4096):
+    """The per-sample Python count of an explicit B', on the same draws."""
+    from closurelab.closure import seeded_chunks
+    from closurelab.hamming import _random_point_of_weight, _weight_sampler
+
+    draw_weights = _weight_sampler(layer)
+    hits = 0
+    for rng, count in seeded_chunks(samples, seed, chunk_size):
+        for m in draw_weights(rng, count).tolist():
+            u = _random_point_of_weight(layer.n, m, rng)
+            stay = sum(1 for w in bprime if 2 * (u & w).bit_count() >= w.bit_count())
+            hits += 3 * stay >= len(bprime)
+    return hits / samples
+
+
+def test_compatibility_explicit_matches_per_sample_loop(monkeypatch):
+    import closurelab.hamming as hamming
+
+    monkeypatch.setattr(hamming, "_COMPAT_BLOCK", 1000)  # several blocks per chunk
+    wide = np.random.default_rng(32).integers(0, 2**64, size=40, dtype=np.uint64).tolist()
+    cases = [
+        (LayerSet(12, 0, 5), [x for x in range(1 << 12) if x.bit_count() == 4], 3000),
+        (LayerSet(12, 2, 7), [1, 3, 7, 0xFF, 0x5A5], 5000),
+        (LayerSet(64, 20, 26), wide, 5000),
+        (LayerSet(9, 0, 9), [], 300),
+    ]
+    for layer, bprime, samples in cases:
+        for seed in (1, 2):
+            rep = compatibility_fraction(layer, bprime, samples, seed)
+            assert rep.estimate == _explicit_compatibility_loop(layer, bprime, samples, seed)
+    with pytest.raises(BudgetExceeded):
+        compatibility_fraction(LayerSet(65, 0, 10), [1, 2], 10, 1)
+
+
+class _TiedKeys:
+    """A generator whose uniform keys take 3 values, so rows tie at their
+    threshold; weights come from the wrapped generator unchanged."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return np.floor(self.rng.random(shape) * 3) / 3
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_samplers_with_tied_keys_match_double_argsort():
+    from closurelab.hamming import (
+        _smallest_key_bits,
+        _weight_sampler,
+        fixed_weight_sampler,
+        layer_sampler,
+    )
+
+    count = 400
+    for n, w in ((1, 0), (1, 1), (7, 3), (40, 7), (64, 0), (64, 33), (64, 64)):
+        keys = _TiedKeys(n).random((count, n))
+        expected = smallest_key_bits_oracle(keys, [w] * count)
+        assert np.array_equal(fixed_weight_sampler(n, w)(_TiedKeys(n), count), expected)
+        assert np.array_equal(np.bitwise_count(expected), np.full(count, w))
+        if 0 < w < n:  # the threshold key is tied in some rows
+            ordered = np.sort(keys, axis=1)
+            assert np.any(ordered[:, w - 1] == ordered[:, w])
+    for layer in (LayerSet(20, 3, 15), LayerSet(64, 0, 20), LayerSet(5, 0, 5)):
+        oracle_rng = _TiedKeys(7)
+        weights = _weight_sampler(layer)(oracle_rng, count)
+        keys = oracle_rng.random((count, layer.n))
+        expected = smallest_key_bits_oracle(keys, weights.tolist())
+        assert np.array_equal(layer_sampler(layer)(_TiedKeys(7), count), expected)
+    # real keys: every row's bits are its w smallest keys
+    keys = np.random.default_rng(33).random((count, 50))
+    cutoffs = np.random.default_rng(34).integers(0, 51, size=count)
+    assert np.array_equal(_smallest_key_bits(keys, cutoffs),
+                          smallest_key_bits_oracle(keys, cutoffs.tolist()))
 
 
 def test_chernoff_lambda_zero_is_one():

@@ -233,6 +233,24 @@ def test_random_groupset_density():
     assert a.density == Fraction(1, 4)
 
 
+def test_groupset_from_elements_sorts_dedups_and_checks_range():
+    rng = np.random.default_rng(31)
+    for n in (1, 4, 12):
+        elems = rng.integers(0, 1 << n, size=3 << n).tolist()  # unsorted, with duplicates
+        got = GroupSet.from_elements(n, elems).elements
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted(set(elems))
+    assert GroupSet.from_elements(5, [7, 3, 7, 3, 0, 31, 0]).elements.tolist() == [0, 3, 7, 31]
+    assert GroupSet.from_elements(5, [4]).elements.tolist() == [4]
+    for n in (0, 5):
+        empty = GroupSet.from_elements(n, [])
+        assert empty.size == 0 and empty.elements.dtype == np.int64
+    assert GroupSet.from_elements(0, [0]).elements.tolist() == [0]
+    for bad in ([32], [-1], [3, 3, 32], [-1, -1, 5], [0, 1 << 40]):
+        with pytest.raises(DimensionMismatch):
+            GroupSet.from_elements(5, bad)
+
+
 def _count_crt_calls(monkeypatch):
     import closurelab.spectral as spectral
 

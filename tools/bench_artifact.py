@@ -1,6 +1,6 @@
 """Write a BENCH_<n>.json comparing a parent checkout with this one.
 
-    python3 tools/bench_artifact.py --parent ../parent --out BENCH_6.json
+    python3 tools/bench_artifact.py --parent ../parent --out BENCH_8.json
 
 Run from the root of this checkout; ``--parent`` is a checkout of the parent
 commit (``git archive`` or ``git clone`` it).  Both sides run with the same
@@ -14,7 +14,10 @@ interpreter.  The artifact has four parts:
   ``matrix_pipeline`` at (4,4) and (4,5) (delta 1/2, seed 2000), ``wht`` at
   n = 8/16/20, ``bogolyubov`` on dense 1/2 sets at n = 12/13,
   ``closedness_exact`` against ``spectral_closedness`` and ``mixed_energy``
-  on the n = 20 layers 9..11 against the standard basis;
+  on the n = 20 layers 9..11 against the standard basis, the ``spectrum``
+  CLI run of perfbench's ``spectrum-n16`` slot with stdout captured,
+  ``GroupSet.from_elements`` on 2^15 and 2^19 distinct elements, and
+  ``layered_pair_eta_sampled`` at n = 64 (10^5 samples);
 * ``suite``: the tier-1 suite's wall time and criterion 7's call time;
 * ``machine``: CPU, Python and numpy versions.
 
@@ -37,14 +40,14 @@ from pathlib import Path
 import numpy as np
 
 CHANGE = Path(__file__).resolve().parent.parent
-PAIRS = {"forcing-pipeline": 5, "dense-spectra": 10, "sampled-estimators": 2}
+PAIRS = {"forcing-pipeline": 5, "dense-spectra": 10, "sampled-estimators": 3}
 SEED = 101
 
 KERNEL_SNIPPET = """
-import json, statistics, time
+import contextlib, io, json, statistics, time
 from fractions import Fraction
 import numpy as np
-from closurelab import closure, hamming, spectral
+from closurelab import cli, closure, hamming, spectral
 from closurelab.forcing import matrix_pipeline, random_factor_tuples
 from closurelab.tensor import TensorShape
 
@@ -77,6 +80,25 @@ for name, call in (("closedness_exact_n20", lambda: closure.closedness_exact(a, 
                    ("mixed_energy_n20", lambda: closure.mixed_energy(a, b))):
     out[name], value = median_s(call, 7)
     out[name]["value"] = str(value)
+
+
+def spectrum_n16():
+    raw = {"command": "spectrum", "seed": 100,
+           "params": {"n": 16, "set": {"kind": "random", "size": 1 << 15}}}
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        cli.run(cli.Manifest.from_dict(raw))
+    return len(buf.getvalue())
+
+
+out["spectrum_n16_cli"], size = median_s(spectrum_n16, 9)
+out["spectrum_n16_cli"]["stdout_chars"] = size
+for e in (15, 19):
+    elems = np.random.default_rng(2000).choice(1 << 20, size=1 << e, replace=False).tolist()
+    out[f"from_elements_2^{e}"], _ = median_s(lambda: spectral.GroupSet.from_elements(20, elems), 9)
+layer, sl = hamming.LayerSet(64, 30, 33), hamming.SliceSet(64, 2)
+out["layered_pair_eta_sampled_n64"], report = median_s(
+    lambda: hamming.layered_pair_eta_sampled(layer, sl, 100000, 1), 7)
+out["layered_pair_eta_sampled_n64"]["estimate"] = report.estimate
 print(json.dumps(out))
 """
 
