@@ -33,6 +33,7 @@ from .budgets import (
     BudgetExceeded,
     ClosureLabError,
     DensityTooLow,
+    DimensionMismatch,
     IntegerOverflowGuard,
     VerificationFailure,
     active,
@@ -686,7 +687,7 @@ def run(manifest: Manifest, quiet: bool = False) -> int:
     except (VerificationFailure, DensityTooLow) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (ManifestError, KeyError, ValueError) as exc:
+    except (ManifestError, DimensionMismatch, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -32,17 +32,7 @@ from .budgets import (
 )
 from .gf2 import Subspace, rref
 from .spectral import GroupMultiset, GroupSet, bogolyubov, wht
-from .tensor import (
-    LSystem,
-    SimpleSet,
-    Tensor,
-    TensorShape,
-    contract,
-    lsystem_intersect,
-    matvec_first,
-    rank1_flat,
-    sum_of_blowups,
-)
+from .tensor import LSystem, TensorShape, lsystem_intersect, rank1_flat, sum_of_blowups
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +114,12 @@ def check_forcing(
     alpha = Fraction(alpha)
     thresh = agreement_threshold(profile.total, alpha)
     candidates = np.flatnonzero(profile.counts >= thresh)
-    target = sum_of_blowups(shape, spaces)
+    outside = np.flatnonzero(~sum_of_blowups(shape, spaces).contains_array(candidates))
+    counterexample = int(candidates[outside[0]]) if outside.size else None
     k = max((s.dim for s in spaces.values()), default=0)
-    for r in candidates:
-        if not target.contains(int(r)):
-            return ForcingCertificate(
-                profile.q, alpha, dict(spaces), k, False, int(r), int(candidates.size)
-            )
     return ForcingCertificate(
-        profile.q, alpha, dict(spaces), k, True, None, int(candidates.size)
+        profile.q, alpha, dict(spaces), k, counterexample is None, counterexample,
+        int(candidates.size),
     )
 
 
@@ -237,13 +224,6 @@ def random_factor_tuples(
 
 def tuples_density(dims: tuple[int, ...], tuples) -> Fraction:
     return Fraction(len(tuples), 1 << sum(dims))
-
-
-def tensor_multiset(shape: TensorShape, tuples) -> GroupMultiset:
-    counter: Counter = Counter()
-    for tup in tuples:
-        counter[rank1_flat(shape.dims, tup)] += 1
-    return GroupMultiset.from_counter(shape.total, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -387,90 +367,8 @@ def build_q_matrix(
 
 
 # ---------------------------------------------------------------------------
-# small-rank collisions and the reduced witness
+# the reduced witness
 # ---------------------------------------------------------------------------
-
-
-def tensor_agreement(q: GroupMultiset, r: int) -> int:
-    """#{q in Q : r.q = 0} for one array, by direct counting."""
-    return sum(
-        mult for elem, mult in q.counts.items() if (r & elem).bit_count() % 2 == 0
-    )
-
-
-@dataclass(frozen=True)
-class SmallRankPair:
-    i: int
-    j: int
-    kernel: Subspace  # {u in U : (r_i - r_j) u = 0}
-    common_contractions: int
-
-
-def smallrank_pair(
-    q: StructuredMultiset, rs: Sequence[Tensor], k: int
-) -> SmallRankPair:
-    """Find i != j whose difference annihilates many u in U.
-
-    Requires len(rs) == 2^(k+3) arrays, each agreeing with at least 3/4
-    of Q; the collision count of the returned pair meets the pigeonhole
-    bound |U| / (4 m^2).
-    """
-    m = 1 << (k + 3)
-    if len(rs) != m:
-        raise ValueError(f"need exactly m = 2^(k+3) = {m} arrays, got {len(rs)}")
-    n1, n2 = q.shape.dims
-    bad = [
-        i
-        for i, r in enumerate(rs)
-        if 4 * tensor_agreement(q, r.data) < 3 * q.total
-    ]
-    if bad:
-        raise ValueError(f"arrays {bad} fall below 3/4 agreement with Q")
-
-    u_elems = list(q.u_space.enumerate())
-    collision_counts: Counter = Counter()
-    for u in u_elems:
-        perp = q.v_spaces[u].complement()
-        buckets: dict[int, list[int]] = defaultdict(list)
-        for i, r in enumerate(rs):
-            image = matvec_first(r.data, u, n1, n2)
-            if perp.contains(image):
-                buckets[image].append(i)
-        for members in buckets.values():
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    collision_counts[(members[a], members[b])] += 1
-
-    if not collision_counts:  # pragma: no cover - excluded by the pigeonhole
-        raise VerificationFailure("no colliding pair found")
-    (i, j), best = max(collision_counts.items(), key=lambda kv: (kv[1], kv[0]))
-    if best * 4 * m * m < len(u_elems):  # pragma: no cover - theorem bound
-        raise VerificationFailure("collision count below the pigeonhole bound")
-
-    kernel = _kernel_in_space(rs[i].data ^ rs[j].data, q.u_space, n1, n2)
-    return SmallRankPair(i, j, kernel, best)
-
-
-def _kernel_in_space(diff: int, u_space: Subspace, n1: int, n2: int) -> Subspace:
-    """{u in U : diff u = 0} via coefficients over U's basis."""
-    images = [matvec_first(diff, row, n1, n2) for row in u_space.rows]
-    b = len(images)
-    coord_rows = []
-    for c in range(n2):
-        row = 0
-        for idx, img in enumerate(images):
-            if (img >> c) & 1:
-                row |= 1 << idx
-        coord_rows.append(row)
-    coeff_kernel = rref(coord_rows, max(b, 1)).complement()
-    gens = []
-    for lam in coeff_kernel.rows:
-        v = 0
-        for idx in range(b):
-            if (lam >> idx) & 1:
-                v ^= u_space.rows[idx]
-        gens.append(v)
-    return rref(gens, u_space.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -585,146 +483,6 @@ def _find_system_inner(tuples, shape: TensorShape, delta: Fraction) -> LSystem:
     return LSystem(shape, u_space, children, bound=bound)
 
 
-def system_in_simple(q: LSystem, simple: SimpleSet) -> LSystem:
-    """Intersection of an l-system with a subspace-form simple set.
-
-    Walks the prefix tree; at axis j every constraint subset I with
-    max(I) = j cuts the child space by the linear conditions induced by
-    the fixed prefix factors.
-    """
-    if simple.translate.data != 0:
-        raise ValueError("simple set must be a subspace (translate 0)")
-    if simple.shape != q.shape:
-        raise DimensionMismatch("system and simple set shapes differ")
-    shape = q.shape
-
-    by_axis: dict[int, list[tuple[tuple[int, ...], Subspace]]] = defaultdict(list)
-    for axes, space in simple.spaces.items():
-        by_axis[max(axes)].append((axes, space))
-
-    def constrain(space: Subspace, prefix: tuple[int, ...], j: int) -> Subspace:
-        for axes, l_space in by_axis.get(j, []):
-            lead_axes = tuple(a for a in axes if a != j)
-            if lead_axes:
-                lead_dims = tuple(shape.dims[a] for a in lead_axes)
-                lead = rank1_flat(lead_dims, tuple(prefix[a] for a in lead_axes))
-                if lead == 0:
-                    continue
-            conditions = []
-            comp = l_space.complement()
-            for z in comp.rows:
-                if lead_axes:
-                    z_tensor = Tensor(TensorShape(lead_dims + (shape.dims[j],)), z)
-                    w = contract(
-                        z_tensor,
-                        Tensor(
-                            TensorShape(lead_dims), lead
-                        ),
-                    )
-                    conditions.append(w.data)
-                else:
-                    conditions.append(z)
-            space = space.intersect(rref(conditions, shape.dims[j]).complement())
-        return space
-
-    root = constrain(q.root, (), 0)
-    children: dict[tuple[int, ...], Subspace] = {}
-
-    def walk(prefix: tuple[int, ...], space: Subspace):
-        if len(prefix) == shape.d - 1:
-            return
-        for u in space.enumerate():
-            new_prefix = prefix + (u,)
-            child = constrain(q.child(new_prefix), new_prefix, len(new_prefix))
-            children[new_prefix] = child
-            walk(new_prefix, child)
-
-    if shape.d > 1:
-        walk((), root)
-    return LSystem(shape, root, children, bound=q.bound + simple.simplicity)
-
-
-# ---------------------------------------------------------------------------
-# degeneracy clustering
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClusterResult:
-    centers: list[Tensor]
-    assignments: list[tuple[int, dict]]  # per input: (center index, witness)
-
-
-def degeneracy_cluster(
-    rs: Sequence[Tensor],
-    k: int,
-    q: GroupMultiset | None = None,
-    search_budget: int = 2**20,
-) -> ClusterResult:
-    """Greedy maximal subset of rs with pairwise non-degenerate differences.
-
-    Every input then splits as center + k-degenerate remainder, verified
-    by the decision procedure.  With ``q`` given, each input must agree
-    with at least 3/4 of it.  An undecidable shape raises BudgetExceeded
-    rather than guessing.
-    """
-    from .tensor import degenerate_decide
-
-    if q is not None:
-        bad = [
-            i
-            for i, r in enumerate(rs)
-            if 4 * tensor_agreement(q, r.data) < 3 * q.total
-        ]
-        if bad:
-            raise ValueError(f"arrays {bad} fall below 3/4 agreement with Q")
-
-    centers: list[Tensor] = []
-    assignments: list[tuple[int, dict]] = []
-    for r in rs:
-        placed = False
-        for idx, center in enumerate(centers):
-            decision = degenerate_decide(r ^ center, k, search_budget)
-            if not decision.decided:
-                raise BudgetExceeded(
-                    f"degeneracy undecidable at this shape: {decision.reason}"
-                )
-            if decision.degenerate:
-                assignments.append((idx, decision.witness))
-                placed = True
-                break
-        if not placed:
-            centers.append(r)
-            zero_witness = degenerate_decide(r ^ r, k, search_budget).witness
-            assignments.append((len(centers) - 1, zero_witness))
-    return ClusterResult(centers, assignments)
-
-
-# ---------------------------------------------------------------------------
-# multiplicity equalization
-# ---------------------------------------------------------------------------
-
-
-def equalize_multiplicities(
-    multisets: Sequence[GroupMultiset], cap: int = 2**20
-) -> list[GroupMultiset]:
-    """Scale multisets to (near-)equal totals.
-
-    Exact least-common-multiple scaling when it fits under ``cap``;
-    otherwise floor scaling to the cap, which still guarantees
-    max total <= 2 * min total.
-    """
-    totals = [m.total for m in multisets]
-    if any(t < 1 for t in totals):
-        raise ValueError("multisets must be nonempty")
-    lcm = math.lcm(*totals)
-    if lcm <= cap:
-        return [m.scaled(lcm // t) for m, t in zip(multisets, totals)]
-    if max(totals) > cap:
-        raise BudgetExceeded(f"multiset total exceeds cap {cap}")
-    return [m.scaled(cap // t) for m, t in zip(multisets, totals)]
-
-
 # ---------------------------------------------------------------------------
 # the full matrix-case pipeline experiment
 # ---------------------------------------------------------------------------
@@ -806,13 +564,8 @@ def matrix_pipeline(
     target = sum_of_blowups(shape, {(0,): witness.w1, (1,): witness.w2})
     target = target.sum(rref(centers, shape.total))
 
-    counterexample = None
-    outside = np.zeros(r_arr.size, dtype=bool)
-    for z in target.complement().rows:
-        outside |= np.bitwise_count(np.bitwise_and(r_arr, np.int64(z))).astype(np.int64) % 2 == 1
-    bad = np.flatnonzero(outside)
-    if bad.size:
-        counterexample = int(r_arr[bad[0]])
+    outside = np.flatnonzero(~target.contains_array(r_arr))
+    counterexample = int(r_arr[outside[0]]) if outside.size else None
 
     measured = {
         "u_codim": structure.u_space.codim,

@@ -20,14 +20,10 @@ import numpy as np
 
 from .budgets import (
     DEFAULT_ENUMERATION_BUDGET,
+    BudgetExceeded,
     DimensionMismatch,
     check_enumeration,
 )
-
-
-def weight(v: int) -> int:
-    """Number of coordinates equal to 1."""
-    return v.bit_count()
 
 
 def dot(a: int, b: int) -> int:
@@ -61,6 +57,23 @@ def from_hex(s: str, length: int) -> int:
     if v >> length:
         raise ValueError(f"hex {s!r} does not fit in {length} coordinates")
     return v
+
+
+def orthogonal_to_all(
+    values, masks: Iterable[int], length: int, translate: int = 0
+) -> np.ndarray:
+    """Whether x + translate is orthogonal to every z in ``masks``, for each x in ``values``.
+
+    One parity pass over the whole array per mask.  Vectors of ``length``
+    coordinates are packed into uint64, so a length above 64 is refused.
+    """
+    if length > 64:
+        raise BudgetExceeded(f"{length} coordinates exceed a 64-bit packed vector")
+    xs = np.asarray(values, dtype=np.uint64) ^ np.uint64(translate)
+    inside = np.ones(xs.shape, dtype=bool)
+    for z in masks:
+        inside &= np.bitwise_count(xs & np.uint64(z)) % 2 == 0
+    return inside
 
 
 def _pivot(v: int) -> int:
@@ -106,6 +119,10 @@ class Subspace:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
+
+    def contains_array(self, values) -> np.ndarray:
+        """:meth:`contains` of every packed vector in ``values``, as a bool array."""
+        return orthogonal_to_all(values, self.complement().rows, self.ambient_dim)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -156,24 +173,6 @@ class Subspace:
         return [to_hex(r, self.ambient_dim) for r in self.rows]
 
 
-@dataclass(frozen=True)
-class Coset:
-    """rep + space, with rep reduced to zeros on the pivot coordinates."""
-
-    rep: int
-    space: Subspace
-
-    def __post_init__(self):
-        object.__setattr__(self, "rep", self.space.reduce(self.rep))
-
-    def contains(self, v: int) -> bool:
-        return self.space.contains(v ^ self.rep)
-
-    def enumerate(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[int]:
-        for x in self.space.enumerate(budget):
-            yield x ^ self.rep
-
-
 def rref(vectors: Iterable[int], ambient_dim: int) -> Subspace:
     """Canonical subspace spanned by the given vectors."""
     rows: list[int] = []
@@ -209,61 +208,6 @@ def count_small_support(
         raise ValueError(f"k={k} out of range for ambient {space.ambient_dim}")
     check_enumeration(1 << space.dim, budget)
     return sum(1 for v in space.enumerate(budget) if v.bit_count() <= k)
-
-
-class MinWeightViolation(ValueError):
-    """A subspace contains a nonzero vector below the promised weight."""
-
-    def __init__(self, witness: int):
-        self.witness = witness
-        super().__init__(f"nonzero vector of weight {witness.bit_count()} found")
-
-
-def private_coordinate_basis(
-    space: Subspace, min_weight: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> list[tuple[int, frozenset[int]]]:
-    """Basis v_1..v_d with large private coordinate sets.
-
-    Returns pairs (v_i, I_i) where I_i = {k : v_i(k)=1 and v_j(k)=0 for all
-    j != i} and |I_i| >= min_weight / 2^(d-1).  Requires every nonzero
-    vector of the space to have weight >= min_weight (checked by
-    enumeration; raises :class:`MinWeightViolation` with a witness).
-
-    Built by inductive replacement: each incoming basis vector is flipped
-    against existing ones until it vacates at least half of every private
-    set, then existing vectors are flipped against it so that it keeps a
-    private chunk of its own support.
-    """
-    check_enumeration(1 << space.dim, budget)
-    for v in space.enumerate(budget):
-        if v != 0 and v.bit_count() < min_weight:
-            raise MinWeightViolation(v)
-
-    basis: list[int] = []
-    privates: list[int] = []  # coordinate masks, one per basis vector
-    for v in space.rows:
-        for vi, mask in zip(basis, privates):
-            if (v & mask).bit_count() * 2 > mask.bit_count():
-                v ^= vi
-        privates = [mask & ~v for mask in privates]
-        k = v  # shrinking private candidate inside supp(v)
-        for i, vi in enumerate(basis):
-            if (vi & k).bit_count() * 2 > k.bit_count():
-                basis[i] = vi ^ v
-            k &= ~basis[i]
-        basis.append(v)
-        privates.append(k)
-
-    d = len(basis)
-    out = []
-    for vi, mask in zip(basis, privates):
-        idx = frozenset(j for j in range(space.ambient_dim) if (mask >> j) & 1)
-        if len(idx) << (d - 1) < min_weight:
-            raise AssertionError(
-                f"private set of size {len(idx)} below min_weight/2^(d-1)"
-            )
-        out.append((vi, idx))
-    return out
 
 
 def all_subspaces(n: int, max_dim: int | None = None) -> Iterator[Subspace]:

@@ -35,8 +35,11 @@ class GroupSet:
     elements: np.ndarray  # sorted int64, unique
 
     @classmethod
-    def from_elements(cls, n: int, elems: Iterable[int]) -> "GroupSet":
-        arr = np.sort(np.fromiter(elems, dtype=np.int64))
+    def from_elements(cls, n: int, elems: Iterable[int] | np.ndarray) -> "GroupSet":
+        if isinstance(elems, np.ndarray):
+            arr = np.sort(elems.astype(np.int64, copy=False))
+        else:
+            arr = np.sort(np.fromiter(elems, dtype=np.int64))
         dup = arr[1:] == arr[:-1]
         if dup.any():
             arr = np.delete(arr, np.flatnonzero(dup) + 1)
@@ -122,9 +125,6 @@ class GroupMultiset:
             self.counts.values(), np.int64, size
         )
         return out
-
-    def scaled(self, factor: int) -> "GroupMultiset":
-        return GroupMultiset(self.n, {e: m * factor for e, m in self.counts.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,21 +307,18 @@ def spectral_closedness(a: GroupSet, b: GroupMultiset) -> Fraction:
     return Fraction(num, den)
 
 
-def large_spectrum(a: GroupSet, threshold: Fraction) -> list[int]:
-    """{r : |1_A^(r)| >= threshold}; by Parseval at most alpha/threshold^2."""
-    threshold = Fraction(threshold)
-    if threshold <= 0:
+def large_spectrum(spec: Spectrum, sq_threshold: Fraction) -> list[int]:
+    """{r : f^(r)^2 >= sq_threshold}, compared exactly as integers.
+
+    For f = 1_A, Parseval bounds the count by alpha / sq_threshold.
+    """
+    sq_threshold = Fraction(sq_threshold)
+    if sq_threshold <= 0:
         raise ValueError("threshold must be positive")
-    c = indicator_spectrum(a).coeffs
-    bound = -(-threshold.numerator * (1 << a.n) // threshold.denominator)
-    return np.flatnonzero(np.abs(c) >= bound).tolist()
-
-
-def _large_spectrum_sq(coeffs: np.ndarray, sq_threshold_num: int, sq_threshold_den: int) -> list[int]:
-    """{r : coeffs[r]^2 >= num/den} with an exact integer comparison."""
-    bound = -(-sq_threshold_num // sq_threshold_den)
-    c64 = coeffs.astype(np.int64)
-    return np.flatnonzero(c64 * c64 >= bound).tolist()
+    # f^(r) = coeffs[r] / 2^n, so the test is coeffs[r]^2 >= ceil(sq_threshold 4^n)
+    bound = -(-sq_threshold.numerator * (1 << 2 * spec.n) // sq_threshold.denominator)
+    c = spec.coeffs
+    return np.flatnonzero(c * c >= bound).tolist()
 
 
 def bogolyubov(s: GroupSet) -> Subspace:
@@ -336,11 +333,9 @@ def bogolyubov(s: GroupSet) -> Subspace:
     if s.size == 0:
         raise ValueError("S must be nonempty")
     n = s.n
-    c = indicator_spectrum(s).coeffs
-    # |c_r|^2 >= 2^{2n} alpha^3 / 2 = |S|^3 / 2^{n+1}
-    spec = _large_spectrum_sq(c, s.size**3, 1 << (n + 1))
-    span = rref(spec, n)
-    v = span.complement()
+    spec = indicator_spectrum(s)
+    c = spec.coeffs
+    v = rref(large_spectrum(spec, s.density**3 / 2), n).complement()
 
     cmax = int(np.max(np.abs(c)))
     if (1 << n) * cmax**4 >= 2**62:
@@ -369,4 +364,4 @@ def subspace_elements(v: Subspace) -> np.ndarray:
 def random_groupset(n: int, size: int, rng) -> GroupSet:
     check_group_exponent(n)
     elems = rng.choice(1 << n, size=size, replace=False)
-    return GroupSet.from_elements(n, elems.tolist())
+    return GroupSet.from_elements(n, elems)

@@ -13,17 +13,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .budgets import (
-    BudgetExceeded,
-    DimensionMismatch,
-    check_enumeration,
-    check_group_exponent,
-)
-from .gf2 import Subspace, all_subspaces, rref, to_hex
+from .budgets import DimensionMismatch, check_enumeration, check_group_exponent
+from .gf2 import Subspace, all_subspaces, orthogonal_to_all, rref, to_hex
 
 
 @dataclass(frozen=True)
@@ -131,35 +126,6 @@ def rank1_flat(dims: tuple[int, ...], factors: tuple[int, ...]) -> int:
     return out
 
 
-def contract(r: Tensor, s: Tensor) -> Tensor | int:
-    """Sum over the leading axes of r against all axes of s.
-
-    (rs)_{i_{a+1}..i_{a+b}} = sum_{j_1..j_a} r_{j,i} s_j over GF(2); the
-    matrix-times-vector case sums over the FIRST matrix coordinate.  When
-    r and s have identical shapes the result is the scalar dot product.
-    """
-    a = s.shape.d
-    if r.shape.dims[:a] != s.shape.dims:
-        raise DimensionMismatch("leading dims of r must equal dims of s")
-    r_arr = r.to_array()
-    s_arr = s.to_array()
-    out = np.tensordot(r_arr.astype(np.int64), s_arr.astype(np.int64), axes=(tuple(range(a)), tuple(range(a)))) & 1
-    if r.shape.d == a:
-        return int(out)
-    return Tensor.from_array(out.astype(np.uint8))
-
-
-def matvec_first(data: int, u: int, n1: int, n2: int) -> int:
-    """Contraction of an (n1,n2) matrix against u over the first axis."""
-    mask = (1 << n2) - 1
-    acc = 0
-    while u:
-        i = (u & -u).bit_length() - 1
-        acc ^= (data >> (i * n2)) & mask
-        u &= u - 1
-    return acc
-
-
 def matrix_rows(data: int, n1: int, n2: int) -> list[int]:
     mask = (1 << n2) - 1
     return [(data >> (i * n2)) & mask for i in range(n1)]
@@ -262,22 +228,18 @@ class SimpleSet:
     def members(self, data: np.ndarray) -> np.ndarray:
         """Membership of each packed tensor in ``data``, as a bool array.
 
-        One parity pass per constraint row: for each z in H_I^perp and each
-        index j of F2^{I^c}, the slice y[., j] along the I axes must be
-        orthogonal to z.  Built from the definition, not from subspace().
+        One parity mask per constraint: for each z in H_I^perp and each
+        index j of F2^{I^c}, the slice at j along the I axes of x minus the
+        translate must be orthogonal to z.  Built from the definition, not
+        from subspace().
         """
-        if self.shape.total > 64:
-            raise BudgetExceeded(f"{self.shape.total} cells exceed a 64-bit packed tensor")
-        y = np.asarray(data, dtype=np.uint64) ^ np.uint64(self.translate.data)
-        inside = np.ones(y.shape, dtype=bool)
+        masks = []
         for axes, space in self.spaces.items():
             posmap = axis_position_map(self.shape, axes)
             for z in space.complement().rows:
                 rows = posmap[[k for k in range(space.ambient_dim) if (z >> k) & 1]]
-                for column in rows.T.tolist():
-                    mask = np.uint64(sum(1 << pos for pos in column))
-                    inside &= np.bitwise_count(y & mask) % 2 == 0
-        return inside
+                masks.extend(sum(1 << pos for pos in column) for column in rows.T.tolist())
+        return orthogonal_to_all(data, masks, self.shape.total, self.translate.data)
 
     def subspace(self) -> Subspace:
         """The underlying subspace (ignoring the translate).
@@ -304,8 +266,7 @@ class LSystem:
     """Nested subspace family producing a multiset of rank-1 tensors.
 
     root is a subspace of the first axis; for each prefix (u_1,..,u_{j-1})
-    of factors there is a subspace of axis j, stored explicitly in
-    ``children`` or produced by ``rule`` for structured families.
+    of factors there is a subspace of axis j, stored in ``children``.
     ``bound`` is the declared codimension bound l.
     """
 
@@ -314,7 +275,6 @@ class LSystem:
         shape: TensorShape,
         root: Subspace,
         children: dict[tuple[int, ...], Subspace] | None = None,
-        rule: Callable[[tuple[int, ...]], Subspace] | None = None,
         bound: int = 0,
     ):
         if root.ambient_dim != shape.dims[0]:
@@ -322,15 +282,12 @@ class LSystem:
         self.shape = shape
         self.root = root
         self.children = dict(children or {})
-        self.rule = rule
         self.bound = bound
 
     def child(self, prefix: tuple[int, ...]) -> Subspace:
         if not 1 <= len(prefix) <= self.shape.d - 1:
             raise ValueError(f"bad prefix length {len(prefix)}")
         got = self.children.get(prefix)
-        if got is None and self.rule is not None:
-            got = self.rule(prefix)
         if got is None:
             raise KeyError(f"no subspace for prefix {prefix}")
         if got.ambient_dim != self.shape.dims[len(prefix)]:
@@ -361,16 +318,6 @@ class LSystem:
             for j in range(1, self.shape.d):
                 worst = max(worst, self.child(tup[:j]).codim)
         return worst
-
-    @classmethod
-    def full(cls, shape: TensorShape) -> "LSystem":
-        return cls(
-            shape,
-            Subspace.full(shape.dims[0]),
-            rule=lambda prefix: Subspace.full(shape.dims[len(prefix)]),
-            bound=0,
-        )
-
 
 def lsystem_intersect(q: LSystem, q2: LSystem, budget: int = 2**22) -> LSystem:
     """System contained in both inputs: intersect spaces prefix by prefix."""

@@ -7,7 +7,6 @@ library: dense numpy loops, double-loop character sums, BFS reachability.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -57,16 +56,21 @@ def matrix_rank_oracle(data: int, n1: int, n2: int) -> int:
     return gauss_rank(arr)
 
 
-def dense_contract(r_arr: np.ndarray, s_arr: np.ndarray) -> np.ndarray:
-    """Dot of s against the leading axes of r, elementwise loops only."""
-    a = s_arr.ndim
-    out_shape = r_arr.shape[a:]
-    out = np.zeros(out_shape if out_shape else (1,), dtype=np.int64)
-    for j in product(*(range(n) for n in s_arr.shape)):
-        if not s_arr[j]:
-            continue
-        out ^= r_arr[j].astype(np.int64) if out_shape else np.array([r_arr[j]])
-    return (out & 1) if out_shape else (out & 1)
+def agreement_count(counts: dict[int, int], r: int) -> int:
+    """#{q in Q : r.q = 0}, multiplicities included, by direct counting."""
+    return sum(mult for elem, mult in counts.items() if (r & elem).bit_count() % 2 == 0)
+
+
+def forcing_loop_oracle(counts, thresh: int, contains) -> tuple[bool, int | None, int]:
+    """(verified, first counterexample, agreement set size) by one contains() per candidate.
+
+    Candidates are the arrays r with counts[r] >= thresh, in ascending order.
+    """
+    candidates = [r for r in range(len(counts)) if counts[r] >= thresh]
+    for r in candidates:
+        if not contains(r):
+            return False, r, len(candidates)
+    return True, None, len(candidates)
 
 
 def bfs_sum_layers(generators: list[int], nbits: int, depth: int) -> list[np.ndarray]:

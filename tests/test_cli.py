@@ -259,6 +259,11 @@ def test_io_error_exit_1(tmp_path):
         }
     )
     assert run(manifest, quiet=True) == 1
+    # an explicit set element outside F2^4 is a validation error, not a traceback
+    manifest = Manifest.from_dict(
+        {"command": "closedness", "params": {"n": 4, "set": {"kind": "explicit", "elements": ["ff"]}}}
+    )
+    assert run(manifest, quiet=True) == 1
 
 
 # strings json must escape, and the walk's sentinel separators inside strings

@@ -7,41 +7,32 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from closurelab.budgets import BudgetExceeded, DensityTooLow
+from closurelab.budgets import DensityTooLow
 from closurelab.forcing import (
     SumsetReach,
     agreement_profile,
     agreement_threshold,
     build_q_matrix,
     check_forcing,
-    degeneracy_cluster,
-    equalize_multiplicities,
     find_structure_matrix,
     find_system,
     matrix_pipeline,
     random_factor_tuples,
     rank_reach,
     reduced_witness,
-    smallrank_pair,
-    system_in_simple,
-    tensor_agreement,
-    tensor_multiset,
 )
 from closurelab.gf2 import Subspace, random_subspace, rref
 from closurelab.spectral import GroupMultiset
-from closurelab.tensor import (
-    LSystem,
-    SimpleSet,
-    Tensor,
-    TensorShape,
-    degenerate_decide,
-    matrix_rank,
-    rank1_flat,
-    rank_one_counter,
-    sum_of_blowups,
-)
+from closurelab.tensor import TensorShape, rank1_flat, rank_one_counter, sum_of_blowups
 
-from .oracles import bfs_sum_layers, greedy_centers, layered_witness, rank_one_matrices
+from .oracles import (
+    agreement_count,
+    bfs_sum_layers,
+    forcing_loop_oracle,
+    greedy_centers,
+    layered_witness,
+    rank_one_matrices,
+)
 
 
 def test_agreement_profile_constant_zero_multiset():
@@ -73,13 +64,7 @@ def test_agreement_profile_matches_naive_double_loop():
     )
     profile = agreement_profile(q, shape)
     for r in range(512):
-        naive = sum(
-            mult
-            for elem, mult in q.counts.items()
-            if (r & elem).bit_count() % 2 == 0
-        )
-        assert int(profile.counts[r]) == naive
-        assert naive == tensor_agreement(q, r)
+        assert int(profile.counts[r]) == agreement_count(q.counts, r)
 
 
 def test_check_forcing_d1_subspace_agreement_set_is_dual():
@@ -131,7 +116,7 @@ def test_check_forcing_certificates_are_sound():
     target = sum_of_blowups(shape, spaces)
     requalified = 0
     for r in range(1 << 9):
-        direct = tensor_agreement(q, r)
+        direct = agreement_count(q.counts, r)
         assert direct == int(profile.counts[r])
         if 4 * direct >= 3 * q.total:
             requalified += 1
@@ -234,74 +219,42 @@ def test_build_q_matrix_unequal_codims_rejected():
         build_q_matrix(Subspace.full(3), spaces, shape)
 
 
+def test_check_forcing_certificate_matches_per_candidate_loop():
+    # the array containment test against the old loop over candidates in
+    # ascending order, on seeded instances that both pass and fail
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for dims in [(8,), (3, 3), (2, 2, 2), (3, 4)]:
+        shape = TensorShape(dims)
+        n = shape.total
+        for _ in range(6):
+            u = random_subspace(n, int(rng.integers(n // 2, n + 1)), rng)
+            extra = rng.choice(1 << n, size=3, replace=False).tolist()
+            q = GroupMultiset.from_elements(n, list(u.enumerate()) + extra)
+            profile = agreement_profile(q, shape)
+            spaces = {}
+            for mask in range(1, 1 << shape.d):
+                if rng.integers(0, 2):
+                    axes = tuple(a for a in range(shape.d) if (mask >> a) & 1)
+                    amb = math.prod(dims[a] for a in axes)
+                    spaces[axes] = random_subspace(amb, int(rng.integers(0, amb + 1)), rng)
+            spaces.setdefault((0,), u.complement() if shape.d == 1 else Subspace.zero(dims[0]))
+            for alpha in (Fraction(1, 2), Fraction(3, 4)):
+                cert = check_forcing(profile, alpha, spaces, shape)
+                thresh = agreement_threshold(q.total, alpha)
+                target = sum_of_blowups(shape, spaces)
+                want = forcing_loop_oracle(profile.counts, thresh, target.contains)
+                assert (cert.verified, cert.counterexample, cert.agreement_set_size) == want
+                outcomes.add(cert.verified)
+    assert outcomes == {True, False}
+
+
 def _structured_fixture(rng, n1=4, n2=4, u_codim=1, v_codim=1):
     shape = TensorShape((n1, n2))
     u_space = random_subspace(n1, n1 - u_codim, rng)
     v = random_subspace(n2, n2 - v_codim, rng)
     v_spaces = {u: v for u in u_space.enumerate()}
     return shape, build_q_matrix(u_space, v_spaces, shape)
-
-
-def test_smallrank_all_equal_gives_kernel_u():
-    rng = np.random.default_rng(5)
-    shape, q = _structured_fixture(rng)
-    # a full-agreement array: anything in U^perp (x) F2^{n2}
-    s = q.u_space.complement().rows[0]
-    r0 = Tensor(shape, rank1_flat((4, 4), (s, 0b1011)))
-    assert tensor_agreement(q, r0.data) == q.total
-    rs = [r0] * 16
-    res = smallrank_pair(q, rs, k=1)
-    assert res.kernel == q.u_space
-    assert res.common_contractions == 1 << q.u_space.dim
-
-
-def test_smallrank_rank_one_perturbation_family():
-    rng = np.random.default_rng(6)
-    shape, q = _structured_fixture(rng)
-    s = q.u_space.complement().rows[0]
-    base = rank1_flat((4, 4), (s, 0b0110))
-    rs = [
-        Tensor(shape, base ^ rank1_flat((4, 4), (s, t)))
-        for t in range(16)
-    ]
-    res = smallrank_pair(q, rs, k=1)
-    diff = rs[res.i].data ^ rs[res.j].data
-    assert matrix_rank(diff, 4, 4) <= 1
-
-
-def test_smallrank_random_fixture_meets_pigeonhole_bound():
-    rng = np.random.default_rng(7)
-    shape, q = _structured_fixture(rng)
-    profile = agreement_profile(q, shape)
-    thresh = agreement_threshold(q.total, Fraction(3, 4))
-    candidates = np.flatnonzero(profile.counts >= thresh)
-    picks = rng.choice(candidates.size, size=16, replace=False)
-    rs = [Tensor(shape, int(candidates[int(i)])) for i in picks]
-    res = smallrank_pair(q, rs, k=1)
-    m = 16
-    u_size = 1 << q.u_space.dim
-    # direct recount of the kernel witness
-    diff = rs[res.i].data ^ rs[res.j].data
-    from closurelab.tensor import matvec_first
-
-    direct = [u for u in q.u_space.enumerate() if matvec_first(diff, u, 4, 4) == 0]
-    assert set(direct) == set(res.kernel.enumerate())
-    assert len(direct) * 4 * m * m >= u_size
-
-
-def test_smallrank_precondition_reported_per_index():
-    rng = np.random.default_rng(8)
-    shape, q = _structured_fixture(rng)
-    good = Tensor(shape, 0)
-    # an array agreeing with about half of Q only
-    bad_val = next(
-        r
-        for r in range(1, 1 << 16)
-        if 4 * tensor_agreement(q, r) < 3 * q.total
-    )
-    rs = [good] * 15 + [Tensor(shape, bad_val)]
-    with pytest.raises(ValueError, match=r"\[15\]"):
-        smallrank_pair(q, rs, k=1)
 
 
 def test_reduced_witness_full_and_fixed_v():
@@ -431,105 +384,6 @@ def test_find_system_d3_runs_and_verifies():
     res = find_system(tuples, shape, Fraction(1, 2))
     assert res.sumset_depth == 64
     assert res.witnesses is not None
-
-
-def test_system_in_simple_full_space_unchanged():
-    shape = TensorShape((3, 3))
-    rng = np.random.default_rng(14)
-    root = random_subspace(3, 2, rng)
-    q = LSystem(
-        shape, root, {(u,): random_subspace(3, 2, rng) for u in root.enumerate()}
-    )
-    t_full = SimpleSet(shape, Tensor(shape, 0))
-    out = system_in_simple(q, t_full)
-    assert out.element_counter() == q.element_counter()
-
-
-def test_system_in_simple_codim1_big_constraint():
-    shape = TensorShape((3, 3))
-    q = LSystem.full(shape)
-    h12 = random_subspace(9, 8, np.random.default_rng(15))
-    simple = SimpleSet(shape, Tensor(shape, 0), {(0, 1): h12})
-    out = system_in_simple(q, simple)
-    members = simple.subspace()
-    for elem in out.element_counter():
-        assert members.contains(elem)
-
-
-def test_system_in_simple_random_containment():
-    shape = TensorShape((3, 3))
-    rng = np.random.default_rng(16)
-    for _ in range(5):
-        root = random_subspace(3, 2, rng)
-        q = LSystem(
-            shape,
-            root,
-            {(u,): random_subspace(3, 2, rng) for u in root.enumerate()},
-            bound=1,
-        )
-        spaces = {
-            (0,): random_subspace(3, 2, rng),
-            (1,): random_subspace(3, 2, rng),
-            (0, 1): random_subspace(9, 8, rng),
-        }
-        simple = SimpleSet(shape, Tensor(shape, 0), spaces)
-        out = system_in_simple(q, simple)
-        q_elems = q.element_counter()
-        members = simple.subspace()
-        for elem in out.element_counter():
-            assert elem in q_elems
-            assert members.contains(elem)
-
-
-def test_degeneracy_cluster_edge_cases():
-    shape = TensorShape((2, 2, 2))
-    r = Tensor(shape, 0b10110010)
-    res = degeneracy_cluster([r, r, r], k=1)
-    assert len(res.centers) == 1
-
-    from closurelab.tensor import rank1
-
-    zero = Tensor(shape, 0)
-    one_term = rank1(shape, (1, 3, 2))
-    res2 = degeneracy_cluster([zero, one_term], k=1)
-    assert len(res2.centers) == 1
-
-
-def test_degeneracy_cluster_random_decompositions_verified():
-    shape = TensorShape((2, 2, 2))
-    rng = np.random.default_rng(17)
-    rs = [Tensor(shape, int(rng.integers(0, 256))) for _ in range(12)]
-    res = degeneracy_cluster(rs, k=1)
-    for r, (idx, witness) in zip(rs, res.assignments):
-        diff = r.data ^ res.centers[idx].data
-        total = sum_of_blowups(shape, witness)
-        assert total.contains(diff)
-        assert max((s.dim for s in witness.values()), default=0) <= 1
-    # pairwise centers are non-degenerate
-    for i in range(len(res.centers)):
-        for j in range(i + 1, len(res.centers)):
-            dec = degenerate_decide(res.centers[i] ^ res.centers[j], 1)
-            assert dec.decided and not dec.degenerate
-
-
-def test_degeneracy_cluster_budget_refusal():
-    shape = TensorShape((2, 2, 2, 2))
-    rs = [Tensor(shape, 1), Tensor(shape, 3)]
-    with pytest.raises(BudgetExceeded):
-        degeneracy_cluster(rs, k=2, search_budget=10)
-
-
-def test_equalize_multiplicities():
-    a = GroupMultiset.from_pairs(3, [(1, 1), (2, 1), (3, 1)])
-    b = GroupMultiset.from_pairs(3, [(4, 2)])
-    out = equalize_multiplicities([a, b])
-    assert out[0].total == out[1].total == 6
-
-    big = GroupMultiset.from_pairs(3, [(1, 997)])
-    other = GroupMultiset.from_pairs(3, [(2, 1000)])
-    capped = equalize_multiplicities([big, other], cap=2000)
-    totals = [m.total for m in capped]
-    assert max(totals) <= 2 * min(totals)
 
 
 def test_matrix_pipeline_seeded_run_and_determinism():

@@ -7,20 +7,16 @@ import pytest
 
 from closurelab.budgets import BudgetExceeded, DimensionMismatch
 from closurelab.gf2 import (
-    Coset,
-    MinWeightViolation,
     Subspace,
     all_subspaces,
     count_small_support,
     dot,
     from_hex,
-    private_coordinate_basis,
     random_subspace,
     random_vector,
     rref,
     to_hex,
     to_hex_array,
-    weight,
 )
 
 
@@ -122,13 +118,36 @@ def test_enumerate_budget():
         list(v.enumerate(budget=2**10))
 
 
-def test_coset_enumeration_and_canonical_rep():
-    c = Coset(0b100, rref([0b010], 3))
-    assert sorted(c.enumerate()) == [0b100, 0b110]
-    # rep gets reduced to zeros on pivot coordinates
-    c2 = Coset(0b110, rref([0b010], 3))
-    assert c2.rep == 0b100
-    assert c == c2
+def test_contains_array_agrees_with_contains():
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 5, 12, 20, 33, 63, 64):
+        spaces = [Subspace.zero(n), Subspace.full(n)]
+        spaces += [random_subspace(n, int(rng.integers(0, n + 1)), rng) for _ in range(4)]
+        for v in spaces:
+            if n <= 12:
+                points = list(range(1 << n))
+            else:  # members of the space, so that both answers occur, and random vectors
+                gens = list(v.rows)
+                points = [0, (1 << n) - 1]
+                for _ in range(100):
+                    x = 0
+                    for g in gens:
+                        x ^= g * int(rng.integers(0, 2))
+                    points += [x, random_vector(n, rng)]
+            got = v.contains_array(np.array(points, dtype=np.uint64))
+            assert got.dtype == bool
+            assert got.tolist() == [v.contains(x) for x in points]
+    assert Subspace.full(64).contains_array(np.array([2**64 - 1], dtype=np.uint64)).all()
+    assert not Subspace.zero(64).contains_array(np.array([2**63], dtype=np.uint64)).any()
+    # int64 input, as np.flatnonzero gives it
+    w = rref([0b011, 0b110], 3)
+    assert w.contains_array(np.arange(8)).tolist() == [w.contains(x) for x in range(8)]
+
+
+def test_contains_array_refuses_above_64_coordinates():
+    for v in (Subspace.zero(65), Subspace.full(65)):
+        with pytest.raises(BudgetExceeded):
+            v.contains_array(np.zeros(1, dtype=np.uint64))
 
 
 def test_count_small_support_examples():
@@ -146,45 +165,6 @@ def test_count_small_support_bound_random():
             count = count_small_support(v, k)
             bound = sum(math.comb(v.dim, i) for i in range(min(k, v.dim) + 1))
             assert count <= bound
-
-
-def test_private_coordinate_basis_trivial():
-    s = rref([1, 2], 8)
-    res = private_coordinate_basis(s, 1)
-    assert [(v, sorted(i)) for v, i in res] == [(1, [0]), (2, [1])]
-
-
-def test_private_coordinate_basis_zero_space():
-    assert private_coordinate_basis(Subspace.zero(5), 3) == []
-
-
-def test_private_coordinate_basis_violation_reports_witness():
-    s = rref([0b11, 0b110], 3)  # contains 101, 011, 110 (all weight 2) and 0
-    with pytest.raises(MinWeightViolation) as err:
-        private_coordinate_basis(s, 3)
-    assert weight(err.value.witness) < 3
-
-
-def test_private_coordinate_basis_defining_property():
-    rng = np.random.default_rng(23)
-    checked = 0
-    while checked < 60:
-        n = int(rng.integers(2, 14))
-        v = random_subspace(n, int(rng.integers(1, min(n, 4) + 1)), rng)
-        mw = min((x.bit_count() for x in v.enumerate() if x), default=0)
-        if mw == 0:
-            continue
-        res = private_coordinate_basis(v, mw)
-        d = len(res)
-        assert rref([x for x, _ in res], n) == v
-        for i, (vi, idx) in enumerate(res):
-            assert len(idx) * (1 << (d - 1)) >= mw
-            for k in idx:
-                assert (vi >> k) & 1 == 1
-                for j, (vj, _) in enumerate(res):
-                    if j != i:
-                        assert (vj >> k) & 1 == 0
-        checked += 1
 
 
 def test_all_subspaces_counts_match_gaussian_binomials():

@@ -178,11 +178,11 @@ def test_convolution_law_pair_counts():
 
 def test_large_spectrum_full_group_and_subspace():
     g = GroupSet.from_elements(4, range(16))
-    assert large_spectrum(g, Fraction(1)) == [0]
+    assert large_spectrum(indicator_spectrum(g), Fraction(1)) == [0]
 
     w = rref([0b0011, 0b0101], 4)
     a = GroupSet.from_elements(4, w.enumerate())
-    spec = large_spectrum(a, a.density)
+    spec = large_spectrum(indicator_spectrum(a), a.density**2)
     dual = w.complement()
     assert sorted(spec) == sorted(dual.enumerate())
 
@@ -195,8 +195,11 @@ def test_large_spectrum_parseval_size_bound():
         a = random_groupset(n, size, rng)
         alpha = a.density
         threshold = Fraction(3, 8)
-        got = large_spectrum(a, threshold)
+        got = large_spectrum(indicator_spectrum(a), threshold**2)
         assert len(got) <= alpha / threshold**2
+        # the squared threshold is compared exactly: |c_r| >= threshold 2^n
+        c = indicator_spectrum(a).coeffs
+        assert got == [r for r in range(1 << n) if abs(int(c[r])) >= threshold * (1 << n)]
 
 
 def test_bogolyubov_subspace_fixed_point():
@@ -249,6 +252,22 @@ def test_groupset_from_elements_sorts_dedups_and_checks_range():
     for bad in ([32], [-1], [3, 3, 32], [-1, -1, 5], [0, 1 << 40]):
         with pytest.raises(DimensionMismatch):
             GroupSet.from_elements(5, bad)
+    # arrays are taken as they are, with the same result as their lists
+    for dtype in (np.int64, np.uint64):
+        for n in (1, 4, 12):
+            arr = rng.integers(0, 1 << n, size=3 << n).astype(dtype)
+            before = arr.copy()
+            got = GroupSet.from_elements(n, arr).elements
+            assert got.dtype == np.int64
+            assert np.array_equal(got, GroupSet.from_elements(n, arr.tolist()).elements)
+            assert np.array_equal(arr, before)  # the caller's array is not sorted in place
+        empty = GroupSet.from_elements(5, np.array([], dtype=dtype))
+        assert empty.size == 0 and empty.elements.dtype == np.int64
+        for bad in ([32], [3, 3, 32], [0, 1 << 40], [1 << 63]):
+            with pytest.raises(DimensionMismatch):
+                GroupSet.from_elements(5, np.array(bad, dtype=np.uint64).astype(dtype))
+    with pytest.raises(DimensionMismatch):
+        GroupSet.from_elements(5, np.array([-1, 4], dtype=np.int64))
 
 
 def _count_crt_calls(monkeypatch):
@@ -361,7 +380,7 @@ def test_bogolyubov_verification_can_fail(monkeypatch):
     import closurelab.spectral as spectral
 
     # with no large spectrum, V is all of F2^n, far outside 2S - 2S for |S| = 3
-    monkeypatch.setattr(spectral, "_large_spectrum_sq", lambda *args: [])
+    monkeypatch.setattr(spectral, "large_spectrum", lambda *args: [])
     s = GroupSet.from_elements(8, [0b1, 0b110, 0b10000000])
     expected = _oracle_outcome(s, Subspace.full(8))
     assert expected[0] == "reject"
@@ -384,7 +403,7 @@ def test_bogolyubov_outcomes_match_per_element_oracle(monkeypatch):
         assert got[0] == "accept"
         real_outcomes.append(got)
     # V = F2^n: sparse sets fail, dense ones may pass; the first failure must agree
-    monkeypatch.setattr(spectral, "_large_spectrum_sq", lambda *args: [])
+    monkeypatch.setattr(spectral, "large_spectrum", lambda *args: [])
     verdicts = set()
     for s in cases:
         got = _bogolyubov_outcome(s)
@@ -393,6 +412,7 @@ def test_bogolyubov_outcomes_match_per_element_oracle(monkeypatch):
     assert verdicts == {"accept", "reject"}
     monkeypatch.undo()
     for s, got in zip(cases, real_outcomes):
-        v = rref(spectral._large_spectrum_sq(
-            indicator_spectrum(s).coeffs, s.size**3, 1 << (s.n + 1)), s.n).complement()
+        large = [r for r, c in enumerate(indicator_spectrum(s).coeffs.tolist())
+                 if c * c * (1 << (s.n + 1)) >= s.size**3]
+        v = rref(large, s.n).complement()
         assert got == _oracle_outcome(s, v)

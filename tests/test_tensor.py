@@ -7,7 +7,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from closurelab.budgets import DimensionMismatch
 from closurelab.gf2 import Subspace, random_subspace, rref
 from closurelab.tensor import (
     DegeneracyDecision,
@@ -15,12 +14,10 @@ from closurelab.tensor import (
     SimpleSet,
     Tensor,
     TensorShape,
-    contract,
     degenerate_decide,
     embed_blowup,
     lsystem_intersect,
     matrix_rank,
-    matvec_first,
     rank1,
     rank1_flat,
     rank_one_counter,
@@ -28,7 +25,6 @@ from closurelab.tensor import (
 )
 
 from .oracles import (
-    dense_contract,
     matrix_rank_oracle,
     partition_rank_oracle,
     simple_set_member_oracle,
@@ -90,78 +86,6 @@ def test_rank1_matches_outer_product_of_bits():
         for a in arrs[1:]:
             expect = np.multiply.outer(expect, a)
         assert np.array_equal(t.to_array(), expect)
-
-
-def test_contract_rank1_reduction():
-    shape = TensorShape((3, 4))
-    u, v, w = 0b101, 0b1100, 0b011
-    r = rank1(shape, (u, v))
-    s = Tensor(TensorShape((3,)), w)
-    out = contract(r, s)
-    expect = v if (u & w).bit_count() % 2 else 0
-    assert out.data == expect
-
-    zero = Tensor(TensorShape((3,)), 0)
-    assert contract(r, zero).data == 0
-
-
-def test_contract_matches_dense_loop_oracle():
-    rng = np.random.default_rng(3)
-    shape = TensorShape((3, 3))
-    for _ in range(20):
-        r = Tensor(shape, int(rng.integers(0, 1 << 9)))
-        for s_val in range(8):
-            s = Tensor(TensorShape((3,)), s_val)
-            got = contract(r, s)
-            want = dense_contract(r.to_array(), s.to_array())
-            assert np.array_equal(got.to_array(), want)
-
-
-def test_contract_full_is_symmetric_nondegenerate_dot():
-    shape = TensorShape((2, 3, 2))
-    n = shape.total
-    for x in range(1 << n):
-        t = Tensor(shape, x)
-        assert contract(t, t) == (x.bit_count() & 1)
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        a = Tensor(shape, int(rng.integers(0, 1 << n)))
-        b = Tensor(shape, int(rng.integers(0, 1 << n)))
-        assert contract(a, b) == contract(b, a)
-    # nondegenerate: only 0 is orthogonal to everything
-    for x in range(1, 1 << n):
-        t = Tensor(shape, x)
-        assert any(
-            contract(t, Tensor(shape, 1 << k)) for k in range(n)
-        )
-
-
-def test_contract_multiplicative_on_rank1_inputs_exhaustive_222():
-    shape = TensorShape((2, 2, 2))
-    tail = TensorShape((2, 2))
-    for u1, u2, u3, s1 in product(range(4), repeat=4):
-        r = rank1(shape, (u1, u2, u3))
-        s = Tensor(TensorShape((2,)), s1)
-        got = contract(r, s)
-        scale = (u1 & s1).bit_count() & 1
-        want = rank1(tail, (u2, u3)).data if scale else 0
-        assert got.data == want
-
-
-def test_contract_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        contract(Tensor(TensorShape((2, 2)), 1), Tensor(TensorShape((3,)), 1))
-
-
-def test_matvec_first_agrees_with_contract():
-    rng = np.random.default_rng(5)
-    shape = TensorShape((4, 3))
-    for _ in range(40):
-        data = int(rng.integers(0, 1 << 12))
-        u = int(rng.integers(0, 16))
-        got = matvec_first(data, u, 4, 3)
-        want = contract(Tensor(shape, data), Tensor(TensorShape((4,)), u))
-        assert got == want.data
 
 
 def test_matrix_rank_matches_oracle():
@@ -322,9 +246,11 @@ def test_lsystem_self_intersection_is_identity_on_elements():
     assert lsystem_intersect(q, q).element_counter() == q.element_counter()
 
 
-def test_lsystem_full_and_rule_variant():
+def test_lsystem_of_full_spaces_is_every_rank_one_tensor():
     shape = TensorShape((2, 2, 2))
-    full = LSystem.full(shape)
+    children = {(u,): Subspace.full(2) for u in range(4)}
+    children.update({(u, v): Subspace.full(2) for u in range(4) for v in range(4)})
+    full = LSystem(shape, Subspace.full(2), children)
     assert full.element_counter() == rank_one_counter(shape)
     meet = lsystem_intersect(full, full)
     assert meet.element_counter() == full.element_counter()
