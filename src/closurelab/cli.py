@@ -89,10 +89,9 @@ _BUDGET_KEYS = {f.name for f in fields(Budget)}
 _OUTPUT_KEYS = {"path", "format"}
 _MANIFEST_KEYS = {"command", "params", "seed", "budgets", "output"}
 
-# simple-set checks every tensor up to this many cells (membership_check is
-# null above), MEMBERSHIP_CHECK_CHUNK packed tensors per array pass
+# simple-set checks every tensor up to this many cells, in one array pass
+# (membership_check is null above)
 MEMBERSHIP_CHECK_CELLS = 16
-MEMBERSHIP_CHECK_CHUNK = 1 << 12
 
 
 class ManifestError(ClosureLabError):
@@ -419,13 +418,8 @@ def cmd_simple_set(manifest: Manifest):
     size = simple.size()
     ok = None  # not run: too many cells to check every tensor
     if shape.total <= MEMBERSHIP_CHECK_CELLS:
-        points = 1 << shape.total
-        chunk = min(points, MEMBERSHIP_CHECK_CHUNK)
-        members = sum(
-            int(np.count_nonzero(simple.members(np.arange(lo, lo + chunk, dtype=np.uint64))))
-            for lo in range(0, points, chunk)
-        )
-        ok = members == size
+        points = np.arange(1 << shape.total, dtype=np.uint64)
+        ok = int(np.count_nonzero(simple.members(points))) == size
     payload = {
         "shape": list(dims),
         "k": k,

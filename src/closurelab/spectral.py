@@ -5,6 +5,11 @@ sum_x f(x) (-1)^(r.x).  Every transform asserts the integer Parseval
 identity sum_r coeffs[r]^2 == 2^n sum_x f(x)^2; a violation raises, so no
 corrupted spectrum can propagate.  A width guard refuses inputs whose
 exact transform could leave signed 64-bit range.
+
+Transforms above 2^16 points are cache-blocked: a pass over the whole
+array would stream it from memory once per two levels, so the low 16 levels
+run inside each 2^16-point block (512 KiB of int64, resident in a core's
+L2) and the remaining levels across the blocks, a slab of columns at a time.
 """
 
 from __future__ import annotations
@@ -155,22 +160,26 @@ _H4 = np.array(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=np.int64
 )
 _H4_MATMUL_MAX = 1 << 11  # up to this size one 4x4 matmul per pass beats four adds
+_BLOCK = 1 << 16  # points per cache-resident block: 512 KiB of int64, a quarter of L2
+_SLAB = 1 << 12  # columns per slab in the levels across blocks
 
 
-def _butterfly(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard butterfly over an int64 array.
+def _levels(v: np.ndarray) -> None:
+    """Every Walsh-Hadamard level along axis 0 of the view ``v``, in place.
 
-    Two levels per pass (radix 4), then one radix-2 level for odd n; the
-    levels commute, so the odd one runs last, over contiguous halves.
+    Two levels per pass (radix 4), then one radix-2 level for odd length;
+    the levels commute, so the odd one runs last, over contiguous halves.
+    Further axes of ``v`` are columns transformed side by side.  Splitting
+    axis 0 never copies, so every reshape below writes through to ``v``.
     """
-    size = a.size
+    m, cols = v.shape[0], v.shape[1:]
     h = 1
-    while 4 * h <= size:
-        v = a.reshape(-1, 4, h)
-        if size <= _H4_MATMUL_MAX:
-            v[...] = _H4 @ v
+    while 4 * h <= m:
+        w = v.reshape(-1, 4, h, *cols)
+        if v.size <= _H4_MATMUL_MAX:  # a whole small array: a slab has more points
+            w[...] = _H4 @ w
         else:
-            a0, a1, a2, a3 = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+            a0, a1, a2, a3 = w[:, 0], w[:, 1], w[:, 2], w[:, 3]
             s01, d01 = a0 + a1, a0 - a1
             s23, d23 = a2 + a3, a2 - a3
             np.add(s01, s23, out=a0)
@@ -178,11 +187,35 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
             np.add(d01, d23, out=a1)
             np.subtract(d01, d23, out=a3)
         h *= 4
-    if h < size:
-        v = a.reshape(2, -1)
-        s = v[0] + v[1]
-        np.subtract(v[0], v[1], out=v[1])
-        v[0] = s
+    if h < m:
+        w = v.reshape(2, -1, *cols)
+        s = w[0] + w[1]
+        np.subtract(w[0], w[1], out=w[1])
+        w[0] = s
+
+
+def _butterfly(a: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard butterfly over a contiguous int64 array.
+
+    Up to _BLOCK points it is one run of radix-4 passes over the whole
+    array.  Above, each pass over the whole array would stream it through
+    the last-level cache, so the transform is blocked (the "four-step"
+    order of Bailey, *FFTs in external or hierarchical memory*, 1990): the
+    low 16 levels inside each cache-resident row of the (size / _BLOCK,
+    _BLOCK) view, then the remaining levels along its axis 0, one slab of
+    _SLAB columns at a time.  The levels commute and int64 addition is
+    exact modulo 2^64, so the output is the same in every order.
+    """
+    if a.size <= _BLOCK:
+        _levels(a)
+        return a
+    rows = a.reshape(-1, _BLOCK)
+    if not np.shares_memory(rows, a):
+        raise ValueError("the butterfly needs a contiguous array to work in place")
+    for row in rows:
+        _levels(row)
+    for lo in range(0, _BLOCK, _SLAB):
+        _levels(rows[:, lo : lo + _SLAB])
     return a
 
 
@@ -216,6 +249,8 @@ def exact_sum_of_products(*factors: np.ndarray) -> int:
     bound = math.prod(maxima[id(f)] for f in arrays)  # on |term|
     if bound >= 2**63:
         return _crt_sum_of_products(arrays, size * bound)
+    if len(arrays) == 2 and size * bound < 2**63:
+        return int(np.dot(arrays[0], arrays[1]))  # one pass, no product array
     prod = arrays[0] * arrays[1] if len(arrays) > 1 else arrays[0].copy()
     for f in arrays[2:]:
         prod *= f

@@ -25,6 +25,19 @@ def naive_wht(f) -> list[int]:
     return out
 
 
+def radix2_wht(f) -> np.ndarray:
+    """coeffs[r] = sum_x f(x) (-1)^(r.x) by n radix-2 levels over the whole int64 array."""
+    a = np.array(f, dtype=np.int64)
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0] = lo + hi
+        pairs[:, 1] = lo - hi
+        h *= 2
+    return a
+
+
 def gauss_rank(arr: np.ndarray) -> int:
     """Rank over GF(2) by dense row reduction."""
     a = (np.array(arr, dtype=np.uint8) & 1).copy()

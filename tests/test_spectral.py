@@ -34,6 +34,7 @@ from .oracles import (
     naive_closedness,
     naive_convolution_pairs,
     naive_wht,
+    radix2_wht,
     sum_of_products_oracle,
 )
 
@@ -93,6 +94,44 @@ def test_wht_parseval_assertion_detects_fault(monkeypatch):
     monkeypatch.setattr(spectral, "_butterfly", corrupted)
     with pytest.raises(VerificationFailure):
         spectral.wht([1, 0, 1, 1])
+
+
+def test_blocked_butterfly_matches_radix2_reference():
+    rng = np.random.default_rng(41)
+    for n in (16, 17, 18, 20, 21):
+        # the largest m with 2^n * 2^n * m^2 < 2^63, so wht's int64 guard holds
+        m = math.isqrt((2**63 - 1) >> (2 * n))
+        f = rng.integers(-m, m + 1, size=1 << n)
+        f[0], f[-1] = m, -m
+        assert np.array_equal(wht(f, n).coeffs, radix2_wht(f))
+
+
+def test_wht_involution_at_n20():
+    f = np.random.default_rng(42).integers(-1, 2, size=1 << 20)
+    back = wht(wht(f, 20).coeffs, 20).coeffs
+    assert np.array_equal(back, (1 << 20) * f)
+
+
+def test_wht_parseval_detects_fault_in_last_block(monkeypatch):
+    import closurelab.spectral as spectral
+
+    n = 20
+    f = np.random.default_rng(43).integers(0, 2, size=1 << n)
+    assert np.array_equal(wht(f, n).coeffs, radix2_wht(f))
+    real = spectral._levels
+    rows = []
+
+    def corrupt_last_block(v):
+        real(v)
+        if v.ndim == 1:  # the low levels of one contiguous block
+            rows.append(v)
+            if len(rows) == (1 << n) // spectral._BLOCK:
+                v[-1] += 1
+
+    monkeypatch.setattr(spectral, "_levels", corrupt_last_block)
+    with pytest.raises(VerificationFailure):
+        wht(f, n)
+    assert len(rows) == 16
 
 
 def test_mu_hat_examples():
@@ -416,3 +455,25 @@ def test_bogolyubov_outcomes_match_per_element_oracle(monkeypatch):
                  if c * c * (1 << (s.n + 1)) >= s.size**3]
         v = rref(large, s.n).complement()
         assert got == _oracle_outcome(s, v)
+
+
+def test_bogolyubov_at_n17_matches_per_element_oracle(monkeypatch):
+    import closurelab.spectral as spectral
+
+    n = 17  # the fourth convolution power is one blocked transform of 2^17 points
+    rng = np.random.default_rng(44)
+    w = random_subspace(16, 10, rng)
+    p = (1 << 16) | int(rng.integers(0, 1 << 16))
+    # S = W + {p} with W in the low 16 bits: 4S = span(W, p) crosses the block boundary
+    s = GroupSet.from_elements(n, [*w.enumerate(), p])
+    v = bogolyubov(s)
+    assert v == rref(w.rows, n)
+    assert _bogolyubov_outcome(s) == _oracle_outcome(s, v)
+    # a V beyond 4S, so the first failing element in enumerate() order is named
+    q = next(x for x in map(int, rng.integers(0, 1 << n, size=64))
+             if not rref([*w.rows, p], n).contains(x))
+    u = rref([*w.rows, p, q], n)
+    monkeypatch.setattr(spectral, "large_spectrum", lambda *args: list(u.complement().rows))
+    expected = _oracle_outcome(s, u)
+    assert expected[0] == "reject"
+    assert _bogolyubov_outcome(s) == expected

@@ -12,12 +12,15 @@ interpreter.  The artifact has four parts:
   end-to-end metric on both sides;
 * ``kernels``: medians over repeats, each side in a fresh interpreter, of
   ``matrix_pipeline`` at (4,4) and (4,5) (delta 1/2, seed 2000), ``wht`` at
-  n = 8/16/20, ``bogolyubov`` on dense 1/2 sets at n = 12/13,
+  n = 8/16/17/18/20 (17 and 18 on either side of the butterfly's 2^16-point
+  block), ``bogolyubov`` on dense 1/2 sets at n = 12/13,
   ``closedness_exact`` against ``spectral_closedness`` and ``mixed_energy``
   on the n = 20 layers 9..11 against the standard basis, the ``spectrum``
   CLI run of perfbench's ``spectrum-n16`` slot with stdout captured,
   ``GroupSet.from_elements`` on 2^15 and 2^19 distinct elements, and
-  ``layered_pair_eta_sampled`` at n = 64 (10^5 samples);
+  ``layered_pair_eta_sampled`` at n = 64 (10^5 samples), and
+  ``degenerate_decide`` at k = 1 per call, the median over seeded random
+  tensors of shape (3,3), (2,2,3) and (3,3,2);
 * ``suite``: the tier-1 suite's wall time and criterion 7's call time;
 * ``machine``: CPU, Python and numpy versions.
 
@@ -49,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 from closurelab import cli, closure, hamming, spectral
 from closurelab.forcing import matrix_pipeline, random_factor_tuples
-from closurelab.tensor import TensorShape
+from closurelab.tensor import Tensor, TensorShape, degenerate_decide
 
 
 def median_s(call, repeats):
@@ -67,7 +70,7 @@ for dims, repeats in (((4, 4), 7), ((4, 5), 3)):
     out[f"matrix_pipeline{dims}"], result = median_s(
         lambda: matrix_pipeline(pairs, TensorShape(dims), Fraction(1, 2)), repeats)
     out[f"matrix_pipeline{dims}"]["measured"] = result.measured
-for n, repeats in ((8, 2001), (16, 31), (20, 7)):
+for n, repeats in ((8, 2001), (16, 31), (17, 21), (18, 15), (20, 7)):
     f = np.random.default_rng(2000).integers(0, 2, size=1 << n)
     out[f"wht_n{n}"], _ = median_s(lambda: spectral.wht(f, n), repeats)
 for n, repeats in ((12, 7), (13, 5)):
@@ -99,6 +102,19 @@ layer, sl = hamming.LayerSet(64, 30, 33), hamming.SliceSet(64, 2)
 out["layered_pair_eta_sampled_n64"], report = median_s(
     lambda: hamming.layered_pair_eta_sampled(layer, sl, 100000, 1), 7)
 out["layered_pair_eta_sampled_n64"]["estimate"] = report.estimate
+for dims, calls in (((3, 3), 51), ((2, 2, 3), 21), ((3, 3, 2), 5)):
+    shape, rng = TensorShape(dims), np.random.default_rng(2000)
+    times, decided, degenerate = [], 0, 0
+    for _ in range(calls):
+        x = Tensor(shape, int(rng.integers(0, 1 << shape.total)))
+        start = time.perf_counter()
+        decision = degenerate_decide(x, 1)
+        times.append(time.perf_counter() - start)
+        decided += decision.decided
+        degenerate += bool(decision.degenerate)
+    out[f"degenerate_decide_k1{dims}"] = {"median_s": statistics.median(times),
+                                          "calls": calls, "decided": decided,
+                                          "degenerate": degenerate}
 print(json.dumps(out))
 """
 
