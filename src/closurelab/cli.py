@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -154,9 +153,18 @@ def canonical_json(obj) -> str:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-# item and key separators of one C-encoded dump of a flat list; json escapes
-# both characters inside strings, so in its output they mark separators only
-_SENTINELS = ("\x00", "\x01")
+# item separator of a C-encoded dump of a flat list; json escapes it inside
+# strings, so in its output it marks separators only
+_SEPARATORS = ("\x00", ":")
+
+
+class _Table(dict):
+    """Rows kept as columns: name -> list of JSON scalars, all lists of one
+    length, in header order. :func:`_json_texts` and :func:`_csv_text` write
+    it as the list of row dicts it stands for; true when it has rows."""
+
+    def __bool__(self) -> bool:
+        return any(self.values())
 
 
 def _json_texts(obj, depth: int = 0) -> tuple[str, str]:
@@ -164,37 +172,43 @@ def _json_texts(obj, depth: int = 0) -> tuple[str, str]:
     sort_keys=True, indent=1)`` nested ``depth`` levels deep.
 
     Byte-identical to those two dumps, but built from C-encoded pieces:
-    ``json.dumps`` runs its pure-Python encoder whenever it indents. Dicts
-    with str keys are walked in sorted key order. A non-empty list of
-    scalars, or of non-empty flat dicts (str keys, scalar values), is one C
-    dump with sentinel separators, which ``str.replace`` turns into both
-    texts. Everything else (scalars, empty containers, dicts with other keys)
-    goes to ``json.dumps`` whole.
+    ``json.dumps`` runs its pure-Python encoder whenever it indents. A
+    :class:`_Table` is written as its list of row dicts: each column is one C
+    dump split at a sentinel separator, and its items are interleaved with the
+    constant key pieces, in sorted key order. A scalar is one C dump, the same
+    in both texts. Dicts with str keys are walked in sorted key order, and a
+    non-empty list of scalars is one C dump with sentinel separators.
+    Everything else (empty containers, dicts with other keys) goes to
+    ``json.dumps`` whole.
     """
+    kind = type(obj)
+    if kind in _SCALARS:
+        text = json.dumps(obj)
+        return text, text
     outer = "\n" + " " * depth
     inner = outer + " "
-    kind = type(obj)
+    if kind is _Table:
+        if not obj:
+            return "[]", "[]"
+        names = sorted(obj)
+        items = [json.dumps(obj[name], separators=_SEPARATORS)[1:-1].split("\x00")
+                 for name in names]
+        keys = [json.dumps(name) for name in names]
+        return (
+            _rows_text(items, [key + ":" for key in keys], "{", "}", "]"),
+            _rows_text(items, [inner + " " + key + ": " for key in keys],
+                       inner + "{", inner + "}", outer + "]"),
+        )
     if kind is dict and obj and set(map(type, obj)) == {str}:
         return _object_texts(
             [(key, _json_texts(obj[key], depth + 1)) for key in sorted(obj)], depth
         )
     if (kind is list or kind is tuple) and obj:
-        types = set(map(type, obj))
-        if types <= _SCALARS:
-            body = json.dumps(obj, separators=_SENTINELS)[1:-1]
+        if set(map(type, obj)) <= _SCALARS:
+            body = json.dumps(obj, separators=_SEPARATORS)[1:-1]
             return (
                 "[" + body.replace("\x00", ",") + "]",
                 "[" + inner + body.replace("\x00", "," + inner) + outer + "]",
-            )
-        if types == {dict} and _flat_dicts(obj):
-            row = inner + " "
-            body = json.dumps(obj, sort_keys=True, separators=_SENTINELS)
-            return (
-                body.replace("\x00", ",").replace("\x01", ":"),
-                "[" + inner + "{" + row
-                + body[2:-2].replace("}\x00{", inner + "}," + inner + "{" + row)
-                .replace("\x00", "," + row).replace("\x01", ": ")
-                + inner + "}" + outer + "]",
             )
         parts = [_json_texts(item, depth + 1) for item in obj]
         return (
@@ -210,24 +224,29 @@ def _json_texts(obj, depth: int = 0) -> tuple[str, str]:
 def _object_texts(items: list[tuple[str, tuple[str, str]]], depth: int) -> tuple[str, str]:
     """Both texts of a non-empty dict from its (key, texts of value) items, in order."""
     inner = "\n" + " " * (depth + 1)
-    canon, indented = [], []
+    canon, indented = ["{"], ["{"]
     for key, (value_canon, value_indented) in items:
         name = json.dumps(key)
-        canon.append(name + ":" + value_canon)
-        indented.append(name + ": " + value_indented)
-    return (
-        "{" + ",".join(canon) + "}",
-        "{" + inner + ("," + inner).join(indented) + inner[:-1] + "}",
-    )
+        canon += (name, ":", value_canon, ",")
+        indented += (inner, name, ": ", value_indented, ",")
+    canon[-1] = "}"
+    indented[-1] = inner[:-1] + "}"
+    return "".join(canon), "".join(indented)
 
 
-def _flat_dicts(rows: list[dict]) -> bool:
-    """Every row non-empty, with str keys and scalar values."""
-    return (
-        all(rows)
-        and set(map(type, chain.from_iterable(rows))) == {str}
-        and set(map(type, chain.from_iterable(map(dict.values, rows)))) <= _SCALARS
-    )
+def _rows_text(items: list[list[str]], keys: list[str], open_row: str, close_row: str,
+               end: str) -> str:
+    """One JSON list of rows: row j holds item j of every column, each item
+    after its key piece, every row between ``open_row`` and ``close_row``."""
+    count, width = len(items[0]), 2 * len(items)
+    parts = [""] * (count * width + 1)
+    parts[::width] = [close_row + "," + open_row + keys[0]] * count + [close_row + end]
+    parts[0] = "[" + open_row + keys[0]
+    for j, column in enumerate(items):
+        if j:
+            parts[2 * j::width] = ["," + keys[j]] * count
+        parts[2 * j + 1::width] = column
+    return "".join(parts)
 
 
 def _sha256(text: str) -> str:
@@ -280,6 +299,8 @@ def build_multiset(n: int, spec: dict, rng) -> GroupMultiset:
         support = spec.get("support")
         return standard_basis_multiset(n, None if support is None else int(support))
     if kind == "rank-one":
+        if "dims" not in spec:
+            raise ManifestError("rank-one generators need dims (--dims or generators.dims)")
         dims = tuple(int(d) for d in spec["dims"])
         if math.prod(dims) != n:
             raise ManifestError("rank-one dims do not multiply to n")
@@ -342,10 +363,7 @@ def cmd_spectrum(manifest: Manifest):
     rng = np.random.default_rng(manifest.seed)
     a = build_groupset(n, p.get("set", {}), rng)
     spec = indicator_spectrum(a)
-    hexes = to_hex_array(np.arange(1 << n), n)
-    rows = [
-        {"r": r, "coefficient": c} for r, c in zip(hexes, spec.coeffs.tolist())
-    ]
+    rows = _Table(r=to_hex_array(np.arange(1 << n), n), coefficient=spec.coeffs.tolist())
     return {"n": n, "set_size": a.size, "rows": rows}, True
 
 
@@ -619,11 +637,16 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _csv_text(rows: list[dict]) -> str:
+def _csv_text(rows: list[dict] | _Table) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\r\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    if type(rows) is _Table:
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(rows)
+        writer.writerows(zip(*rows.values()))
+    else:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\r\n")
+        writer.writeheader()
+        writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -681,7 +704,10 @@ def run(manifest: Manifest, quiet: bool = False) -> int:
     except (VerificationFailure, DensityTooLow) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (ManifestError, DimensionMismatch, KeyError, ValueError) as exc:
+    except KeyError as exc:
+        print(f"error: missing parameter {exc.args[0]!r}", file=sys.stderr)
+        return 1
+    except (ManifestError, DimensionMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -740,7 +766,7 @@ def _set_spec(args) -> dict:
     return {key: value for key, value in spec.items() if value is not None}
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="closurelab",
         description="Desk-scale closedness, spectra and forcing experiments "
@@ -756,6 +782,7 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--hi", type=int)
     s.add_argument("--set-size", type=int)
     s.add_argument("--generators", choices=("basis", "rank-one", "random"))
+    s.add_argument("--dims", type=int, nargs="+", help="rank-one factor dimensions")
     s.add_argument("--mode", choices=("exact", "sampled"))
     s.add_argument("--samples", type=int)
 
@@ -808,7 +835,11 @@ def main(argv: list[str] | None = None) -> int:
 
     s = subs.add_parser("selftest", help="exact-identity self test")
     s.add_argument("--seed", type=int, default=0)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if args.command == "selftest":
@@ -821,8 +852,9 @@ def main(argv: list[str] | None = None) -> int:
             params: dict = {"n": args.n, "mode": args.mode, "samples": args.samples}
             if args.set_kind:
                 params["set"] = _set_spec(args)
-            if args.generators:
-                params["generators"] = {"kind": args.generators}
+            if args.generators or args.dims:
+                generators = {"kind": args.generators, "dims": args.dims}
+                params["generators"] = {k: v for k, v in generators.items() if v is not None}
             manifest = _collect(args, "closedness", params)
         elif args.command == "spectrum":
             params = {"n": args.n}

@@ -1,15 +1,28 @@
 """Tests for the manifest-driven CLI harness."""
 
+import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from closurelab import cli
-from closurelab.cli import Manifest, ManifestError, _json_texts, canonical_json, run, selftest
+from closurelab.cli import (
+    Manifest,
+    ManifestError,
+    _csv_text,
+    _json_texts,
+    _Table,
+    canonical_json,
+    run,
+    selftest,
+)
 from closurelab.tensor import SimpleSet
 
 
@@ -378,3 +391,81 @@ def test_csv_sidecar_and_selftest_are_indented_sorted_json(tmp_path, capsys):
     assert cli.main(["selftest", "--seed", "2"]) == 0
     printed = capsys.readouterr().out
     assert printed == json.dumps(json.loads(printed), sort_keys=True, indent=1) + "\n"
+
+
+def test_table_texts_and_csv_match_its_rows():
+    """A table writes exactly what its list of row dicts would, keys sorted."""
+    rnd = random.Random(11)
+    big = 1 << 12
+    odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, True, False, None, 2**63, -(2**64) - 1,
+           10**30, 1e300, -2.5]
+    tables = [
+        _Table(r=["0"], coefficient=[5]),
+        _Table(r=[format(i, "03x") for i in range(big)],
+               coefficient=[rnd.randint(-big, big) for _ in range(big)]),
+        _Table(**{"s": _TRICKY_STRINGS, "}\x00{": _TRICKY_STRINGS[::-1],
+                  'k"': list(range(len(_TRICKY_STRINGS)))}),
+        _Table(value=odd, name=[repr(v) for v in odd]),
+        _Table(only=odd),
+    ]
+    for table in tables:
+        rows = [dict(zip(table, values)) for values in zip(*table.values())]
+        assert len(rows) == len(next(iter(table.values())))
+        for depth in range(4):
+            canon, indented = _json_texts(table, depth)
+            assert canon == json.dumps(rows, sort_keys=True, separators=(",", ":"))
+            expected = json.dumps(rows, sort_keys=True, indent=1)
+            assert indented == expected.replace("\n", "\n" + " " * depth)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(table), lineterminator="\r\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        assert _csv_text(table) == buf.getvalue()
+    empty = _Table(r=[], coefficient=[])
+    assert not empty and _json_texts(empty, 2) == ("[]", "[]")
+
+
+def test_spectrum_payload_hash_pinned(capsys):
+    """How the rows are written must not change the payload bytes."""
+    assert run(Manifest.from_dict({"command": "spectrum", "params": {"n": 9}, "seed": 3})) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["payload_hash"] == (
+        "d8b13862a58c82bd4ef1bfa916bd6f495fe6d7e94ef104bac723f2859e5d413e")
+
+
+# flags that keep a subcommand's default run small, or give it a required value
+_SMALL_RUN = {
+    "closedness": ["--n", "8"],
+    "spectrum": ["--n", "6"],
+    "bogolyubov": ["--n", "8"],
+    "forcing-pipeline": ["--shape", "3", "3"],
+    "lsystem": ["--shape", "3", "3"],
+    "counterexample": ["--samples", "1000", "--n", "20", "--w", "4"],
+}
+
+
+def test_every_subcommand_and_choice_exits_with_a_clean_error(capsys):
+    """Each subcommand at its defaults and once per choice of each flag: the
+    exit code is a documented one, and no error is a bare key name."""
+    subcommands = next(action for action in cli._parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    for command, sub in subcommands.choices.items():
+        base = [command, *_SMALL_RUN.get(command, [])]
+        argvs = [base] + [[*base, action.option_strings[0], choice]
+                          for action in sub._actions for choice in action.choices or ()]
+        for argv in argvs:
+            code = cli.main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), argv
+            assert not re.search(r"^error: '[^']*'$", err, re.M), (argv, err)
+
+
+def test_rank_one_generators_from_flags(capsys):
+    args = ["closedness", "--n", "16", "--generators", "rank-one", "--mode", "exact", "--seed", "4"]
+    assert cli.main(args) == 1
+    assert "--dims" in capsys.readouterr().err
+    assert cli.main([*args, "--dims", "4", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["payload"]["manifest"]["params"]["generators"] == {"kind": "rank-one", "dims": [4, 4]}
+    assert doc["payload"]["generators_total"] == 16 * 16  # x (x) y over F2^4 x F2^4
+    assert cli.main(["closedness", "--generators", "basis"]) == 1
+    assert capsys.readouterr().err == "error: missing parameter 'n'\n"

@@ -1,6 +1,6 @@
 """Write a BENCH_<n>.json comparing a parent checkout with this one.
 
-    python3 tools/bench_artifact.py --parent ../parent --out BENCH_8.json
+    python3 tools/bench_artifact.py --parent ../parent --out BENCH_11.json
 
 Run from the root of this checkout; ``--parent`` is a checkout of the parent
 commit (``git archive`` or ``git clone`` it).  Both sides run with the same
@@ -17,11 +17,13 @@ interpreter.  The artifact has four parts:
   ``closedness_exact`` against ``spectral_closedness`` and ``mixed_energy``
   on the n = 20 layers 9..11 against the standard basis, the ``spectrum``
   CLI run of perfbench's ``spectrum-n16`` slot with stdout captured,
+  the same run written with ``--format csv`` to a temporary file,
   ``GroupSet.from_elements`` on 2^15 and 2^19 distinct elements, and
   ``layered_pair_eta_sampled`` at n = 64 (10^5 samples), and
   ``degenerate_decide`` at k = 1 per call, the median over seeded random
   tensors of shape (3,3), (2,2,3) and (3,3,2);
-* ``suite``: the tier-1 suite's wall time and criterion 7's call time;
+* ``suite``: the tier-1 suite's wall time, criterion 7's call time, and
+  criterion 3's library seconds from its ``ACCEPTANCE 3: PASS`` line;
 * ``machine``: CPU, Python and numpy versions.
 
 perfbench itself is only run, never changed.
@@ -47,7 +49,7 @@ PAIRS = {"forcing-pipeline": 5, "dense-spectra": 10, "sampled-estimators": 3}
 SEED = 101
 
 KERNEL_SNIPPET = """
-import contextlib, io, json, statistics, time
+import contextlib, io, json, os, statistics, tempfile, time
 from fractions import Fraction
 import numpy as np
 from closurelab import cli, closure, hamming, spectral
@@ -95,6 +97,19 @@ def spectrum_n16():
 
 out["spectrum_n16_cli"], size = median_s(spectrum_n16, 9)
 out["spectrum_n16_cli"]["stdout_chars"] = size
+
+
+def spectrum_n16_csv(path):
+    raw = {"command": "spectrum", "seed": 100, "output": {"path": path, "format": "csv"},
+           "params": {"n": 16, "set": {"kind": "random", "size": 1 << 15}}}
+    cli.run(cli.Manifest.from_dict(raw), quiet=True)
+    return os.path.getsize(path)
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    out["spectrum_n16_csv"], size = median_s(
+        lambda: spectrum_n16_csv(os.path.join(tmp, "spectrum.csv")), 9)
+out["spectrum_n16_csv"]["bytes"] = size
 for e in (15, 19):
     elems = np.random.default_rng(2000).choice(1 << 20, size=1 << e, replace=False).tolist()
     out[f"from_elements_2^{e}"], _ = median_s(lambda: spectral.GroupSet.from_elements(20, elems), 9)
@@ -157,12 +172,14 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
 
 def suite(root: Path) -> dict:
     start = time.monotonic()
-    out = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+    out = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rP",
                 "--durations=0", "--continue-on-collection-errors"], root, env_src=True)
     wall = time.monotonic() - start
     crit7 = re.search(r"([\d.]+)s call\s+\S+::test_criterion_7_\w+", out)
+    crit3 = re.search(r"ACCEPTANCE 3: PASS in ([\d.]+)s", out)
     summary = out.strip().splitlines()[-1]
     return {"wall_s": round(wall, 2), "criterion_7_call_s": float(crit7.group(1)) if crit7 else None,
+            "criterion_3_library_s": float(crit3.group(1)) if crit3 else None,
             "summary": summary}
 
 
