@@ -18,6 +18,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -139,6 +140,14 @@ class SumsetReach:
     terms, so no distance exceeds nbits and the frontier expansion stops
     after at most min(depth, nbits) layers, or earlier once it has reached
     the whole span of the generators.
+
+    The search is direction-optimising (Beamer, Asanovic & Patterson, SC
+    2012).  A layer whose frontier is small expands top-down, from the
+    frontier along every generator.  Once four times the frontier exceeds
+    the unreached part of the span, the layer runs bottom-up instead: each
+    unreached point of the span looks for a generator leading back into the
+    previous layer.  Both directions mark the same set, so ``dist`` does
+    not depend on the switch.
     """
 
     def __init__(self, generators: Iterable[int], nbits: int, depth: int):
@@ -148,21 +157,41 @@ class SumsetReach:
         self.depth = depth
         self.generators = sorted(set(int(g) for g in generators))
         self._gens = np.array(self.generators, dtype=np.int64)
-        span = 1 << rref(self.generators, nbits).dim
+        space = rref(self.generators, nbits)
+        span = 1 << space.dim
         dist = np.full(size, UNREACHED, dtype=np.uint8)
         dist[0] = 0
         frontier = np.zeros(1, dtype=np.int64)
         reached = 1
+        todo = None  # unreached points of the span, from the first bottom-up layer on
         for j in range(1, min(depth, nbits) + 1):
             if reached == span:
                 break
             fresh = []
-            for g in self.generators:
-                step = frontier ^ g
-                step = step[dist[step] == UNREACHED]
-                dist[step] = j
-                fresh.append(step)
-            frontier = np.concatenate(fresh)
+            if 4 * frontier.size > span - reached:
+                if todo is None:
+                    todo = np.flatnonzero(dist == UNREACHED)
+                    if span < size:
+                        todo = todo[space.contains_array(todo)]
+                else:
+                    todo = todo[dist[todo] == UNREACHED]
+                previous = dist == j - 1
+                for g in self.generators:
+                    hit = previous[todo ^ g]
+                    if hit.any():
+                        fresh.append(todo[hit])
+                        todo = todo[~hit]
+                        if not todo.size:
+                            break
+                frontier = np.concatenate(fresh)
+                dist[frontier] = j
+            else:
+                for g in self.generators:
+                    step = frontier ^ g
+                    step = step[dist[step] == UNREACHED]
+                    dist[step] = j
+                    fresh.append(step)
+                frontier = np.concatenate(fresh)
             reached += frontier.size
         self.dist = dist
 
@@ -231,18 +260,31 @@ def tuples_density(dims: tuple[int, ...], tuples) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _four_split(
-    u: int, t_set: Sequence[int], t_lookup: set[int]
-) -> tuple[int, int, int, int]:
-    """Lexicographically first (t1, t2, t3, t4) over sorted T summing to u."""
-    for t1 in t_set:
-        for t2 in t_set:
-            partial = u ^ t1 ^ t2
-            for t3 in t_set:
-                if partial ^ t3 in t_lookup:
-                    return t1, t2, t3, partial ^ t3
-    # Bogolyubov guarantees a split
-    raise VerificationFailure(f"no 4-decomposition of {u:#x} over T")  # pragma: no cover
+def _four_splits(
+    targets: Iterable[int], t_set: Sequence[int], nbits: int
+) -> dict[int, tuple[int, int, int, int]]:
+    """Lexicographically first (t1, t2, t3, t4) over sorted T summing to each target.
+
+    One pair table serves both halves: sums[i*|T| + k] = T[i] ^ T[k] in
+    lexicographic order of (T[i], T[k]).  first[s] is the first pair with
+    sum s, the (t3, t4) half; the (t1, t2) half is the first pair whose sum
+    s' leaves u ^ s' in the table.
+    """
+    t = np.array(t_set, dtype=np.int64)
+    sums = (t[:, None] ^ t).ravel()
+    first = np.full(1 << nbits, -1, dtype=np.int64)
+    values, index = np.unique(sums, return_index=True)
+    first[values] = index
+    targets = np.fromiter(targets, dtype=np.int64)
+    back = first[targets[:, None] ^ sums]
+    head = np.argmax(back >= 0, axis=1)
+    tail = back[np.arange(targets.size), head]
+    if (tail < 0).any():  # pragma: no cover - Bogolyubov guarantees a split
+        u = int(targets[np.flatnonzero(tail < 0)[0]])
+        raise VerificationFailure(f"no 4-decomposition of {u:#x} over T")
+    m = t.size
+    splits = np.stack([t[head // m], t[head % m], t[tail // m], t[tail % m]], axis=1)
+    return {u: tuple(split) for u, split in zip(targets.tolist(), splits.tolist())}
 
 
 @dataclass(frozen=True)
@@ -296,11 +338,9 @@ def find_structure_matrix(
     }
     u_space = bogolyubov(GroupSet.from_elements(n1, t_set))
 
-    t_lookup = set(t_set)
-    decompositions: dict[int, tuple[int, int, int, int]] = {}
+    decompositions = _four_splits(u_space.enumerate(), t_set, n1)
     v_raw: dict[int, Subspace] = {}
-    for u in u_space.enumerate():
-        found = decompositions[u] = _four_split(u, t_set, t_lookup)
+    for u, found in decompositions.items():
         meet = w_spaces[found[0]]
         for t in found[1:]:
             meet = meet.intersect(w_spaces[t])
@@ -465,12 +505,10 @@ def _find_system_inner(tuples, shape: TensorShape, delta: Fraction) -> LSystem:
         t: _find_system_inner(fibres[t], tail_shape, half) for t in t_set
     }
     u_space = bogolyubov(GroupSet.from_elements(n1, t_set))
-    t_lookup = set(t_set)
 
     children: dict[tuple[int, ...], Subspace] = {}
     bound = u_space.codim
-    for u in u_space.enumerate():
-        found = _four_split(u, t_set, t_lookup)
+    for u, found in _four_splits(u_space.enumerate(), t_set, n1).items():
         sub = lsystem_intersect(
             lsystem_intersect(recursive[found[0]], recursive[found[1]]),
             lsystem_intersect(recursive[found[2]], recursive[found[3]]),
@@ -505,11 +543,6 @@ class PipelineResult:
     counterexample: int | None
     measured: dict = field(default_factory=dict)
 
-    def containment_space(self) -> Subspace:
-        """span(centers) + W1 (x) F2^{n2} + F2^{n1} (x) W2."""
-        space = sum_of_blowups(self.shape, {(0,): self.w1, (1,): self.w2})
-        return space.sum(rref(self.centers, self.shape.total))
-
 
 def rank_reach(shape: TensorShape, depth: int | None = None) -> SumsetReach:
     """Reachability over nonzero rank-1 matrices, up to ``depth`` summands.
@@ -525,6 +558,55 @@ def rank_reach(shape: TensorShape, depth: int | None = None) -> SumsetReach:
         for v in range(1, 1 << n2)
     ]
     return SumsetReach(set(gens), shape.total, min(n1, n2) if depth is None else depth)
+
+
+@lru_cache(maxsize=8)
+def _rank_ball(dims: tuple[int, ...], threshold: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of rank <= threshold, as a sorted array and as a bitmap.
+
+    Both are read-only, since every pipeline of the same shape shares them.
+    """
+    in_ball = rank_reach(TensorShape(dims), threshold).dist <= threshold
+    ball = np.flatnonzero(in_ball)
+    in_ball.flags.writeable = ball.flags.writeable = False
+    return ball, in_ball
+
+
+_LOWER = np.tri(64, 64, -1, dtype=bool)  # _LOWER[i, j]: j < i
+
+
+def _greedy_centers(points: np.ndarray, ball: np.ndarray, in_ball: np.ndarray) -> list[int]:
+    """Greedy clustering of ascending ``points`` with the ball {m : in_ball[m]}.
+
+    A point joins the centers iff no earlier center's ball c ^ ball holds
+    it.  Points are decided a block at a time.  One gather of ``blocked``
+    drops those an earlier block's centers hold; each survivor is then
+    checked against the centers taken before it in the same block through
+    in_ball[c ^ c'], as one 64-bit clash mask per survivor.  The balls of a
+    block's centers are scattered into ``blocked`` at once.
+    """
+    blocked = np.zeros(in_ball.size, dtype=bool)
+    # at most 64 survivors a block, fewer for large balls to bound the scatter
+    most = min(_LOWER.shape[0], max(1, (1 << 18) // ball.size))
+    centers: list[int] = []
+    start = 0
+    while start < points.size:
+        window = points[start:start + 16 * most]
+        open_ = np.flatnonzero(~blocked[window])[:most]
+        start += int(open_[-1]) + 1 if open_.size == most else window.size
+        if not open_.size:
+            continue
+        live = window[open_]
+        clash = in_ball[live[:, None] ^ live] & _LOWER[:live.size, :live.size]
+        masks = (clash @ (np.uint64(1) << np.arange(live.size, dtype=np.uint64))).tolist()
+        taken, fresh = 0, []
+        for i, (point, mask) in enumerate(zip(live.tolist(), masks)):
+            if not mask & taken:
+                taken |= 1 << i
+                fresh.append(point)
+        centers += fresh
+        blocked[(np.array(fresh)[:, None] ^ ball).ravel()] = True
+    return centers
 
 
 def matrix_pipeline(
@@ -549,20 +631,13 @@ def matrix_pipeline(
     r_arr = np.flatnonzero(profile.counts >= thresh).astype(np.int64)
     r_set = r_arr.tolist()
 
-    # greedy clustering in ascending order; a point joins the centers iff
-    # its difference with every earlier center has rank > threshold, that
-    # is, iff no earlier center's ball {c + m : rank(m) <= threshold} holds it
-    ball = np.flatnonzero(rank_reach(shape, rank_threshold).dist <= rank_threshold)
-    blocked = np.zeros(1 << shape.total, dtype=bool)
-    centers: list[int] = []
-    for c in r_set:
-        if not blocked[c]:
-            centers.append(c)
-            blocked[ball ^ c] = True
+    centers = _greedy_centers(r_arr, *_rank_ball(shape.dims, rank_threshold))
 
+    # span(centers) + W1 (x) F2^{n2} + F2^{n1} (x) W2, blowup rows first:
+    # rref stops eliminating once the target is the whole space
     witness = reduced_witness(q, rank_threshold)
-    target = sum_of_blowups(shape, {(0,): witness.w1, (1,): witness.w2})
-    target = target.sum(rref(centers, shape.total))
+    blowups = sum_of_blowups(shape, {(0,): witness.w1, (1,): witness.w2})
+    target = rref(blowups.rows + tuple(centers), shape.total)
 
     outside = np.flatnonzero(~target.contains_array(r_arr))
     counterexample = int(r_arr[outside[0]]) if outside.size else None

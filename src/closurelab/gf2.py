@@ -174,7 +174,11 @@ class Subspace:
 
 
 def rref(vectors: Iterable[int], ambient_dim: int) -> Subspace:
-    """Canonical subspace spanned by the given vectors."""
+    """Canonical subspace spanned by the given vectors.
+
+    Once the rows span the whole space the remaining vectors are only
+    checked to fit.
+    """
     rows: list[int] = []
     pivots: list[int] = []
     for v in vectors:
@@ -182,6 +186,8 @@ def rref(vectors: Iterable[int], ambient_dim: int) -> Subspace:
             raise DimensionMismatch(
                 f"vector {v:#x} does not fit in {ambient_dim} coordinates"
             )
+        if len(rows) == ambient_dim:
+            continue
         for row, p in zip(rows, pivots):
             if (v >> p) & 1:
                 v ^= row

@@ -122,6 +122,18 @@ def layered_witness(layers: list[np.ndarray], generators: list[int], x: int) -> 
     return out
 
 
+def four_split_oracle(u: int, t_set: list[int]) -> tuple[int, int, int, int] | None:
+    """Lexicographically first (t1, t2, t3, t4) over sorted T summing to u, by triple loop."""
+    t_lookup = set(t_set)
+    for t1 in t_set:
+        for t2 in t_set:
+            partial = u ^ t1 ^ t2
+            for t3 in t_set:
+                if partial ^ t3 in t_lookup:
+                    return t1, t2, t3, partial ^ t3
+    return None
+
+
 def rank_one_matrices(n1: int, n2: int) -> list[int]:
     """Every nonzero u (x) v, row-major: bit i*n2 + j is u_i v_j."""
     out = set()

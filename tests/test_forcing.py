@@ -2,6 +2,7 @@
 finder, l-system construction, and the matrix pipeline."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from closurelab.budgets import DensityTooLow
 from closurelab.forcing import (
     SumsetReach,
+    _four_splits,
     agreement_profile,
     agreement_threshold,
     build_q_matrix,
@@ -29,6 +31,7 @@ from .oracles import (
     agreement_count,
     bfs_sum_layers,
     forcing_loop_oracle,
+    four_split_oracle,
     greedy_centers,
     layered_witness,
     rank_one_matrices,
@@ -313,6 +316,68 @@ def test_sumset_reach_distances_and_witnesses_match_layered_oracle():
             assert reach.witness(x) == layered_witness(layers, gens, x)
         if not layers[-1].all():
             assert any(reach.witness(x) is None for x in range(1 << nbits))
+
+
+def _bottom_up_layers(layers: list[np.ndarray], span: int) -> list[int]:
+    """The layers j whose frontier is over a quarter of the span left unreached.
+
+    The frontier of layer j is layer j-1 minus layer j-2.
+    """
+    sizes = [0] + [int(layer.sum()) for layer in layers]
+    return [
+        j for j in range(1, len(layers))
+        if span > sizes[j] and 4 * (sizes[j] - sizes[j - 1]) > span - sizes[j]
+    ]
+
+
+def test_sumset_reach_bottom_up_layers_match_layered_oracle():
+    rng = np.random.default_rng(12)
+    cases = []
+    for dims, delta, seed in (((4, 4), "1/2", 2000), ((4, 4), "3/4", 2001)):
+        count = math.ceil(Fraction(delta) * (1 << sum(dims)))
+        pairs = random_factor_tuples(dims, count, np.random.default_rng(seed))
+        cases.append(([rank1_flat(dims, t) for t in pairs], 16, 16))
+    # generators spanning a 9-dimensional subspace of F2^12 that is not a
+    # coordinate subspace: most points are outside the span
+    inside = list(random_subspace(12, 9, rng).enumerate())
+    cases.append(([inside[i] for i in rng.choice(len(inside), 30, replace=False)], 12, 12))
+    # twelve independent generators: layers 6 to 12 run bottom-up, after a
+    # top-down layer 5; layer 6 leaves a third of F2^12 unreached, so depth 6
+    # cuts the reach at the first bottom-up layer
+    cases += [([1 << i for i in range(12)], 12, 12), ([1 << i for i in range(12)], 12, 6)]
+    for gens, nbits, depth in cases:
+        layers = bfs_sum_layers(gens, nbits, depth)
+        span = 1 << rref(gens, nbits).dim
+        assert _bottom_up_layers(layers, span), "the case never switches to bottom-up"
+        reach = SumsetReach(gens, nbits, depth)
+        for j in range(depth + 1):
+            assert np.array_equal(reach.layers[j], layers[j])
+        for x in np.random.default_rng(nbits + depth).integers(0, 1 << nbits, 400).tolist():
+            assert reach.witness(x) == layered_witness(layers, gens, x)
+    # the last case stops at its first bottom-up layer, short of the span
+    assert _bottom_up_layers(layers, span)[0] == depth and int(layers[-1].sum()) < span
+
+
+def test_four_splits_match_the_triple_loop():
+    # every u in U, in U's enumeration order, on (4,4) and (4,5) seeds
+    for dims, delta, seed in (((4, 4), "1/2", 2000), ((4, 4), "3/4", 2001),
+                              ((4, 5), "1/2", 2000), ((4, 5), "3/4", 2002), ((3, 3), "1/2", 1)):
+        delta = Fraction(delta)
+        pairs = random_factor_tuples(
+            dims, math.ceil(delta * (1 << sum(dims))), np.random.default_rng(seed)
+        )
+        res = find_structure_matrix(pairs, TensorShape(dims), delta, verify=False)
+        sizes = Counter(u for u, _ in pairs)
+        t_set = sorted(u for u, c in sizes.items() if Fraction(c, 1 << dims[1]) >= delta / 2)
+        want = [(u, four_split_oracle(u, t_set)) for u in res.u_space.enumerate()]
+        assert list(res.decompositions.items()) == want
+    # small random T, every target that has a split
+    rng = np.random.default_rng(21)
+    for n, size in ((3, 2), (4, 5), (5, 3), (5, 12), (6, 9)):
+        t_set = sorted(int(t) for t in rng.choice(1 << n, size, replace=False))
+        want = {u: four_split_oracle(u, t_set) for u in range(1 << n)}
+        targets = [u for u, split in want.items() if split is not None]
+        assert _four_splits(targets, t_set, n) == {u: want[u] for u in targets}
 
 
 def test_matrix_pipeline_centers_match_gather_oracle():

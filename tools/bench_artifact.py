@@ -21,7 +21,11 @@ interpreter.  The artifact has four parts:
   ``GroupSet.from_elements`` on 2^15 and 2^19 distinct elements, and
   ``layered_pair_eta_sampled`` at n = 64 (10^5 samples), and
   ``degenerate_decide`` at k = 1 per call, the median over seeded random
-  tensors of shape (3,3), (2,2,3) and (3,3,2);
+  tensors of shape (3,3), (2,2,3) and (3,3,2), and, at seed 2000, the
+  16-deep ``SumsetReach`` alone over the rank-one pairs at (4,4) delta 1/2
+  and 3/4 and at (4,5) delta 1/2, and the greedy rank-1 clustering of the
+  (4,4) delta 1/2 agreement set (a checkout without
+  ``forcing._greedy_centers`` runs the inline loop that preceded it);
 * ``suite``: the tier-1 suite's wall time, criterion 7's call time, and
   criterion 3's library seconds from its ``ACCEPTANCE 3: PASS`` line;
 * ``machine``: CPU, Python and numpy versions.
@@ -45,16 +49,16 @@ from pathlib import Path
 import numpy as np
 
 CHANGE = Path(__file__).resolve().parent.parent
-PAIRS = {"forcing-pipeline": 5, "dense-spectra": 10, "sampled-estimators": 3}
+PAIRS = {"forcing-pipeline": 10, "dense-spectra": 3, "sampled-estimators": 3}
 SEED = 101
 
 KERNEL_SNIPPET = """
-import contextlib, io, json, os, statistics, tempfile, time
+import contextlib, io, json, math, os, statistics, tempfile, time
 from fractions import Fraction
 import numpy as np
-from closurelab import cli, closure, hamming, spectral
+from closurelab import cli, closure, forcing, hamming, spectral
 from closurelab.forcing import matrix_pipeline, random_factor_tuples
-from closurelab.tensor import Tensor, TensorShape, degenerate_decide
+from closurelab.tensor import Tensor, TensorShape, degenerate_decide, rank1_flat
 
 
 def median_s(call, repeats):
@@ -130,6 +134,35 @@ for dims, calls in (((3, 3), 51), ((2, 2, 3), 21), ((3, 3, 2), 5)):
     out[f"degenerate_decide_k1{dims}"] = {"median_s": statistics.median(times),
                                           "calls": calls, "decided": decided,
                                           "degenerate": degenerate}
+for dims, delta, repeats in (((4, 4), "1/2", 9), ((4, 4), "3/4", 9), ((4, 5), "1/2", 5)):
+    pairs = random_factor_tuples(dims, math.ceil(Fraction(delta) * (1 << sum(dims))),
+                                 np.random.default_rng(2000))
+    gens = [rank1_flat(dims, tup) for tup in pairs]
+    name = f"sumset_reach{dims}_delta{delta}"
+    out[name], reach = median_s(lambda: forcing.SumsetReach(gens, math.prod(dims), 16), repeats)
+    out[name]["layer_sizes"] = np.bincount(reach.dist[reach.dist <= 16]).tolist()
+
+
+def inline_clustering(points, ball):
+    blocked = np.zeros(1 << 16, dtype=bool)
+    centers = []
+    for c in points.tolist():
+        if not blocked[c]:
+            centers.append(c)
+            blocked[ball ^ c] = True
+    return centers
+
+
+pairs = random_factor_tuples((4, 4), 128, np.random.default_rng(2000))
+points = np.array(matrix_pipeline(pairs, TensorShape((4, 4)), Fraction(1, 2)).agreement_set)
+if hasattr(forcing, "_greedy_centers"):
+    ball, in_ball = forcing._rank_ball((4, 4), 1)
+    cluster = lambda: forcing._greedy_centers(points, ball, in_ball)
+else:
+    ball = np.flatnonzero(forcing.rank_reach(TensorShape((4, 4)), 1).dist <= 1)
+    cluster = lambda: inline_clustering(points, ball)
+out["greedy_clustering(4, 4)"], centers = median_s(cluster, 9)
+out["greedy_clustering(4, 4)"].update(points=int(points.size), centers=len(centers))
 print(json.dumps(out))
 """
 
