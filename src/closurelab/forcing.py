@@ -18,7 +18,6 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from .budgets import (
     check_enumeration,
 )
 from .gf2 import Subspace, rref
-from .spectral import GroupMultiset, GroupSet, bogolyubov, wht
+from .spectral import GroupMultiset, GroupSet, bogolyubov, sumset_bitmap, wht
 from .tensor import LSystem, TensorShape, lsystem_intersect, rank1_flat, sum_of_blowups
 
 
@@ -260,30 +259,55 @@ def tuples_density(dims: tuple[int, ...], tuples) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+_SCAN_CELLS = 1 << 18  # most (query, candidate) cells _first_hits holds at once
+
+
+def _first_hits(queries: np.ndarray, count: int, candidate, member: np.ndarray) -> np.ndarray:
+    """For each query x, the first i < count with member[x ^ candidate(i)], else -1.
+
+    Candidates are tried in blocks of at most _SCAN_CELLS cells over the
+    queries still open, and the scan stops once every query has a hit.
+    """
+    first = np.full(queries.size, -1, dtype=np.int64)
+    open_ = np.arange(queries.size)
+    start = 0
+    while open_.size and start < count:
+        width = min(count - start, max(1, _SCAN_CELLS // open_.size))
+        hit = member[queries[open_, None] ^ candidate(np.arange(start, start + width))]
+        found = hit.any(axis=1)
+        first[open_[found]] = start + np.argmax(hit[found], axis=1)
+        open_ = open_[~found]
+        start += width
+    return first
+
+
 def _four_splits(
     targets: Iterable[int], t_set: Sequence[int], nbits: int
 ) -> dict[int, tuple[int, int, int, int]]:
     """Lexicographically first (t1, t2, t3, t4) over sorted T summing to each target.
 
-    One pair table serves both halves: sums[i*|T| + k] = T[i] ^ T[k] in
-    lexicographic order of (T[i], T[k]).  first[s] is the first pair with
-    sum s, the (t3, t4) half; the (t1, t2) half is the first pair whose sum
-    s' leaves u ^ s' in the table.
+    The (t1, t2) half is the first pair, in lexicographic order, whose sum
+    s leaves u ^ s in T + T; the (t3, t4) half is then the first t3 with
+    u ^ s ^ t3 in T.  Pair p is (T[p // |T|], T[p % |T|]).  Memory stays
+    O(2^nbits) plus one block of the scan, and a dense T stops after the
+    first block.
     """
     t = np.array(t_set, dtype=np.int64)
-    sums = (t[:, None] ^ t).ravel()
-    first = np.full(1 << nbits, -1, dtype=np.int64)
-    values, index = np.unique(sums, return_index=True)
-    first[values] = index
-    targets = np.fromiter(targets, dtype=np.int64)
-    back = first[targets[:, None] ^ sums]
-    head = np.argmax(back >= 0, axis=1)
-    tail = back[np.arange(targets.size), head]
-    if (tail < 0).any():  # pragma: no cover - Bogolyubov guarantees a split
-        u = int(targets[np.flatnonzero(tail < 0)[0]])
-        raise VerificationFailure(f"no 4-decomposition of {u:#x} over T")
     m = t.size
-    splits = np.stack([t[head // m], t[head % m], t[tail // m], t[tail % m]], axis=1)
+    in_t = np.zeros(1 << nbits, dtype=bool)
+    in_t[t] = True
+    targets = np.fromiter(targets, dtype=np.int64)
+    in_sums = sumset_bitmap(GroupSet.from_elements(nbits, t))
+    head = _first_hits(targets, m * m, lambda p: t[p // m] ^ t[p % m], in_sums)
+    t1, t2 = t[head // m], t[head % m]
+    partial = targets ^ t1 ^ t2
+    tail = _first_hits(partial, m, lambda i: t[i], in_t)
+    missing = (head < 0) | (tail < 0)
+    if missing.any():  # pragma: no cover - Bogolyubov guarantees a split
+        u = int(targets[np.flatnonzero(missing)[0]])
+        raise VerificationFailure(f"no 4-decomposition of {u:#x} over T")
+    t3 = t[tail]
+    splits = np.stack([t1, t2, t3, partial ^ t3], axis=1)
     return {u: tuple(split) for u, split in zip(targets.tolist(), splits.tolist())}
 
 
@@ -560,18 +584,6 @@ def rank_reach(shape: TensorShape, depth: int | None = None) -> SumsetReach:
     return SumsetReach(set(gens), shape.total, min(n1, n2) if depth is None else depth)
 
 
-@lru_cache(maxsize=8)
-def _rank_ball(dims: tuple[int, ...], threshold: int) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices of rank <= threshold, as a sorted array and as a bitmap.
-
-    Both are read-only, since every pipeline of the same shape shares them.
-    """
-    in_ball = rank_reach(TensorShape(dims), threshold).dist <= threshold
-    ball = np.flatnonzero(in_ball)
-    in_ball.flags.writeable = ball.flags.writeable = False
-    return ball, in_ball
-
-
 _LOWER = np.tri(64, 64, -1, dtype=bool)  # _LOWER[i, j]: j < i
 
 
@@ -631,7 +643,8 @@ def matrix_pipeline(
     r_arr = np.flatnonzero(profile.counts >= thresh).astype(np.int64)
     r_set = r_arr.tolist()
 
-    centers = _greedy_centers(r_arr, *_rank_ball(shape.dims, rank_threshold))
+    in_ball = rank_reach(shape, rank_threshold).dist <= rank_threshold
+    centers = _greedy_centers(r_arr, np.flatnonzero(in_ball), in_ball)
 
     # span(centers) + W1 (x) F2^{n2} + F2^{n1} (x) W2, blowup rows first:
     # rref stops eliminating once the target is the whole space

@@ -312,6 +312,16 @@ def indicator_spectrum(a: GroupSet) -> Spectrum:
     return wht(a.indicator(), a.n)
 
 
+def sumset_bitmap(a: GroupSet) -> np.ndarray:
+    """Bitmap of A + A = {a1 + a2}, the support of the convolution 1_A * 1_A.
+
+    The butterfly of c^2 is 2^n * #{(a1, a2) : a1 + a2 = x}.  Every partial
+    sum of it is at most sum_r c_r^2 = 2^n |A|, so int64 is exact.
+    """
+    c = indicator_spectrum(a).coeffs
+    return _butterfly(c * c) > 0
+
+
 def mu_hat(b: GroupMultiset) -> RationalSpectrum:
     """Exact spectrum of the characteristic measure mu_B.
 

@@ -2,6 +2,7 @@
 finder, l-system construction, and the matrix pipeline."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -359,9 +360,10 @@ def test_sumset_reach_bottom_up_layers_match_layered_oracle():
 
 
 def test_four_splits_match_the_triple_loop():
-    # every u in U, in U's enumeration order, on (4,4) and (4,5) seeds
+    # every u in U, in U's enumeration order, on (4,4), (4,5) and (10,2) seeds
     for dims, delta, seed in (((4, 4), "1/2", 2000), ((4, 4), "3/4", 2001),
-                              ((4, 5), "1/2", 2000), ((4, 5), "3/4", 2002), ((3, 3), "1/2", 1)):
+                              ((4, 5), "1/2", 2000), ((4, 5), "3/4", 2002), ((3, 3), "1/2", 1),
+                              ((10, 2), "1/2", 2000)):
         delta = Fraction(delta)
         pairs = random_factor_tuples(
             dims, math.ceil(delta * (1 << sum(dims))), np.random.default_rng(seed)
@@ -378,6 +380,17 @@ def test_four_splits_match_the_triple_loop():
         want = {u: four_split_oracle(u, t_set) for u in range(1 << n)}
         targets = [u for u, split in want.items() if split is not None]
         assert _four_splits(targets, t_set, n) == {u: want[u] for u in targets}
+    # a dense T at 12 bits, every target: a table of all |T|^2 pairs per
+    # target would take gigabytes, the scan a few MB
+    t_set = sorted(int(t) for t in rng.choice(1 << 12, 3000, replace=False))
+    tracemalloc.start()
+    try:
+        got = _four_splits(range(1 << 12), t_set, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert got == {u: four_split_oracle(u, t_set) for u in range(1 << 12)}
 
 
 def test_matrix_pipeline_centers_match_gather_oracle():
@@ -457,9 +470,10 @@ def test_matrix_pipeline_seeded_run_and_determinism():
     pairs = random_factor_tuples((4, 4), 128, rng)
     res1 = matrix_pipeline(pairs, shape, Fraction(1, 2))
     res2 = matrix_pipeline(pairs, shape, Fraction(1, 2))
+    res3 = matrix_pipeline(pairs, TensorShape([4, 4]), Fraction(1, 2))  # dims as a list
     assert res1.verified
-    assert res1.measured == res2.measured
-    assert res1.centers == res2.centers
+    assert res1.measured == res2.measured == res3.measured
+    assert res1.centers == res2.centers == res3.centers
     # every agreement-set element is within rank threshold of some center
     low_rank = rank_reach(shape).layers[res1.rank_threshold]
     centers = np.array(res1.centers, dtype=np.int64)

@@ -8,8 +8,9 @@ interpreter.  The artifact has four parts:
 
 * ``perfbench``: result lines of ``perfbench/run.py --trace 0`` at the
   benchmark's ``run_seconds``, in pairs that alternate which side runs first
-  (pair k of a workload uses seed ``SEED + k``), and per workload the median of each
-  end-to-end metric on both sides;
+  (pair k of a workload uses seed ``SEED + k``; ten pairs for every workload,
+  so a claimed gain and the other workloads' no-regression rest on the same
+  count), and per workload the median of each end-to-end metric on both sides;
 * ``kernels``: medians over repeats, each side in a fresh interpreter, of
   ``matrix_pipeline`` at (4,4) and (4,5) (delta 1/2, seed 2000), ``wht`` at
   n = 8/16/17/18/20 (17 and 18 on either side of the butterfly's 2^16-point
@@ -49,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 CHANGE = Path(__file__).resolve().parent.parent
-PAIRS = {"forcing-pipeline": 10, "dense-spectra": 3, "sampled-estimators": 3}
+PAIRS = {"forcing-pipeline": 10, "dense-spectra": 10, "sampled-estimators": 10}
 SEED = 101
 
 KERNEL_SNIPPET = """
@@ -155,11 +156,11 @@ def inline_clustering(points, ball):
 
 pairs = random_factor_tuples((4, 4), 128, np.random.default_rng(2000))
 points = np.array(matrix_pipeline(pairs, TensorShape((4, 4)), Fraction(1, 2)).agreement_set)
+in_ball = forcing.rank_reach(TensorShape((4, 4)), 1).dist <= 1
+ball = np.flatnonzero(in_ball)
 if hasattr(forcing, "_greedy_centers"):
-    ball, in_ball = forcing._rank_ball((4, 4), 1)
     cluster = lambda: forcing._greedy_centers(points, ball, in_ball)
 else:
-    ball = np.flatnonzero(forcing.rank_reach(TensorShape((4, 4)), 1).dist <= 1)
     cluster = lambda: inline_clustering(points, ball)
 out["greedy_clustering(4, 4)"], centers = median_s(cluster, 9)
 out["greedy_clustering(4, 4)"].update(points=int(points.size), centers=len(centers))
