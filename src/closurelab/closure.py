@@ -24,6 +24,8 @@ from .confidence import chernoff_radius, hoeffding_radius
 from .gf2 import Subspace, rref
 from .spectral import GroupMultiset, GroupSet, exact_sum_of_products, subspace_elements, wht
 
+EXACT_PAIR_LIMIT = 2**28  # most (a, b) pairs closedness_exact counts
+
 
 @dataclass(frozen=True)
 class ClosednessReport:
@@ -54,15 +56,13 @@ class ClosednessReport:
         }
 
 
-def closedness_exact(
-    a: GroupSet, b: GroupMultiset, budget: int = 2**28
-) -> ClosednessReport:
+def closedness_exact(a: GroupSet, b: GroupMultiset) -> ClosednessReport:
     """Exact eta with multiplicities: |{(a,b): a+b in A}| / (|A| |B|)."""
     if a.size < 1:
         raise ValueError("A must be nonempty")
     if a.n != b.n:
         raise DimensionMismatch("A and B live in different groups")
-    if a.size * b.support_size > budget:
+    if a.size * b.support_size > EXACT_PAIR_LIMIT:
         raise BudgetExceeded("pair count exceeds compute budget")
     check_group_exponent(a.n)
     bitmap = a.bitmap()

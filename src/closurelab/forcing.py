@@ -5,6 +5,8 @@ each array annihilates), forcing certificates (containment of the
 high-agreement set in a sum of subspace blowups), and the constructive
 chain dense-pairs -> fibre subspaces -> structured multiset Q ->
 witnessed containment that realizes the d=2 analysis at desk scale.
+One fibre recursion builds the nested-subspace systems of every d
+(:func:`find_system`); the matrix structure finder is its d = 2 case.
 
 Rank-one multisets are handled as explicit factor tuples (u_1,..,u_d)
 rather than flattened tensors: fibre densities are part of every
@@ -14,7 +16,6 @@ the flattened multiset.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +41,9 @@ from .tensor import LSystem, TensorShape, lsystem_intersect, rank1_flat, sum_of_
 # ---------------------------------------------------------------------------
 
 
+PROFILE_MAX_EXPONENT = 20  # largest n whose 2^n agreement profile is computed
+
+
 @dataclass(frozen=True, eq=False)
 class AgreementProfile:
     """counts[r] = #{q in Q : r.q = 0}, multiplicities included."""
@@ -52,17 +56,15 @@ class AgreementProfile:
         return self.q.total
 
 
-def agreement_profile(
-    q: GroupMultiset, shape: TensorShape | None = None, budget_exp: int = 20
-) -> AgreementProfile:
+def agreement_profile(q: GroupMultiset, shape: TensorShape | None = None) -> AgreementProfile:
     """Exact agreement counts for every array, via one transform.
 
     counts[r] = (|Q| + sum_q mult(q)(-1)^(r.q)) / 2.
     """
     if shape is not None and shape.total != q.n:
         raise DimensionMismatch("shape.total differs from multiset exponent")
-    if q.n > budget_exp:
-        raise BudgetExceeded(f"2^{q.n} profile exceeds 2^{budget_exp} budget")
+    if q.n > PROFILE_MAX_EXPONENT:
+        raise BudgetExceeded(f"2^{q.n} profile exceeds 2^{PROFILE_MAX_EXPONENT} budget")
     spec = wht(q.counts_array(), q.n)
     counts = (q.total + spec.coeffs) // 2
     if int(counts[0]) != q.total or int(counts.max()) > q.total or counts.min() < 0:
@@ -85,20 +87,6 @@ class ForcingCertificate:
     verified: bool
     counterexample: int | None = None
     agreement_set_size: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "alpha_num": self.alpha.numerator,
-            "alpha_den": self.alpha.denominator,
-            "k": self.k,
-            "verified": self.verified,
-            "counterexample": self.counterexample,
-            "agreement_set_size": self.agreement_set_size,
-            "spaces": [
-                {"axes": list(axes), "rows": space.to_rows_hex()}
-                for axes, space in sorted(self.spaces.items())
-            ],
-        }
 
 
 def check_forcing(
@@ -152,7 +140,6 @@ class SumsetReach:
     def __init__(self, generators: Iterable[int], nbits: int, depth: int):
         size = 1 << nbits
         check_enumeration(size, active().witness_budget)
-        self.nbits = nbits
         self.depth = depth
         self.generators = sorted(set(int(g) for g in generators))
         self._gens = np.array(self.generators, dtype=np.int64)
@@ -194,15 +181,6 @@ class SumsetReach:
             reached += frontier.size
         self.dist = dist
 
-    @property
-    def layers(self) -> list[np.ndarray]:
-        """layers[j] is the bitmap of sums of at most j generators.
-
-        Distances never exceed nbits, so capping j there keeps UNREACHED out
-        of every layer, even when depth reaches it.
-        """
-        return [self.dist <= min(j, self.nbits) for j in range(self.depth + 1)]
-
     def depth_of(self, x: int) -> int | None:
         d = int(self.dist[x])
         return None if d == UNREACHED else d
@@ -239,6 +217,8 @@ def random_factor_tuples(
     """``count`` distinct factor tuples, uniform over the product space."""
     bits = sum(dims)
     check_enumeration(1 << bits)
+    if not 0 <= count <= 1 << bits:
+        raise ValueError(f"{count} distinct factor tuples do not fit in 2^{bits}")
     raw = rng.choice(1 << bits, size=count, replace=False)
     out = set()
     for packed in raw.tolist():
@@ -248,10 +228,6 @@ def random_factor_tuples(
             packed >>= n
         out.add(tuple(tup))
     return out
-
-
-def tuples_density(dims: tuple[int, ...], tuples) -> Fraction:
-    return Fraction(len(tuples), 1 << sum(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +292,6 @@ class StructureResult:
     shape: TensorShape
     u_space: Subspace
     v_spaces: dict[int, Subspace]  # u -> V_u, common codimension
-    fibre_codim_bound: int  # Bogolyubov bound 2/(delta/2)^2 clamped to n2
     common_codim: int
     decompositions: dict[int, tuple[int, int, int, int]]  # u -> (t1..t4)
     witnesses: dict[tuple[int, int], list[int]]  # (u, v) -> 16-sum witness
@@ -326,94 +301,38 @@ def find_structure_matrix(
     pairs: Iterable[tuple[int, int]],
     shape: TensorShape,
     delta: Fraction,
-    verify: bool = True,
 ) -> StructureResult:
     """Dense rank-one pairs -> subspaces U and (V_u) with u (x) V_u in 16B'.
 
-    Follows the fibre argument directly: per-u fibre densities define T,
-    Bogolyubov on each fibre gives W_u, Bogolyubov on T gives U, each
-    u in U is split as t1+t2+t3+t4 over T (lexicographically first
-    triple), and V_u is the intersection of the four W_{t_i} trimmed to
-    the common codimension.  With ``verify`` every output pair is
-    certified by an explicit 16-term witness over B'.
+    The d = 2 case of :func:`find_system`'s fibre recursion: U is the
+    system's root and V_u its subspace at prefix (u,), the meet of the
+    fibre spaces W_t over the split u = t1+t2+t3+t4 (lexicographically
+    first over T), trimmed to the common codimension.  Every output pair
+    is certified by an explicit 16-term witness over B'.
     """
+    if shape.d != 2:
+        raise ValueError(f"shape {shape.dims} is not 2-dimensional, as a matrix shape must be")
     delta = Fraction(delta)
-    n1, n2 = shape.dims
-    pair_set = set(pairs)
-    if Fraction(len(pair_set), 1 << (n1 + n2)) < delta:
-        raise DensityTooLow(
-            f"{len(pair_set)} pairs is below density {delta} of 2^{n1 + n2}"
-        )
-
-    fibres: dict[int, set[int]] = defaultdict(set)
-    for u, v in pair_set:
-        fibres[u].add(v)
-    half = delta / 2
-    t_set = sorted(
-        u
-        for u, fibre in fibres.items()
-        if Fraction(len(fibre), 1 << n2) >= half
-    )
-    if Fraction(len(t_set), 1 << n1) < half:
-        raise VerificationFailure("averaging bound for |T| failed")
-
-    w_spaces = {
-        u: bogolyubov(GroupSet.from_elements(n2, fibres[u])) for u in t_set
-    }
-    u_space = bogolyubov(GroupSet.from_elements(n1, t_set))
-
-    decompositions = _four_splits(u_space.enumerate(), t_set, n1)
-    v_raw: dict[int, Subspace] = {}
-    for u, found in decompositions.items():
-        meet = w_spaces[found[0]]
-        for t in found[1:]:
-            meet = meet.intersect(w_spaces[t])
-        v_raw[u] = meet
-
+    pairs = _dense_tuples(pairs, shape, delta)
+    system, decompositions = _find_system_inner(pairs, shape, delta)
+    n2 = shape.dims[1]
+    v_raw = {u: system.children[(u,)] for u in decompositions}
     common = max(space.codim for space in v_raw.values())
     v_spaces = {
         u: space.drop_last_rows(n2 - common) for u, space in v_raw.items()
     }
-
-    witnesses: dict[tuple[int, int], list[int]] = {}
-    if verify:
-        matrices = [rank1_flat(shape.dims, tup) for tup in pair_set]
-        reach = SumsetReach(matrices, shape.total, 16)
-        for u, space in v_spaces.items():
-            for v in space.enumerate():
-                wit = reach.witness(rank1_flat(shape.dims, (u, v)))
-                if wit is None:
-                    raise VerificationFailure(
-                        f"{u:#x} (x) {v:#x} missed the 16-fold sumset"
-                    )
-                witnesses[(u, v)] = wit
-
-    alpha_half = half if half > 0 else Fraction(1)
-    bogo_bound = min(n2, math.ceil(2 / (alpha_half * alpha_half)))
-    return StructureResult(
-        shape, u_space, v_spaces, bogo_bound, common, decompositions, witnesses
-    )
-
-
-class StructuredMultiset(GroupMultiset):
-    """Multiset union_{u in U} (u (x) V_u) keeping its construction."""
-
-    def __init__(
-        self,
-        shape: TensorShape,
-        u_space: Subspace,
-        v_spaces: Mapping[int, Subspace],
-        counts: Mapping[int, int],
-    ):
-        super().__init__(shape.total, counts)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "u_space", u_space)
-        object.__setattr__(self, "v_spaces", dict(v_spaces))
+    targets = {
+        (u, v): rank1_flat(shape.dims, (u, v))
+        for u, space in v_spaces.items()
+        for v in space.enumerate()
+    }
+    witnesses = _witnesses(pairs, shape, 16, targets)
+    return StructureResult(shape, system.root, v_spaces, common, decompositions, witnesses)
 
 
 def build_q_matrix(
     u_space: Subspace, v_spaces: Mapping[int, Subspace], shape: TensorShape
-) -> StructuredMultiset:
+) -> GroupMultiset:
     """The multiset union_{u in U} (u (x) V_u); |Q| = |U| * |V_.|."""
     codims = {space.codim for space in v_spaces.values()}
     if len(codims) > 1:
@@ -423,7 +342,7 @@ def build_q_matrix(
         space = v_spaces[u]
         for v in space.enumerate():
             counter[rank1_flat(shape.dims, (u, v))] += 1
-    q = StructuredMultiset(shape, u_space, dict(v_spaces), dict(counter))
+    q = GroupMultiset(shape.total, dict(counter))
     expected = (1 << u_space.dim) * (1 << next(iter(v_spaces.values())).dim)
     if q.total != expected:  # pragma: no cover - arithmetic identity
         raise VerificationFailure("structured multiset size mismatch")
@@ -442,23 +361,25 @@ class ReducedWitness:
     x_list: list[int]
 
 
-def reduced_witness(q: StructuredMultiset, l: int) -> ReducedWitness:
+def reduced_witness(
+    u_space: Subspace, v_spaces: Mapping[int, Subspace], l: int
+) -> ReducedWitness:
     """W1 = U^perp; W2 = span{x : x in V_u^perp for >= |U|/(10*2^l) u's}.
 
     |X| <= 10 * 2^(k+l) is guaranteed by counting and re-checked here.
     """
-    n1, n2 = q.shape.dims
-    u_elems = list(q.u_space.enumerate())
+    u_elems = list(u_space.enumerate())
     hits = Counter()
     for u in u_elems:
-        for x in q.v_spaces[u].complement().enumerate():
+        for x in v_spaces[u].complement().enumerate():
             hits[x] += 1
     scale = 10 * (1 << l)
     x_list = sorted(x for x, c in hits.items() if c * scale >= len(u_elems))
-    k = max(space.codim for space in q.v_spaces.values())
+    k = max(space.codim for space in v_spaces.values())
     if len(x_list) > 10 * (1 << (k + l)):  # pragma: no cover - counting bound
         raise VerificationFailure("|X| exceeded its counting bound")
-    return ReducedWitness(q.u_space.complement(), rref(x_list, n2), x_list)
+    n2 = v_spaces[0].ambient_dim  # 0 is in every U
+    return ReducedWitness(u_space.complement(), rref(x_list, n2), x_list)
 
 
 # ---------------------------------------------------------------------------
@@ -470,47 +391,57 @@ def reduced_witness(q: StructuredMultiset, l: int) -> ReducedWitness:
 class SystemResult:
     system: LSystem
     sumset_depth: int  # elements certified inside depth-fold sums of B'
-    witnesses: dict[int, list[int]] | None
+    witnesses: dict[int, list[int]]  # element -> depth-sum witness
 
 
-def find_system(
-    tuples,
-    shape: TensorShape,
-    delta: Fraction,
-    verify: bool = True,
-) -> SystemResult:
+def _dense_tuples(tuples, shape: TensorShape, delta: Fraction) -> set[tuple[int, ...]]:
+    """The distinct factor tuples, refused below density ``delta``."""
+    tuples = set(tuples)
+    if Fraction(len(tuples), 1 << sum(shape.dims)) < delta:
+        raise DensityTooLow(
+            f"{len(tuples)} factor tuples are below density {delta} of 2^{sum(shape.dims)}"
+        )
+    return tuples
+
+
+def _witnesses(tuples, shape: TensorShape, depth: int, targets: Mapping) -> dict:
+    """key -> at most ``depth`` rank-one tensors of ``tuples`` summing to targets[key]."""
+    reach = SumsetReach(
+        [rank1_flat(shape.dims, tup) for tup in tuples], shape.total, depth
+    )
+    witnesses = {}
+    for key, elem in targets.items():
+        wit = reach.witness(elem)
+        if wit is None:
+            raise VerificationFailure(f"{elem:#x} missed the {depth}-fold sumset")
+        witnesses[key] = wit
+    return witnesses
+
+
+def find_system(tuples, shape: TensorShape, delta: Fraction) -> SystemResult:
     """Nested-subspace system with elements inside 4^d-fold sums of B'.
 
     d=1 is Bogolyubov directly; d>1 recurses on dense fibres, extracts a
     subspace of the dense fibre index set, and intersects four recursive
-    systems for each of its elements.
+    systems for each of its elements.  Every element is certified by an
+    explicit witness.
     """
     delta = Fraction(delta)
-    tuples = set(tuples)
-    if tuples_density(shape.dims, tuples) < delta:
-        raise DensityTooLow(f"density below {delta}")
-    system = _find_system_inner(tuples, shape, delta)
+    tuples = _dense_tuples(tuples, shape, delta)
+    system, _ = _find_system_inner(tuples, shape, delta)
     depth = 4**shape.d
-    witnesses = None
-    if verify:
-        gens = [rank1_flat(shape.dims, tup) for tup in tuples]
-        reach = SumsetReach(gens, shape.total, depth)
-        witnesses = {}
-        for elem in system.element_counter():
-            wit = reach.witness(elem)
-            if wit is None:
-                raise VerificationFailure(
-                    f"system element {elem:#x} missed the {depth}-fold sumset"
-                )
-            witnesses[elem] = wit
-    return SystemResult(system, depth, witnesses)
+    targets = {elem: elem for elem in system.element_counter()}
+    return SystemResult(system, depth, _witnesses(tuples, shape, depth, targets))
 
 
-def _find_system_inner(tuples, shape: TensorShape, delta: Fraction) -> LSystem:
+def _find_system_inner(
+    tuples, shape: TensorShape, delta: Fraction
+) -> tuple[LSystem, dict[int, tuple[int, int, int, int]]]:
+    """The system, and for d > 1 the four-split over T of each u in its root."""
     n1 = shape.dims[0]
     if shape.d == 1:
         root = bogolyubov(GroupSet.from_elements(n1, [t[0] for t in tuples]))
-        return LSystem(shape, root, bound=root.codim)
+        return LSystem(shape, root, bound=root.codim), {}
 
     tail_dims = shape.dims[1:]
     tail_shape = TensorShape(tail_dims)
@@ -526,13 +457,14 @@ def _find_system_inner(tuples, shape: TensorShape, delta: Fraction) -> LSystem:
         raise VerificationFailure("averaging bound for |T| failed")
 
     recursive = {
-        t: _find_system_inner(fibres[t], tail_shape, half) for t in t_set
+        t: _find_system_inner(fibres[t], tail_shape, half)[0] for t in t_set
     }
     u_space = bogolyubov(GroupSet.from_elements(n1, t_set))
 
     children: dict[tuple[int, ...], Subspace] = {}
     bound = u_space.codim
-    for u, found in _four_splits(u_space.enumerate(), t_set, n1).items():
+    splits = _four_splits(u_space.enumerate(), t_set, n1)
+    for u, found in splits.items():
         sub = lsystem_intersect(
             lsystem_intersect(recursive[found[0]], recursive[found[1]]),
             lsystem_intersect(recursive[found[2]], recursive[found[3]]),
@@ -542,7 +474,7 @@ def _find_system_inner(tuples, shape: TensorShape, delta: Fraction) -> LSystem:
         for prefix, space in sub.children.items():
             children[(u,) + prefix] = space
             bound = max(bound, space.codim)
-    return LSystem(shape, u_space, children, bound=bound)
+    return LSystem(shape, u_space, children, bound=bound), splits
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +489,7 @@ class PipelineResult:
     epsilon: Fraction
     rank_threshold: int
     structure: StructureResult
-    q: StructuredMultiset
+    q: GroupMultiset
     profile: AgreementProfile
     agreement_set: list[int]
     centers: list[int]
@@ -573,7 +505,7 @@ def rank_reach(shape: TensorShape, depth: int | None = None) -> SumsetReach:
 
     Over GF(2), rank(M) equals the minimum number of rank-1 summands, so
     dist is the rank up to ``depth`` (default min(n1, n2), every rank) and
-    layer l is exactly the rank<=l bitmap.
+    dist <= l is exactly the rank<=l bitmap.
     """
     n1, n2 = shape.dims
     gens = [
@@ -648,7 +580,7 @@ def matrix_pipeline(
 
     # span(centers) + W1 (x) F2^{n2} + F2^{n1} (x) W2, blowup rows first:
     # rref stops eliminating once the target is the whole space
-    witness = reduced_witness(q, rank_threshold)
+    witness = reduced_witness(structure.u_space, structure.v_spaces, rank_threshold)
     blowups = sum_of_blowups(shape, {(0,): witness.w1, (1,): witness.w2})
     target = rref(blowups.rows + tuple(centers), shape.total)
 

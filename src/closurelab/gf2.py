@@ -124,11 +124,6 @@ class Subspace:
         """:meth:`contains` of every packed vector in ``values``, as a bool array."""
         return orthogonal_to_all(values, self.complement().rows, self.ambient_dim)
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return all(other.contains(r) for r in self.rows)
-
     def complement(self) -> "Subspace":
         """Orthogonal complement {x : x.v = 0 for all v in self}."""
         n = self.ambient_dim

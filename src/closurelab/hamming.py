@@ -207,16 +207,6 @@ class CompatibilityReport:
     samples: int
     seed: int
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "estimate": self.estimate,
-            "radius": self.radius,
-            "confidence": self.confidence,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 # u samples x B' elements per overlap block of an explicit B'
 _COMPAT_BLOCK = 1 << 16

@@ -56,12 +56,6 @@ class TensorShape:
             pos %= s
         return tuple(out)
 
-    def axes_dims(self, axes: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.dims[a] for a in axes)
-
-    def all_axes(self) -> tuple[int, ...]:
-        return tuple(range(self.d))
-
 
 @dataclass(frozen=True)
 class Tensor:
@@ -71,9 +65,6 @@ class Tensor:
     def __post_init__(self):
         if self.data >> self.shape.total:
             raise DimensionMismatch("data wider than shape.total")
-
-    def entry(self, index: tuple[int, ...]) -> int:
-        return (self.data >> self.shape.flat(index)) & 1
 
     def to_array(self) -> np.ndarray:
         total = self.shape.total
@@ -101,7 +92,7 @@ class Tensor:
 
 
 def rank1(shape: TensorShape, factors: tuple[int, ...]) -> Tensor:
-    """Tensor with entry(i_1..i_d) = prod_j u_j(i_j)."""
+    """Tensor whose bit at flat(i_1..i_d) is prod_j u_j(i_j)."""
     if len(factors) != shape.d:
         raise DimensionMismatch("factor count differs from axis count")
     for u, n in zip(factors, shape.dims):
@@ -262,6 +253,9 @@ class SimpleSet:
         }
 
 
+SYSTEM_ENUMERATION_LIMIT = 2**22  # most elements an l-system walk enumerates per subspace
+
+
 class LSystem:
     """Nested subspace family producing a multiset of rank-1 tensors.
 
@@ -294,32 +288,32 @@ class LSystem:
             raise DimensionMismatch("child ambient differs from its axis")
         return got
 
-    def factor_tuples(self, budget: int = 2**22) -> Iterator[tuple[int, ...]]:
+    def factor_tuples(self) -> Iterator[tuple[int, ...]]:
         def walk(prefix: tuple[int, ...]):
             if len(prefix) == self.shape.d:
                 yield prefix
                 return
             space = self.root if not prefix else self.child(prefix)
-            check_enumeration(1 << space.dim, budget)
-            for u in space.enumerate(budget):
+            for u in space.enumerate(SYSTEM_ENUMERATION_LIMIT):
                 yield from walk(prefix + (u,))
 
         yield from walk(())
 
-    def element_counter(self, budget: int = 2**22) -> Counter:
+    def element_counter(self) -> Counter:
         out: Counter = Counter()
-        for tup in self.factor_tuples(budget):
+        for tup in self.factor_tuples():
             out[rank1_flat(self.shape.dims, tup)] += 1
         return out
 
-    def max_codim(self, budget: int = 2**22) -> int:
+    def max_codim(self) -> int:
         worst = self.root.codim
-        for tup in self.factor_tuples(budget):
+        for tup in self.factor_tuples():
             for j in range(1, self.shape.d):
                 worst = max(worst, self.child(tup[:j]).codim)
         return worst
 
-def lsystem_intersect(q: LSystem, q2: LSystem, budget: int = 2**22) -> LSystem:
+
+def lsystem_intersect(q: LSystem, q2: LSystem) -> LSystem:
     """System contained in both inputs: intersect spaces prefix by prefix."""
     if q.shape != q2.shape:
         raise DimensionMismatch("system shapes differ")
@@ -329,8 +323,7 @@ def lsystem_intersect(q: LSystem, q2: LSystem, budget: int = 2**22) -> LSystem:
     def walk(prefix: tuple[int, ...], space: Subspace):
         if len(prefix) == q.shape.d - 1:
             return
-        check_enumeration(1 << space.dim, budget)
-        for u in space.enumerate(budget):
+        for u in space.enumerate(SYSTEM_ENUMERATION_LIMIT):
             new_prefix = prefix + (u,)
             meet = q.child(new_prefix).intersect(q2.child(new_prefix))
             children[new_prefix] = meet

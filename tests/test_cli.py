@@ -265,6 +265,25 @@ def test_run_verification_failure_exit_2(tmp_path):
     assert run(manifest, quiet=True) == 2
 
 
+@pytest.mark.parametrize("command, params, code, message", [
+    ("lsystem", {"delta": "0"}, 1, "error: delta 0 is outside (0, 1]"),
+    ("lsystem", {"delta": "3/2"}, 1, "error: delta 3/2 is outside (0, 1]"),
+    ("forcing-pipeline", {"delta": "3/2"}, 1, "error: delta 3/2 is outside (0, 1]"),
+    ("forcing-pipeline", {"delta": -0.5}, 1, "error: delta -1/2 is outside (0, 1]"),
+    ("forcing-pipeline", {"shape": [2, 2, 2]}, 1, "error: shape (2, 2, 2) is not 2-dimensional"),
+    ("forcing-pipeline", {"pairs": 3}, 2,
+     "verification failure: 3 factor tuples are below density 1/2 of 2^6"),
+    ("forcing-pipeline", {"pairs": -1}, 1, "error: -1 distinct factor tuples do not fit in 2^6"),
+    ("lsystem", {"tuples": 65}, 1, "error: 65 distinct factor tuples do not fit in 2^6"),
+], ids=["lsystem-delta-0", "lsystem-delta-3_2", "pipeline-delta-3_2", "pipeline-delta-negative",
+        "pipeline-shape-3d", "pipeline-too-few-pairs", "pipeline-negative-pairs",
+        "lsystem-too-many-tuples"])
+def test_forcing_input_errors_name_the_bad_value(command, params, code, message, capsys):
+    manifest = Manifest.from_dict({"command": command, "params": {"shape": [3, 3], **params}})
+    assert run(manifest) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_io_error_exit_1(tmp_path):
     manifest = Manifest.from_dict(
         {

@@ -134,7 +134,7 @@ def test_sumset_reach_matches_oracle_and_witnesses():
     reach = SumsetReach(gens, 8, 5)
     layers = bfs_sum_layers(gens, 8, 5)
     for j in range(6):
-        assert np.array_equal(reach.layers[j], layers[j])
+        assert np.array_equal(reach.dist <= j, layers[j])
     for x in range(256):
         wit = reach.witness(x)
         if wit is None:
@@ -187,6 +187,21 @@ def test_find_structure_density_violation():
         find_structure_matrix({(1, 1)}, shape, Fraction(1, 2))
 
 
+def test_find_structure_is_the_d2_system():
+    # U is the system's root; each V_u is the system's subspace at (u,), trimmed
+    rng = np.random.default_rng(41)
+    shape = TensorShape((4, 4))
+    pairs = random_factor_tuples((4, 4), 128, rng)
+    res = find_structure_matrix(pairs, shape, Fraction(1, 2))
+    system = find_system(pairs, shape, Fraction(1, 2)).system
+    assert res.u_space == system.root
+    for u, space in res.v_spaces.items():
+        assert space.codim == res.common_codim
+        assert space == system.child((u,)).drop_last_rows(space.dim)
+    with pytest.raises(ValueError, match=r"\(2, 2, 4\) is not 2-dimensional"):
+        find_structure_matrix(pairs, TensorShape((2, 2, 4)), Fraction(1, 2))
+
+
 def test_build_q_matrix_trivial_and_full():
     shape = TensorShape((3, 3))
     zero_u = Subspace.zero(3)
@@ -206,7 +221,7 @@ def test_build_q_matrix_elements_are_rank_one():
     shape = TensorShape((4, 4))
     rng = np.random.default_rng(40)
     pairs = random_factor_tuples((4, 4), 128, rng)
-    res = find_structure_matrix(pairs, shape, Fraction(1, 2), verify=False)
+    res = find_structure_matrix(pairs, shape, Fraction(1, 2))
     q = build_q_matrix(res.u_space, res.v_spaces, shape)
     assert q.total == (1 << res.u_space.dim) * (
         1 << next(iter(res.v_spaces.values())).dim
@@ -258,23 +273,20 @@ def _structured_fixture(rng, n1=4, n2=4, u_codim=1, v_codim=1):
     u_space = random_subspace(n1, n1 - u_codim, rng)
     v = random_subspace(n2, n2 - v_codim, rng)
     v_spaces = {u: v for u in u_space.enumerate()}
-    return shape, build_q_matrix(u_space, v_spaces, shape)
+    return shape, u_space, v_spaces
 
 
 def test_reduced_witness_full_and_fixed_v():
     rng = np.random.default_rng(9)
-    shape = TensorShape((4, 4))
     u_space = random_subspace(4, 3, rng)
     full_v = {u: Subspace.full(4) for u in u_space.enumerate()}
-    q = build_q_matrix(u_space, full_v, shape)
-    res = reduced_witness(q, 1)
+    res = reduced_witness(u_space, full_v, 1)
     assert res.w2 == Subspace.zero(4)
     assert res.x_list == [0]
     assert res.w1 == u_space.complement()
 
     v = random_subspace(4, 2, rng)
-    q2 = build_q_matrix(u_space, {u: v for u in u_space.enumerate()}, shape)
-    res2 = reduced_witness(q2, 1)
+    res2 = reduced_witness(u_space, {u: v for u in u_space.enumerate()}, 1)
     assert set(res2.x_list) == set(v.complement().enumerate())
     assert res2.w2 == v.complement()
 
@@ -282,12 +294,13 @@ def test_reduced_witness_full_and_fixed_v():
 def test_reduced_witness_low_rank_containment_exhaustive():
     # every rank<=1 matrix with >= 7/8 agreement lies in W1 (x) F2 + F2 (x) W2
     rng = np.random.default_rng(10)
-    shape, q = _structured_fixture(rng, v_codim=2)
-    res = reduced_witness(q, 1)
+    shape, u_space, v_spaces = _structured_fixture(rng, v_codim=2)
+    q = build_q_matrix(u_space, v_spaces, shape)
+    res = reduced_witness(u_space, v_spaces, 1)
     target = sum_of_blowups(shape, {(0,): res.w1, (1,): res.w2})
     profile = agreement_profile(q, shape)
     thresh = agreement_threshold(q.total, Fraction(7, 8))
-    low_rank = rank_reach(shape).layers[1]
+    low_rank = rank_reach(shape).dist <= 1
     for r in np.flatnonzero(profile.counts >= thresh).tolist():
         if low_rank[r]:
             assert target.contains(int(r))
@@ -308,9 +321,8 @@ def test_sumset_reach_distances_and_witnesses_match_layered_oracle():
         layers = bfs_sum_layers(gens, nbits, depth)
         assert reach.depth == depth
         assert reach.generators == sorted(set(gens))
-        assert len(reach.layers) == depth + 1
         for j in range(depth + 1):
-            assert np.array_equal(reach.layers[j], layers[j])
+            assert np.array_equal(reach.dist <= j, layers[j])
         for x in range(1 << nbits):
             first = next((j for j, layer in enumerate(layers) if layer[x]), None)
             assert reach.depth_of(x) == first
@@ -352,7 +364,7 @@ def test_sumset_reach_bottom_up_layers_match_layered_oracle():
         assert _bottom_up_layers(layers, span), "the case never switches to bottom-up"
         reach = SumsetReach(gens, nbits, depth)
         for j in range(depth + 1):
-            assert np.array_equal(reach.layers[j], layers[j])
+            assert np.array_equal(reach.dist <= j, layers[j])
         for x in np.random.default_rng(nbits + depth).integers(0, 1 << nbits, 400).tolist():
             assert reach.witness(x) == layered_witness(layers, gens, x)
     # the last case stops at its first bottom-up layer, short of the span
@@ -368,7 +380,7 @@ def test_four_splits_match_the_triple_loop():
         pairs = random_factor_tuples(
             dims, math.ceil(delta * (1 << sum(dims))), np.random.default_rng(seed)
         )
-        res = find_structure_matrix(pairs, TensorShape(dims), delta, verify=False)
+        res = find_structure_matrix(pairs, TensorShape(dims), delta)
         sizes = Counter(u for u, _ in pairs)
         t_set = sorted(u for u, c in sizes.items() if Fraction(c, 1 << dims[1]) >= delta / 2)
         want = [(u, four_split_oracle(u, t_set)) for u in res.u_space.enumerate()]
@@ -475,7 +487,7 @@ def test_matrix_pipeline_seeded_run_and_determinism():
     assert res1.measured == res2.measured == res3.measured
     assert res1.centers == res2.centers == res3.centers
     # every agreement-set element is within rank threshold of some center
-    low_rank = rank_reach(shape).layers[res1.rank_threshold]
+    low_rank = rank_reach(shape).dist <= res1.rank_threshold
     centers = np.array(res1.centers, dtype=np.int64)
     covered = np.zeros(low_rank.size, dtype=bool)
     for b in np.flatnonzero(low_rank):

@@ -1,9 +1,12 @@
 """Every public name in the library is reached from outside the tests.
 
-A public module-level function or class of ``src/closurelab`` must be
-referenced from ``src/``, ``perfbench/`` or ``tools/`` (inside the package,
-a use within its own body does not count), or be listed in ``KEPT`` with
-the reason it stays.  Code that only its own unit tests call is deleted instead.
+A public module-level function or class of ``src/closurelab``, and a public
+method or property of such a class (``Class.member``), must be referenced
+by name from ``src/``, ``perfbench/`` or ``tools/`` (inside the package, a
+use within its own body does not count), or be listed in ``KEPT`` with the
+reason it stays.  Code that only its own unit tests call is deleted instead.
+A member shares its name with every other use of that name, so the rule
+cannot see a dead member whose name is alive elsewhere.
 """
 
 from __future__ import annotations
@@ -25,15 +28,27 @@ KEPT = {
     "matrix_rank": "per-matrix GF(2) rank, the definition behind rank_reach's layers",
     "from_hex": "inverse of to_hex, the hex serialization of every payload vector",
     "is_compatible": "per-point compatibility, the definition compatibility_fraction_exact counts",
+    "TensorShape.unflat": "inverse of flat; the bijection test pins the row-major order through it",
+    "Tensor.to_array": "dense numpy view of a packed tensor, the outer-product definition of rank1",
+    "Tensor.from_array": "inverse of to_array; the round-trip test pins the bit order through it",
+    "LayerSet.to_groupset": "the dense layer set, the definition the estimators are checked against",
+    "SliceSet.to_groupset": "the dense slice, the definition the estimators are checked against",
 }
 
 
+def _public(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
 def _public_definitions() -> dict[str, str]:
+    """Public functions, classes and ``Class.member`` methods and properties -> file."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                out[node.name] = path.name
+        for node in filter(_public, ast.parse(path.read_text()).body):
+            out[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                for member in filter(_public, node.body):
+                    out[f"{node.name}.{member.name}"] = path.name
     return out
 
 
@@ -41,9 +56,7 @@ def _referenced_names() -> set[str]:
     """Names used as identifiers, attributes, imports or dotted string constants."""
     names: set[str] = set()
 
-    def visit(node: ast.AST, own: str | None, in_package: bool) -> None:
-        if in_package and own is None and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            own = node.name
+    def visit(node: ast.AST, own: frozenset[str]) -> None:
         if isinstance(node, ast.Name):
             found = [node.id]
         elif isinstance(node, ast.Attribute):
@@ -54,20 +67,34 @@ def _referenced_names() -> set[str]:
             found = node.value.split(".")  # e.g. perfbench's "SimpleSet.member" spans
         else:
             found = []
-        names.update(name for name in found if name != own)
+        names.update(name for name in found if name not in own)
         for child in ast.iter_child_nodes(node):
-            visit(child, own, in_package)
+            visit(child, own)
 
     for folder in REFERENCE_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
-            visit(ast.parse(path.read_text()), None, path.parent == PACKAGE)
+            tree = ast.parse(path.read_text())
+            if path.parent != PACKAGE:
+                visit(tree, frozenset())
+                continue
+            # a package definition's own body does not count for its name:
+            # a top-level function's or class's, or a method's of such a class
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    visit(node, frozenset())
+                    continue
+                own = frozenset({node.name})
+                parts = ast.iter_child_nodes(node) if isinstance(node, ast.ClassDef) else [node]
+                for part in parts:
+                    visit(part, own | {part.name} if isinstance(part, ast.FunctionDef) else own)
     return names
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     defined = _public_definitions()
     assert set(KEPT) <= set(defined), f"KEPT names no longer defined: {set(KEPT) - set(defined)}"
-    unreached = set(defined) - _referenced_names()
+    referenced = _referenced_names()
+    unreached = {name for name in defined if name.rsplit(".", 1)[-1] not in referenced}
     assert unreached - set(KEPT) == set(), {n: defined[n] for n in unreached - set(KEPT)}
     # a kept name that gained a caller leaves the list
     assert set(KEPT) - unreached == set()

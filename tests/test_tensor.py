@@ -62,14 +62,14 @@ def test_tensor_array_roundtrip():
 def test_rank1_examples():
     shape = TensorShape((2, 2))
     t = rank1(shape, (0b01, 0b10))  # e1 (x) e2
-    assert t.entry((0, 1)) == 1
+    assert t.data == 1 << shape.flat((0, 1))
     assert t.data.bit_count() == 1
     assert rank1(shape, (0b11, 0)).data == 0
 
     shape3 = TensorShape((2, 2, 2))
     t3 = rank1(shape3, (0b11, 0b01, 0b11))
     for i, j, k in product(range(2), repeat=3):
-        assert t3.entry((i, j, k)) == (1 if j == 0 else 0)
+        assert (t3.data >> shape3.flat((i, j, k))) & 1 == (1 if j == 0 else 0)
 
 
 def test_rank1_matches_outer_product_of_bits():

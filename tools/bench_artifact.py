@@ -11,7 +11,9 @@ interpreter.  The artifact has four parts:
   (pair k of a workload uses seed ``SEED + k``; ten pairs for every workload,
   so a claimed gain and the other workloads' no-regression rest on the same
   count), and per workload the median of each end-to-end metric on both sides;
-* ``kernels``: medians over repeats, each side in a fresh interpreter, of
+* ``kernels``: medians over repeats, each side in a fresh interpreter, in
+  ``KERNEL_ROUNDS`` rounds that alternate which side runs first (a slow
+  phase of the host then shows on both sides, not as a change), of
   ``matrix_pipeline`` at (4,4) and (4,5) (delta 1/2, seed 2000), ``wht`` at
   n = 8/16/17/18/20 (17 and 18 on either side of the butterfly's 2^16-point
   block), ``bogolyubov`` on dense 1/2 sets at n = 12/13,
@@ -26,7 +28,10 @@ interpreter.  The artifact has four parts:
   16-deep ``SumsetReach`` alone over the rank-one pairs at (4,4) delta 1/2
   and 3/4 and at (4,5) delta 1/2, and the greedy rank-1 clustering of the
   (4,4) delta 1/2 agreement set (a checkout without
-  ``forcing._greedy_centers`` runs the inline loop that preceded it);
+  ``forcing._greedy_centers`` runs the inline loop that preceded it).
+  ``rounds`` holds each round's output; ``summary`` holds per kernel each
+  side's median over the rounds and the median of the per-round
+  change/parent ratios;
 * ``suite``: the tier-1 suite's wall time, criterion 7's call time, and
   criterion 3's library seconds from its ``ACCEPTANCE 3: PASS`` line;
 * ``machine``: CPU, Python and numpy versions.
@@ -52,6 +57,7 @@ import numpy as np
 CHANGE = Path(__file__).resolve().parent.parent
 PAIRS = {"forcing-pipeline": 10, "dense-spectra": 10, "sampled-estimators": 10}
 SEED = 101
+KERNEL_ROUNDS = 3
 
 KERNEL_SNIPPET = """
 import contextlib, io, json, math, os, statistics, tempfile, time
@@ -191,6 +197,28 @@ def perfbench_pair(workload: str, seed: int, seconds: float, parent: Path, first
     return pair
 
 
+def kernel_rounds(parent: Path) -> dict:
+    """KERNEL_SNIPPET on both sides per round; even rounds run the parent first."""
+    sides = {"parent": parent, "change": CHANGE}
+    rounds = []
+    for k in range(KERNEL_ROUNDS):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        rounds.append({"first": order[0], **{
+            side: json.loads(_run([sys.executable, "-c", KERNEL_SNIPPET], sides[side], env_src=True))
+            for side in order}})
+        print(f"kernel round {k + 1}/{KERNEL_ROUNDS} done", file=sys.stderr)
+    summary = {}
+    for name in rounds[0]["parent"]:
+        parent_s = [r["parent"][name]["median_s"] for r in rounds]
+        change_s = [r["change"][name]["median_s"] for r in rounds]
+        summary[name] = {
+            "parent_median_s": statistics.median(parent_s),
+            "change_median_s": statistics.median(change_s),
+            "change_over_parent": statistics.median(c / p for c, p in zip(change_s, parent_s)),
+        }
+    return {"summary": summary, "rounds": rounds}
+
+
 def summarize(pairs: list[dict], metrics: list[str]) -> dict:
     out = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
@@ -245,8 +273,7 @@ def main(argv=None) -> int:
             pairs.append(perfbench_pair(workload, SEED + k, bench["run_seconds"],
                                         parent, first))
             print(f"{workload} pair {k + 1}/{count} done", file=sys.stderr)
-    kernels = {side: json.loads(_run([sys.executable, "-c", KERNEL_SNIPPET], root, env_src=True))
-               for side, root in (("parent", parent), ("change", CHANGE))}
+    kernels = kernel_rounds(parent)
     suites = {side: suite(root) for side, root in (("parent", parent), ("change", CHANGE))}
     artifact = {
         "machine": machine(),
