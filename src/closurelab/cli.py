@@ -474,7 +474,7 @@ def cmd_lsystem(manifest: Manifest):
         "max_codim": result.system.max_codim(),
         "declared_bound": result.system.bound,
         "sumset_depth": result.sumset_depth,
-        "elements": sum(result.system.element_counter().values()),
+        "elements": sum(result.elements.values()),
         "verified": True,  # find_system raises on an element without a witness
     }
     return payload, True

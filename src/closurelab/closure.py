@@ -25,6 +25,7 @@ from .gf2 import Subspace, rref
 from .spectral import GroupMultiset, GroupSet, exact_sum_of_products, subspace_elements, wht
 
 EXACT_PAIR_LIMIT = 2**28  # most (a, b) pairs closedness_exact counts
+SAMPLE_CHUNK = 4096  # samples drawn per seeded chunk
 
 
 @dataclass(frozen=True)
@@ -103,17 +104,15 @@ def groupset_oracle(a: GroupSet):
     return member, sample
 
 
-def seeded_chunks(
-    samples: int, seed: int, chunk_size: int
-) -> Iterator[tuple[np.random.Generator, int]]:
-    """(rng, count) per fixed chunk of ``samples``.
+def seeded_chunks(samples: int, seed: int) -> Iterator[tuple[np.random.Generator, int]]:
+    """(rng, count) per chunk of SAMPLE_CHUNK of ``samples``.
 
     Each chunk draws from its own SeedSequence((seed, chunk_index)) stream,
     so a result depends only on (seed, samples) and not on any scheduling.
     """
-    for chunk_index, start in enumerate(range(0, samples, chunk_size)):
+    for chunk_index, start in enumerate(range(0, samples, SAMPLE_CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_index)))
-        yield rng, min(chunk_size, samples - start)
+        yield rng, min(SAMPLE_CHUNK, samples - start)
 
 
 def closedness_sampled(
@@ -124,7 +123,6 @@ def closedness_sampled(
     seed: int,
     confidence: float = 0.99,
     radius_method: str = "hoeffding",
-    chunk_size: int = 4096,
 ) -> ClosednessReport:
     """Seeded Monte Carlo estimate of (B,eta)-closedness, drawn in
     :func:`seeded_chunks`."""
@@ -132,7 +130,7 @@ def closedness_sampled(
         raise ValueError("samples must be >= 1")
     b_sample = b if callable(b) else multiset_sampler(b)
     hits = 0
-    for rng, count in seeded_chunks(samples, seed, chunk_size):
+    for rng, count in seeded_chunks(samples, seed):
         a_batch = np.asarray(a_sampler(rng, count))
         b_batch = np.asarray(b_sample(rng, count))
         hits += int(np.count_nonzero(a_member(a_batch ^ b_batch)))
@@ -163,7 +161,7 @@ def mixed_energy(a: GroupSet, b: GroupMultiset) -> Fraction:
         raise ValueError("A and B must be nonempty")
     if a.n != b.n:
         raise DimensionMismatch("A and B live in different groups")
-    c = wht(a.indicator(), a.n).coeffs
+    c = wht(a.bitmap(), a.n).coeffs
     m = wht(b.counts_array(), b.n).coeffs
     num = exact_sum_of_products(c, c, m, m)
     value = Fraction(num, (1 << (2 * a.n)) * b.total**2)

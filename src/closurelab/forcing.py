@@ -32,7 +32,7 @@ from .budgets import (
     check_enumeration,
 )
 from .gf2 import Subspace, rref
-from .spectral import GroupMultiset, GroupSet, bogolyubov, sumset_bitmap, wht
+from .spectral import GroupMultiset, GroupSet, bogolyubov, sumset_support, wht
 from .tensor import LSystem, TensorShape, lsystem_intersect, rank1_flat, sum_of_blowups
 
 
@@ -273,7 +273,7 @@ def _four_splits(
     in_t = np.zeros(1 << nbits, dtype=bool)
     in_t[t] = True
     targets = np.fromiter(targets, dtype=np.int64)
-    in_sums = sumset_bitmap(GroupSet.from_elements(nbits, t))
+    in_sums = sumset_support(in_t, in_t)
     head = _first_hits(targets, m * m, lambda p: t[p // m] ^ t[p % m], in_sums)
     t1, t2 = t[head // m], t[head % m]
     partial = targets ^ t1 ^ t2
@@ -392,6 +392,7 @@ class SystemResult:
     system: LSystem
     sumset_depth: int  # elements certified inside depth-fold sums of B'
     witnesses: dict[int, list[int]]  # element -> depth-sum witness
+    elements: Counter  # the system's element_counter()
 
 
 def _dense_tuples(tuples, shape: TensorShape, delta: Fraction) -> set[tuple[int, ...]]:
@@ -430,8 +431,9 @@ def find_system(tuples, shape: TensorShape, delta: Fraction) -> SystemResult:
     tuples = _dense_tuples(tuples, shape, delta)
     system, _ = _find_system_inner(tuples, shape, delta)
     depth = 4**shape.d
-    targets = {elem: elem for elem in system.element_counter()}
-    return SystemResult(system, depth, _witnesses(tuples, shape, depth, targets))
+    elements = system.element_counter()
+    witnesses = _witnesses(tuples, shape, depth, {elem: elem for elem in elements})
+    return SystemResult(system, depth, witnesses, elements)
 
 
 def _find_system_inner(

@@ -218,7 +218,6 @@ def compatibility_fraction(
     u_samples: int,
     seed: int,
     confidence: float = 0.99,
-    chunk_size: int = 4096,
 ) -> CompatibilityReport:
     """Monte Carlo fraction of u in the layer set that are B'-compatible.
 
@@ -243,7 +242,7 @@ def compatibility_fraction(
         block = max(1, _COMPAT_BLOCK // max(b_arr.size, 1))
 
     hits = 0
-    for rng, count in seeded_chunks(u_samples, seed, chunk_size):
+    for rng, count in seeded_chunks(u_samples, seed):
         m_batch = draw_weights(rng, count)
         if full_slice:
             hits += int(np.count_nonzero(good_mask[m_batch]))

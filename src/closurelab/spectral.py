@@ -22,7 +22,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .budgets import (
-    BudgetExceeded,
     DimensionMismatch,
     IntegerOverflowGuard,
     VerificationFailure,
@@ -63,12 +62,6 @@ class GroupSet:
     @property
     def density(self) -> Fraction:
         return Fraction(self.size, 1 << self.n)
-
-    def indicator(self) -> np.ndarray:
-        check_group_exponent(self.n)
-        out = np.zeros(1 << self.n, dtype=np.int64)
-        out[self.elements] = 1
-        return out
 
     def bitmap(self) -> np.ndarray:
         check_group_exponent(self.n)
@@ -309,17 +302,23 @@ def wht(f, n: int | None = None) -> Spectrum:
 
 
 def indicator_spectrum(a: GroupSet) -> Spectrum:
-    return wht(a.indicator(), a.n)
+    return wht(a.bitmap(), a.n)
 
 
-def sumset_bitmap(a: GroupSet) -> np.ndarray:
-    """Bitmap of A + A = {a1 + a2}, the support of the convolution 1_A * 1_A.
+def sumset_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bitmap of A + B = {x + y}, the support of the convolution 1_A * 1_B.
 
-    The butterfly of c^2 is 2^n * #{(a1, a2) : a1 + a2 = x}.  Every partial
-    sum of it is at most sum_r c_r^2 = 2^n |A|, so int64 is exact.
+    ``a`` and ``b`` are 0/1 bitmaps over F2^n.  The butterfly of the product
+    of their transforms is 2^n * #{(x, y) in A x B : x + y = z}.  Every partial
+    sum of it is at most sum_r |a^(r) b^(r)| <= 2^n sqrt(|A| |B|) <= 2^2n
+    (Cauchy-Schwarz and Parseval), so int64 is exact up to n = 31.
     """
-    c = indicator_spectrum(a).coeffs
-    return _butterfly(c * c) > 0
+    if a.shape != b.shape or a.ndim != 1 or not a.size or a.size & (a.size - 1):
+        raise DimensionMismatch("bitmaps must be equal-length arrays of 2^n entries")
+    check_group_exponent(a.size.bit_length() - 1)
+    fa = _butterfly(a.astype(np.int64))
+    fb = fa if b is a else _butterfly(b.astype(np.int64))
+    return _butterfly(np.multiply(fa, fb, out=fa)) > 0
 
 
 def mu_hat(b: GroupMultiset) -> RationalSpectrum:
@@ -371,24 +370,18 @@ def bogolyubov(s: GroupSet) -> Subspace:
 
     Constructive large-spectrum proof: V is the orthogonal complement of
     the span of {r : |1_S^(r)|^2 >= alpha^3/2}.  Membership of every
-    element of V in the 4-fold sumset is then verified through the exact
-    positivity of the fourth convolution power; failure of that check is
-    a bug, not a data condition, and raises VerificationFailure.
+    element of V in the 4-fold sumset is then verified against the bitmap
+    of (S + S) + (S + S), two exact sumset supports; failure of that check
+    is a bug, not a data condition, and raises VerificationFailure.
     """
     if s.size == 0:
         raise ValueError("S must be nonempty")
-    n = s.n
-    spec = indicator_spectrum(s)
-    c = spec.coeffs
-    v = rref(large_spectrum(spec, s.density**3 / 2), n).complement()
-
-    cmax = int(np.max(np.abs(c)))
-    if (1 << n) * cmax**4 >= 2**62:
-        raise BudgetExceeded(f"4-fold verification would overflow at n={n}")
-    # conv[x] = sum_r c_r^4 (-1)^(r.x) = 2^n * #{(s1, s2, s3, s4) : s1+s2+s3+s4 = x}
-    conv = _butterfly(c**4)
+    bits = s.bitmap()
+    v = rref(large_spectrum(wht(bits, s.n), s.density**3 / 2), s.n).complement()
+    two = sumset_support(bits, bits)
+    four = sumset_support(two, two)  # S+S+S+S = 2S - 2S over F2
     elems = subspace_elements(v)
-    failed = np.flatnonzero(conv[elems] <= 0)
+    failed = np.flatnonzero(~four[elems])
     if failed.size:
         raise VerificationFailure(
             f"element {int(elems[failed[0]]):#x} of the extracted subspace failed the 4-sum check"

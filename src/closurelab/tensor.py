@@ -17,8 +17,15 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .budgets import DimensionMismatch, check_enumeration, check_group_exponent
-from .gf2 import Subspace, all_subspaces, orthogonal_to_all, rref, to_hex
+from .budgets import (
+    DimensionMismatch,
+    VerificationFailure,
+    active,
+    check_enumeration,
+    check_group_exponent,
+)
+from .gf2 import Subspace, orthogonal_to_all, rref, to_hex
+from .spectral import subspace_elements, sumset_support
 
 
 @dataclass(frozen=True)
@@ -142,19 +149,13 @@ def embed_blowup(shape: TensorShape, axes: tuple[int, ...], space: Subspace) -> 
     ``space`` lives in F2^I with I = ``axes``; the result consists of all
     tensors whose every I^c-indexed slice along the I axes lies in H.
     """
-    axes = tuple(sorted(axes))
-    p_i = math.prod(shape.dims[a] for a in axes)
-    if space.ambient_dim != p_i:
-        raise DimensionMismatch("subspace ambient does not match axis product")
     posmap = axis_position_map(shape, axes)
+    if space.ambient_dim != posmap.shape[0]:
+        raise DimensionMismatch("subspace ambient does not match axis product")
     gens = []
     for row in space.rows:
-        bit_rows = [k for k in range(p_i) if (row >> k) & 1]
-        for j in range(posmap.shape[1]):
-            v = 0
-            for k in bit_rows:
-                v |= 1 << int(posmap[k, j])
-            gens.append(v)
+        picked = posmap[[k for k in range(posmap.shape[0]) if (row >> k) & 1]]
+        gens.extend(sum(1 << pos for pos in column) for column in picked.T.tolist())
     return rref(gens, shape.total)
 
 
@@ -300,10 +301,7 @@ class LSystem:
         yield from walk(())
 
     def element_counter(self) -> Counter:
-        out: Counter = Counter()
-        for tup in self.factor_tuples():
-            out[rank1_flat(self.shape.dims, tup)] += 1
-        return out
+        return Counter(rank1_flat(self.shape.dims, tup) for tup in self.factor_tuples())
 
     def max_codim(self) -> int:
         worst = self.root.codim
@@ -336,78 +334,69 @@ def lsystem_intersect(q: LSystem, q2: LSystem) -> LSystem:
 
 @dataclass(frozen=True)
 class DegeneracyDecision:
-    decided: bool
-    degenerate: bool | None
+    degenerate: bool
     witness: dict[tuple[int, ...], Subspace] | None
-    reason: str | None = None
 
 
-def _count_subspaces_upto(n: int, k: int) -> int:
-    total = 0
-    for j in range(min(n, k) + 1):
-        num = den = 1
-        for i in range(j):
-            num *= 2**n - 2**i
-            den *= 2**j - 2**i
-        total += num // den
-    return total
+def _low_rank_flattenings(shape: TensorShape, axes: tuple[int, ...], k: int) -> np.ndarray:
+    """Bitmap of the tensors whose ``axes``-flattening has rank <= k: the
+    union of the blowups of the lines of the shorter side (rank <= 1), then
+    its k-fold sumset support."""
+    if math.prod(shape.dims[a] for a in axes) ** 2 > shape.total:  # same rank, shorter side
+        axes = tuple(a for a in range(shape.d) if a not in axes)
+    side = math.prod(shape.dims[a] for a in axes)
+    out = np.zeros(1 << shape.total, dtype=bool)
+    out[0] = True
+    for u in range(1, 1 << side if k else 1):
+        out[subspace_elements(embed_blowup(shape, axes, rref([u], side)))] = True
+    ones = out
+    for _ in range(min(k, side) - 1):
+        out = sumset_support(out, ones)
+    return out
 
 
-def degenerate_decide(
-    r: Tensor, k: int, search_budget: int = 2**20
-) -> DegeneracyDecision:
-    """Decide whether r lies in a sum of dim<=k blowups over I within the
-    first d-1 axes (the one-sided form of k-degeneracy).
+def _column_space(shape: TensorShape, axes: tuple[int, ...], data: int) -> Subspace:
+    """The span of the columns of the ``axes``-flattening of ``data``."""
+    posmap = axis_position_map(shape, axes)
+    columns = ((data >> posmap) & 1) << np.arange(posmap.shape[0])[:, None]
+    return rref(columns.sum(axis=0).tolist(), posmap.shape[0])
 
-    Exhaustive over canonical subspace tuples; an oversized search space
-    yields an explicit undecided result, never a silent False.
-    """
-    shape = r.shape
+
+def _degeneracy_stages(shape: TensorShape, k: int):
+    """The axis subsets I of the first d-1 axes; per I the bitmap F_I of the
+    tensors whose I-flattening has rank <= k; and the prefix sumset supports
+    {0}, F_I1, F_I1 + F_I2, ..., the last of which is D_k = sum_I F_I."""
+    check_enumeration(1 << shape.total, active().witness_budget)
     d = shape.d
-    subsets = []
-    for mask in range(1, 1 << (d - 1)):
-        axes = tuple(a for a in range(d - 1) if (mask >> a) & 1)
-        subsets.append(axes)
-    if not subsets:
-        degenerate = r.data == 0
-        return DegeneracyDecision(True, degenerate, {} if degenerate else None)
+    subsets = [tuple(a for a in range(d - 1) if m >> a & 1) for m in range(1, 1 << (d - 1))]
+    pieces = [_low_rank_flattenings(shape, axes, k) for axes in subsets]
+    prefixes = [_low_rank_flattenings(shape, (), 0)] + pieces[:1]  # rank <= 0: {0}
+    for piece in pieces[1:]:
+        prefixes.append(sumset_support(prefixes[-1], piece))
+    return subsets, pieces, prefixes
 
-    cost = 1
-    for axes in subsets:
-        p_i = math.prod(shape.dims[a] for a in axes)
-        cost *= _count_subspaces_upto(p_i, k)
-        if cost > search_budget:
-            return DegeneracyDecision(
-                False, None, None, reason=f"search space exceeds {search_budget}"
-            )
 
-    candidates = {
-        axes: list(all_subspaces(math.prod(shape.dims[a] for a in axes), k))
-        for axes in subsets
-    }
+def degenerate_decide(r: Tensor, k: int) -> DegeneracyDecision:
+    """Decide whether r lies in a sum of dim<=k blowups over I within the
+    first d-1 axes (the one-sided form of k-degeneracy): whether r is in D_k.
 
-    # depth-first over subset choices, carrying the partial sum subspace
-    def search(level: int, partial: Subspace, chosen: dict) -> dict | None:
-        if partial.contains(r.data):
-            out = dict(chosen)
-            for axes in subsets[level:]:
-                p_i = math.prod(shape.dims[a] for a in axes)
-                out[axes] = Subspace.zero(p_i)
-            return out
-        if level == len(subsets):
-            return None
-        axes = subsets[level]
-        for cand in candidates[axes]:
-            nxt = partial.sum(embed_blowup(shape, axes, cand))
-            got = search(level + 1, nxt, {**chosen, axes: cand})
-            if got is not None:
-                return got
-        return None
-
-    witness = search(0, Subspace.zero(shape.total), {})
-    if witness is None:
-        return DegeneracyDecision(True, False, None)
-    return DegeneracyDecision(True, True, witness)
+    A degenerate r is taken apart one stage at a time, last subset first:
+    its piece t_I is the first t in F_I with r ^ t in the previous prefix,
+    and H_I is the column space of t_I.  The witness is re-verified through
+    sum_of_blowups; a failure raises VerificationFailure.
+    """
+    subsets, pieces, prefixes = _degeneracy_stages(r.shape, k)
+    if not prefixes[-1][r.data]:
+        return DegeneracyDecision(False, None)
+    witness, rest = {}, r.data
+    for axes, piece, prefix in zip(subsets[::-1], pieces[::-1], prefixes[-2::-1]):
+        candidates = np.flatnonzero(piece)
+        t = int(candidates[np.argmax(prefix[candidates ^ rest])])
+        witness[axes], rest = _column_space(r.shape, axes, t), rest ^ t
+    spans = sum_of_blowups(r.shape, witness).contains(r.data)
+    if not spans or any(h.dim > k for h in witness.values()):
+        raise VerificationFailure(f"degeneracy witness for {r.data:#x} does not verify")
+    return DegeneracyDecision(True, dict(reversed(witness.items())))
 
 
 def rank_one_counter(shape: TensorShape, nonzero_only: bool = False) -> Counter:
@@ -422,7 +411,4 @@ def rank_one_counter(shape: TensorShape, nonzero_only: bool = False) -> Counter:
         lo = 1 if nonzero_only else 0
         check_enumeration(1 << n)
         ranges.append(range(lo, 1 << n))
-    out: Counter = Counter()
-    for tup in product(*ranges):
-        out[rank1_flat(shape.dims, tup)] += 1
-    return out
+    return Counter(rank1_flat(shape.dims, tup) for tup in product(*ranges))

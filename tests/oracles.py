@@ -6,6 +6,7 @@ library: dense numpy loops, double-loop character sums, BFS reachability.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -295,3 +296,41 @@ def smallest_key_bits_oracle(keys: np.ndarray, cutoffs) -> np.ndarray:
          for row, m in zip(ranks.tolist(), list(cutoffs))],
         dtype=np.uint64,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _embedded_candidates(dims: tuple[int, ...], k: int):
+    """Per axis subset of the first d-1 axes, every dim <= k subspace of
+    F2^I embedded as its blowup H (x) F2^{I^c}."""
+    from closurelab.gf2 import all_subspaces
+    from closurelab.tensor import TensorShape, embed_blowup
+
+    shape = TensorShape(dims)
+    d = len(dims)
+    subsets = [
+        tuple(a for a in range(d - 1) if (mask >> a) & 1) for mask in range(1, 1 << (d - 1))
+    ]
+    return [
+        [embed_blowup(shape, axes, h) for h in all_subspaces(math.prod(dims[a] for a in axes), k)]
+        for axes in subsets
+    ]
+
+
+def degenerate_dfs_oracle(data: int, dims: tuple[int, ...], k: int) -> bool:
+    """Whether the tensor lies in a sum of dim <= k blowups over the axis
+    subsets of the first d-1 axes, by depth-first search over every tuple
+    of candidate subspaces (the search ``degenerate_decide`` ran before its
+    sumset bitmap), carrying the partial sum of blowups.
+    """
+    from closurelab.gf2 import Subspace
+
+    levels = _embedded_candidates(tuple(dims), k)
+
+    def search(level: int, partial) -> bool:
+        if partial.contains(data):
+            return True
+        if level == len(levels):
+            return False
+        return any(search(level + 1, partial.sum(blowup)) for blowup in levels[level])
+
+    return search(0, Subspace.zero(math.prod(dims)))

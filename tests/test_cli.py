@@ -107,6 +107,16 @@ def test_budget_override_via_manifest(tmp_path, monkeypatch):
     assert cli.main(["spectrum", "--n", "10", "--out", str(tmp_path / "env.json")]) == 0
 
 
+@pytest.mark.parametrize("n", [14, 16])
+def test_dense_bogolyubov_is_verified_above_n13(n, tmp_path):
+    # the unclipped fourth power of a dense set's spectrum leaves int64 from n = 14
+    out = tmp_path / "bog.json"
+    assert cli.main(["bogolyubov", "--n", str(n), "--seed", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    assert payload["verified"] is True
+    assert payload["set_size"] == 1 << (n - 1)
+
+
 def test_csv_output_rfc4180_with_meta_sidecar(tmp_path):
     out = tmp_path / "compat.csv"
     code = cli.main(

@@ -164,7 +164,7 @@ def test_mixed_energy_at_n18_n20_matches_python_int_formula():
             standard_basis_multiset(n),
             GroupMultiset.from_pairs(n, [(int(e), int(rng.integers(1000, 3000))) for e in heavy]),
         ):
-            c = wht(a.indicator(), n).coeffs
+            c = wht(a.bitmap(), n).coeffs
             m = wht(b.counts_array(), n).coeffs
             want = Fraction(sum_of_products_oracle(c, c, m, m), (1 << (2 * n)) * b.total**2)
             assert mixed_energy(a, b) == want

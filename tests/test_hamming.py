@@ -132,14 +132,14 @@ def test_compatibility_explicit_bprime_list():
     assert abs(full.estimate - listed.estimate) <= full.radius + listed.radius
 
 
-def _explicit_compatibility_loop(layer, bprime, samples, seed, chunk_size=4096):
+def _explicit_compatibility_loop(layer, bprime, samples, seed):
     """The per-sample Python count of an explicit B', on the same draws."""
     from closurelab.closure import seeded_chunks
     from closurelab.hamming import _random_point_of_weight, _weight_sampler
 
     draw_weights = _weight_sampler(layer)
     hits = 0
-    for rng, count in seeded_chunks(samples, seed, chunk_size):
+    for rng, count in seeded_chunks(samples, seed):
         for m in draw_weights(rng, count).tolist():
             u = _random_point_of_weight(layer.n, m, rng)
             stay = sum(1 for w in bprime if 2 * (u & w).bit_count() >= w.bit_count())

@@ -25,6 +25,7 @@ from closurelab.spectral import (
     mu_hat,
     random_groupset,
     spectral_closedness,
+    sumset_support,
     wht,
 )
 
@@ -253,6 +254,48 @@ def test_bogolyubov_subspace_fixed_point():
 def test_bogolyubov_full_group():
     g = GroupSet.from_elements(5, range(32))
     assert bogolyubov(g) == Subspace.full(5)
+
+
+def test_sumset_support_matches_pairwise_sums():
+    rng = np.random.default_rng(31)
+    # n = 17 crosses the butterfly's 2^16-point block
+    for n, size_a, size_b in [(1, 1, 2), (4, 3, 5), (8, 40, 7), (10, 200, 300), (17, 60, 45)]:
+        a = rng.choice(1 << n, size=size_a, replace=False)
+        b = rng.choice(1 << n, size=size_b, replace=False)
+        bits_a = np.zeros(1 << n, dtype=bool)
+        bits_b = np.zeros(1 << n, dtype=np.int64)
+        bits_a[a], bits_b[b] = True, 1
+        got = sumset_support(bits_a, bits_b)
+        assert set(np.flatnonzero(got).tolist()) == {int(x) ^ int(y) for x in a for y in b}
+        assert bits_a[a].all() and bits_b[b].sum() == size_b  # inputs untouched
+        doubled = sumset_support(bits_a, bits_a)
+        assert set(np.flatnonzero(doubled).tolist()) == {int(x) ^ int(y) for x in a for y in a}
+
+
+def test_sumset_support_rejects_mismatched_bitmaps():
+    for a, b in [(np.ones(8), np.ones(4)), (np.ones(6), np.ones(6)), (np.ones(0), np.ones(0)),
+                 (np.ones((4, 4)), np.ones((4, 4)))]:
+        with pytest.raises(DimensionMismatch):
+            sumset_support(a, b)
+
+
+def test_bogolyubov_full_group_at_n20_reaches_the_int64_bound(monkeypatch):
+    import closurelab.spectral as spectral
+
+    n = 20
+    peaks = []
+    butterfly = spectral._butterfly
+
+    def recording(a):
+        out = butterfly(a)
+        peaks.append(int(np.abs(out).max()))
+        return out
+
+    monkeypatch.setattr(spectral, "_butterfly", recording)
+    assert bogolyubov(GroupSet.from_elements(n, range(1 << n))) == Subspace.full(n)
+    # the second butterfly of each sumset: 2^n * |S|^2 = 2^2n at every point,
+    # the bound that makes int64 exact; the unclipped fourth power would be 2^4n
+    assert max(peaks) == 1 << 2 * n
 
 
 def test_bogolyubov_random_dense_sets():

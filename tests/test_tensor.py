@@ -7,6 +7,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+import closurelab.tensor as tensor_module
+from closurelab.budgets import VerificationFailure
 from closurelab.gf2 import Subspace, random_subspace, rref
 from closurelab.tensor import (
     DegeneracyDecision,
@@ -25,6 +27,7 @@ from closurelab.tensor import (
 )
 
 from .oracles import (
+    degenerate_dfs_oracle,
     matrix_rank_oracle,
     partition_rank_oracle,
     simple_set_member_oracle,
@@ -259,7 +262,7 @@ def test_lsystem_of_full_spaces_is_every_rank_one_tensor():
 def test_degenerate_decide_zero_tensor():
     for dims in [(2, 2), (2, 2, 2)]:
         res = degenerate_decide(Tensor(TensorShape(dims), 0), 0)
-        assert res.decided and res.degenerate
+        assert res.degenerate
 
 
 def test_degenerate_decide_matches_matrix_rank_exhaustive_33():
@@ -267,7 +270,6 @@ def test_degenerate_decide_matches_matrix_rank_exhaustive_33():
     for k in range(0, 4):
         for x in range(1 << 9):
             res = degenerate_decide(Tensor(shape, x), k)
-            assert res.decided
             assert res.degenerate == (matrix_rank_oracle(x, 3, 3) <= k)
 
 
@@ -288,7 +290,6 @@ def test_degenerate_implies_partition_rank_bound_222():
     hits = 0
     for x in range(1 << 8):
         res = degenerate_decide(Tensor(shape, x), k)
-        assert res.decided
         if res.degenerate:
             pr = partition_rank_oracle(x, (2, 2, 2))
             assert pr is not None and pr <= (1 << (shape.d - 1)) * k
@@ -300,18 +301,83 @@ def test_degenerate_diagonal_222_case():
     shape = TensorShape((2, 2, 2))
     diag = rank1(shape, (1, 1, 1)).data ^ rank1(shape, (2, 2, 2)).data
     res = degenerate_decide(Tensor(shape, diag), 1)
-    assert res.decided
     if res.degenerate:
         pr = partition_rank_oracle(diag, (2, 2, 2))
         assert pr <= 4
 
 
-def test_degenerate_decide_budget_refusal_is_explicit():
+def _assert_verified_witness(x: int, shape: TensorShape, k: int, res) -> None:
+    assert res.degenerate
+    subsets = list(res.witness)
+    assert len(subsets) == (1 << (shape.d - 1)) - 1
+    assert all(max(axes) < shape.d - 1 for axes in subsets)
+    assert all(space.dim <= k for space in res.witness.values())
+    assert sum_of_blowups(shape, res.witness).contains(x)
+
+
+def test_degenerate_decide_2222_k2_is_decided_with_a_verified_witness():
+    # seven axis subsets: far too many subspace tuples to search one by one
     shape = TensorShape((2, 2, 2, 2))
-    res = degenerate_decide(Tensor(shape, 1), 2, search_budget=10)
-    assert not res.decided
-    assert res.degenerate is None
-    assert "exceeds" in res.reason
+    rng = np.random.default_rng(2222)
+    for x in [0, 1, (1 << 16) - 1, *map(int, rng.integers(0, 1 << 16, size=6))]:
+        res = degenerate_decide(Tensor(shape, x), 2)
+        _assert_verified_witness(x, shape, 2, res)
+
+
+def test_degeneracy_bitmap_matches_dfs_exhaustive_223():
+    shape = TensorShape((2, 2, 3))
+    bitmap = tensor_module._degeneracy_stages(shape, 1)[2][-1]
+    expected = [degenerate_dfs_oracle(x, (2, 2, 3), 1) for x in range(1 << 12)]
+    assert bitmap.tolist() == expected
+    rng = np.random.default_rng(223)
+    for x in map(int, rng.integers(0, 1 << 12, size=20)):
+        _assert_verified_witness(x, shape, 1, degenerate_decide(Tensor(shape, x), 1))
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 2), (3, 2, 3)])
+def test_degenerate_decide_matches_dfs_on_seeded_18_cell_tensors(dims):
+    shape = TensorShape(dims)
+    rng = np.random.default_rng(18)
+    verdicts = set()
+    for x in map(int, rng.integers(0, 1 << 18, size=20)):
+        res = degenerate_decide(Tensor(shape, x), 1)
+        assert res.degenerate == degenerate_dfs_oracle(x, dims, 1)
+        if res.degenerate:
+            _assert_verified_witness(x, shape, 1, res)
+        verdicts.add(res.degenerate)
+    # every non-degenerate tensor of (3,2,3) is a cheap full search: check two
+    if dims == (3, 2, 3):
+        bitmap = tensor_module._degeneracy_stages(shape, 1)[2][-1]
+        for x in map(int, rng.choice(np.flatnonzero(~bitmap), size=2, replace=False)):
+            assert not degenerate_dfs_oracle(x, dims, 1)
+            assert not degenerate_decide(Tensor(shape, x), 1).degenerate
+            verdicts.add(False)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 2), (3, 2, 3), (2, 3, 3)])
+def test_non_degenerate_count_at_18_cells(dims):
+    # a d = 3 shape where one-sided 1-degeneracy is not everything
+    bitmap = tensor_module._degeneracy_stages(TensorShape(dims), 1)[2][-1]
+    assert bitmap.size - int(np.count_nonzero(bitmap)) == 8064
+
+
+def test_degenerate_decide_corrupted_witness_raises(monkeypatch):
+    shape = TensorShape((2, 2, 2))
+    diag = rank1(shape, (1, 1, 1)).data ^ rank1(shape, (2, 2, 2)).data
+    assert degenerate_decide(Tensor(shape, diag), 1).degenerate
+    # column spaces that lose their rows no longer span the tensor
+    monkeypatch.setattr(
+        tensor_module, "_column_space",
+        lambda shape, axes, data: Subspace.zero(math.prod(shape.dims[a] for a in axes)),
+    )
+    with pytest.raises(VerificationFailure, match="does not verify"):
+        degenerate_decide(Tensor(shape, diag), 1)
+    monkeypatch.undo()
+    # a sumset bitmap claiming every tensor: the backtracked witness cannot span it
+    monkeypatch.setattr(tensor_module, "sumset_support", lambda a, b: np.ones_like(a))
+    with pytest.raises(VerificationFailure, match="does not verify"):
+        degenerate_decide(Tensor(shape, 1), 0)
 
 
 def test_rank_one_counter_multiplicities():

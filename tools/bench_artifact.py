@@ -16,7 +16,8 @@ interpreter.  The artifact has four parts:
   phase of the host then shows on both sides, not as a change), of
   ``matrix_pipeline`` at (4,4) and (4,5) (delta 1/2, seed 2000), ``wht`` at
   n = 8/16/17/18/20 (17 and 18 on either side of the butterfly's 2^16-point
-  block), ``bogolyubov`` on dense 1/2 sets at n = 12/13,
+  block), ``bogolyubov`` on dense 1/2 sets at n = 12/13/16/20 (a side
+  that refuses a size records the error),
   ``closedness_exact`` against ``spectral_closedness`` and ``mixed_energy``
   on the n = 20 layers 9..11 against the standard basis, the ``spectrum``
   CLI run of perfbench's ``spectrum-n16`` slot with stdout captured,
@@ -24,7 +25,8 @@ interpreter.  The artifact has four parts:
   ``GroupSet.from_elements`` on 2^15 and 2^19 distinct elements, and
   ``layered_pair_eta_sampled`` at n = 64 (10^5 samples), and
   ``degenerate_decide`` at k = 1 per call, the median over seeded random
-  tensors of shape (3,3), (2,2,3) and (3,3,2), and, at seed 2000, the
+  tensors of shape (3,3), (2,2,3), (3,3,2), (3,2,3) and (2,2,2,2) (with
+  the count of degenerate ones), and, at seed 2000, the
   16-deep ``SumsetReach`` alone over the rank-one pairs at (4,4) delta 1/2
   and 3/4 and at (4,5) delta 1/2, and the greedy rank-1 clustering of the
   (4,4) delta 1/2 agreement set (a checkout without
@@ -64,6 +66,7 @@ import contextlib, io, json, math, os, statistics, tempfile, time
 from fractions import Fraction
 import numpy as np
 from closurelab import cli, closure, forcing, hamming, spectral
+from closurelab.budgets import BudgetExceeded
 from closurelab.forcing import matrix_pipeline, random_factor_tuples
 from closurelab.tensor import Tensor, TensorShape, degenerate_decide, rank1_flat
 
@@ -86,10 +89,14 @@ for dims, repeats in (((4, 4), 7), ((4, 5), 3)):
 for n, repeats in ((8, 2001), (16, 31), (17, 21), (18, 15), (20, 7)):
     f = np.random.default_rng(2000).integers(0, 2, size=1 << n)
     out[f"wht_n{n}"], _ = median_s(lambda: spectral.wht(f, n), repeats)
-for n, repeats in ((12, 7), (13, 5)):
+for n, repeats in ((12, 7), (13, 5), (16, 5), (20, 3)):
     s = spectral.random_groupset(n, 1 << (n - 1), np.random.default_rng(2000))
-    out[f"bogolyubov_dense_n{n}"], v = median_s(lambda: spectral.bogolyubov(s), repeats)
-    out[f"bogolyubov_dense_n{n}"]["codim"] = v.codim
+    try:
+        out[f"bogolyubov_dense_n{n}"], v = median_s(lambda: spectral.bogolyubov(s), repeats)
+    except BudgetExceeded as exc:  # a side that refuses the size records why
+        out[f"bogolyubov_dense_n{n}"] = {"error": f"{type(exc).__name__}: {exc}"}
+    else:
+        out[f"bogolyubov_dense_n{n}"]["codim"] = v.codim
 a, b = hamming.layer_groupset(20, 9, 11), hamming.standard_basis_multiset(20)
 for name, call in (("closedness_exact_n20", lambda: closure.closedness_exact(a, b).eta),
                    ("spectral_closedness_n20", lambda: spectral.spectral_closedness(a, b)),
@@ -128,19 +135,18 @@ layer, sl = hamming.LayerSet(64, 30, 33), hamming.SliceSet(64, 2)
 out["layered_pair_eta_sampled_n64"], report = median_s(
     lambda: hamming.layered_pair_eta_sampled(layer, sl, 100000, 1), 7)
 out["layered_pair_eta_sampled_n64"]["estimate"] = report.estimate
-for dims, calls in (((3, 3), 51), ((2, 2, 3), 21), ((3, 3, 2), 5)):
+for dims, calls in (((3, 3), 51), ((2, 2, 3), 21), ((3, 3, 2), 5), ((3, 2, 3), 5),
+                    ((2, 2, 2, 2), 5)):
     shape, rng = TensorShape(dims), np.random.default_rng(2000)
-    times, decided, degenerate = [], 0, 0
+    times, degenerate = [], 0
     for _ in range(calls):
         x = Tensor(shape, int(rng.integers(0, 1 << shape.total)))
         start = time.perf_counter()
         decision = degenerate_decide(x, 1)
         times.append(time.perf_counter() - start)
-        decided += decision.decided
         degenerate += bool(decision.degenerate)
     out[f"degenerate_decide_k1{dims}"] = {"median_s": statistics.median(times),
-                                          "calls": calls, "decided": decided,
-                                          "degenerate": degenerate}
+                                          "calls": calls, "degenerate": degenerate}
 for dims, delta, repeats in (((4, 4), "1/2", 9), ((4, 4), "3/4", 9), ((4, 5), "1/2", 5)):
     pairs = random_factor_tuples(dims, math.ceil(Fraction(delta) * (1 << sum(dims))),
                                  np.random.default_rng(2000))
@@ -209,8 +215,11 @@ def kernel_rounds(parent: Path) -> dict:
         print(f"kernel round {k + 1}/{KERNEL_ROUNDS} done", file=sys.stderr)
     summary = {}
     for name in rounds[0]["parent"]:
-        parent_s = [r["parent"][name]["median_s"] for r in rounds]
-        change_s = [r["change"][name]["median_s"] for r in rounds]
+        parent_s = [r["parent"][name].get("median_s") for r in rounds]
+        change_s = [r["change"][name].get("median_s") for r in rounds]
+        if None in parent_s + change_s:  # a side refused the kernel: keep its first round
+            summary[name] = {side: rounds[0][side][name] for side in sides}
+            continue
         summary[name] = {
             "parent_median_s": statistics.median(parent_s),
             "change_median_s": statistics.median(change_s),
