@@ -71,18 +71,7 @@ from .spectral import (
     spectral_closedness,
     wht,
 )
-from .tensor import SimpleSet, Tensor, TensorShape, rank_one_counter
-
-COMMANDS = (
-    "closedness",
-    "spectrum",
-    "bogolyubov",
-    "forcing-pipeline",
-    "simple-set",
-    "lsystem",
-    "counterexample",
-    "scenarios",
-)
+from .tensor import SimpleSet, Tensor, TensorShape, axis_subsets, rank_one_counter
 
 _BUDGET_KEYS = {f.name for f in fields(Budget)}
 _OUTPUT_KEYS = {"path", "format"}
@@ -107,26 +96,34 @@ class Manifest:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Manifest":
+        if not isinstance(raw, dict):
+            raise ManifestError("a manifest must be a JSON object")
         unknown = set(raw) - _MANIFEST_KEYS
         if unknown:
             raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
         command = raw.get("command")
         if command not in COMMANDS:
             raise ManifestError(f"unknown command {command!r}")
+        params = raw.get("params") or {}
         budgets = raw.get("budgets") or {}
+        output = raw.get("output")
+        for key, value in (("params", params), ("budgets", budgets),
+                           ("output", {} if output is None else output)):
+            if not isinstance(value, dict):
+                raise ManifestError(f"{key} must be a mapping")
         if set(budgets) - _BUDGET_KEYS:
             raise ManifestError(
                 f"unknown budget keys: {sorted(set(budgets) - _BUDGET_KEYS)}"
             )
-        output = raw.get("output")
         if output is not None and set(output) - _OUTPUT_KEYS:
             raise ManifestError(
                 f"unknown output keys: {sorted(set(output) - _OUTPUT_KEYS)}"
             )
-        params = raw.get("params") or {}
-        if not isinstance(params, dict):
-            raise ManifestError("params must be a mapping")
-        manifest = cls(command, params, int(raw.get("seed", 0)), budgets, output)
+        try:
+            seed = int(raw.get("seed", 0))
+        except (TypeError, ValueError):
+            raise ManifestError(f"seed must be an integer: {raw['seed']!r}") from None
+        manifest = cls(command, params, seed, budgets, output)
         try:
             manifest.budget()
         except (TypeError, ValueError):
@@ -433,9 +430,7 @@ def cmd_simple_set(manifest: Manifest):
     k = int(p.get("k", 1))
     rng = np.random.default_rng(manifest.seed)
     spaces = {}
-    d = shape.d
-    for mask in range(1, 1 << d):
-        axes = tuple(a for a in range(d) if (mask >> a) & 1)
+    for axes in axis_subsets(shape.d):
         amb = math.prod(dims[a] for a in axes)
         codim = int(rng.integers(0, min(k, amb) + 1))
         spaces[axes] = random_subspace(amb, amb - codim, rng)
@@ -544,15 +539,63 @@ def cmd_scenarios(manifest: Manifest):
     return {"rows": [row.to_json() for row in rows], "all_passed": ok}, ok
 
 
-_HANDLERS = {
-    "closedness": cmd_closedness,
-    "spectrum": cmd_spectrum,
-    "bogolyubov": cmd_bogolyubov,
-    "forcing-pipeline": cmd_forcing_pipeline,
-    "simple-set": cmd_simple_set,
-    "lsystem": cmd_lsystem,
-    "counterexample": cmd_counterexample,
-    "scenarios": cmd_scenarios,
+def _random_set(size: str) -> dict:
+    """bogolyubov's ``--set-size``: a random set of that size."""
+    return {"kind": "random", "size": int(size)}
+
+
+_random_set.__name__ = "int"  # argparse names the type in "invalid int value"
+
+# flag -> manifest parameter (``set.kind`` is key ``kind`` of ``params["set"]``)
+# -> argparse keywords; the flags given for a mapping replace it as a whole
+_N = ("--n", "n", {"type": int})
+_SAMPLES = ("--samples", "samples", {"type": int})
+_DELTA = ("--delta", "delta", {})
+_SHAPE = ("--shape", "shape", {"type": int, "nargs": "+"})
+_SET_FLAGS = (
+    ("--set-kind", "set.kind", {"choices": ("middle-layers", "layers", "random")}),
+    ("--lo", "set.lo", {"type": int}),
+    ("--hi", "set.hi", {"type": int}),
+    ("--set-size", "set.size", {"type": int}),
+)
+
+# command -> (handler, help, flags), in the order of ``closurelab --help``
+COMMANDS = {
+    "closedness": (cmd_closedness, "exact or sampled (B,eta)-closedness", (
+        _N, *_SET_FLAGS,
+        ("--generators", "generators.kind", {"choices": ("basis", "rank-one", "random")}),
+        ("--dims", "generators.dims",
+         {"type": int, "nargs": "+", "help": "rank-one factor dimensions"}),
+        ("--mode", "mode", {"choices": ("exact", "sampled")}),
+        _SAMPLES,
+    )),
+    "spectrum": (cmd_spectrum, "exact integer Walsh spectrum of a set", (_N, *_SET_FLAGS)),
+    "bogolyubov": (cmd_bogolyubov, "extract a verified subspace of 2S-2S", (
+        _N, ("--set-size", "set", {"type": _random_set}),
+    )),
+    "forcing-pipeline": (cmd_forcing_pipeline, "matrix-case pipeline experiment", (
+        ("--shape", "shape", {"type": int, "nargs": 2}),
+        _DELTA,
+        ("--epsilon", "epsilon", {}),
+        ("--rank-threshold", "rank_threshold", {"type": int}),
+    )),
+    "simple-set": (cmd_simple_set, "random k-simple set, size and checks", (
+        _SHAPE, ("--k", "k", {"type": int}),
+    )),
+    "lsystem": (cmd_lsystem, "nested-subspace system from dense tuples", (_SHAPE, _DELTA)),
+    "counterexample": (cmd_counterexample, "layer compatibility / concentration", (
+        ("--mode", "mode", {"choices": ("compatibility", "concentration")}),
+        ("--ns", "ns", {"type": int, "nargs": "+"}),
+        ("--c", "c", {"type": float, "help":
+                      "cutoff constant c of the layer set {|u| <= n/2 - c*n^(3/4)} "
+                      "(default 0.1). The fraction falls to 0 as n grows only above "
+                      "c* = Phi^-1(2/3)/2 ~ 0.2154; the default lies below c*, where "
+                      "it tends to 1"}),
+        _SAMPLES, _N,
+        ("--w", "w", {"type": int}),
+        ("--threshold", "threshold", {}),
+    )),
+    "scenarios": (cmd_scenarios, "worked-example closedness table", ()),
 }
 
 
@@ -698,10 +741,10 @@ def emit(manifest: Manifest, payload: dict, elapsed: float) -> str:
 
 def run(manifest: Manifest, quiet: bool = False) -> int:
     """Dispatch one experiment; returns the process exit code."""
-    handler = _HANDLERS.get(manifest.command)
-    if handler is None:
+    if manifest.command not in COMMANDS:
         print(f"error: unknown command {manifest.command!r}", file=sys.stderr)
         return 1
+    handler = COMMANDS[manifest.command][0]
     start = time.monotonic()
     try:
         with using(manifest.budget()):
@@ -735,27 +778,28 @@ def run(manifest: Manifest, quiet: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--manifest", help="JSON manifest path (flags override)")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", help="output path")
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
-
-
-def _collect(args, command: str, params: dict) -> Manifest:
-    base: dict = {"command": command, "params": {}, "seed": 0}
+def _collect(args) -> Manifest:
+    """The manifest of ``--manifest`` (or an empty one), overridden by each flag given."""
+    base: dict = {"command": args.command}
     if args.manifest:
         with open(args.manifest) as fh:
             base = json.load(fh)
-        if base.get("command") not in (None, command):
-            raise ManifestError(
-                f"manifest command {base.get('command')!r} does not match {command!r}"
-            )
-        base["command"] = command
+        if isinstance(base, dict):
+            if base.get("command") not in (None, args.command):
+                raise ManifestError(f"manifest command {base.get('command')!r} "
+                                    f"does not match {args.command!r}")
+            base["command"] = args.command
     manifest = Manifest.from_dict(base)
-    for key, value in params.items():
+    given: dict = {}
+    for flag, param, _ in COMMANDS[args.command][2]:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            manifest.params[key] = value
+            key, _, inner = param.partition(".")
+            if inner:
+                given.setdefault(key, {})[inner] = value
+            else:
+                given[key] = value
+    manifest.params.update(given)
     if args.seed is not None:
         manifest.seed = args.seed
     if args.out or args.format:
@@ -768,12 +812,6 @@ def _collect(args, command: str, params: dict) -> Manifest:
     return manifest
 
 
-def _set_spec(args) -> dict:
-    """The ``set`` parameter from --set-kind, --lo, --hi and --set-size."""
-    spec = {"kind": args.set_kind, "lo": args.lo, "hi": args.hi, "size": args.set_size}
-    return {key: value for key, value in spec.items() if value is not None}
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="closurelab",
@@ -781,131 +819,30 @@ def _parser() -> argparse.ArgumentParser:
         "over GF(2) tensor spaces.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("closedness", help="exact or sampled (B,eta)-closedness")
-    _add_common(s)
-    s.add_argument("--n", type=int)
-    s.add_argument("--set-kind", choices=("middle-layers", "layers", "random"))
-    s.add_argument("--lo", type=int)
-    s.add_argument("--hi", type=int)
-    s.add_argument("--set-size", type=int)
-    s.add_argument("--generators", choices=("basis", "rank-one", "random"))
-    s.add_argument("--dims", type=int, nargs="+", help="rank-one factor dimensions")
-    s.add_argument("--mode", choices=("exact", "sampled"))
-    s.add_argument("--samples", type=int)
-
-    s = subs.add_parser("spectrum", help="exact integer Walsh spectrum of a set")
-    _add_common(s)
-    s.add_argument("--n", type=int)
-    s.add_argument("--set-kind", choices=("middle-layers", "layers", "random"))
-    s.add_argument("--lo", type=int)
-    s.add_argument("--hi", type=int)
-    s.add_argument("--set-size", type=int)
-
-    s = subs.add_parser("bogolyubov", help="extract a verified subspace of 2S-2S")
-    _add_common(s)
-    s.add_argument("--n", type=int)
-    s.add_argument("--set-size", type=int)
-
-    s = subs.add_parser("forcing-pipeline", help="matrix-case pipeline experiment")
-    _add_common(s)
-    s.add_argument("--shape", type=int, nargs=2)
-    s.add_argument("--delta")
-    s.add_argument("--epsilon")
-    s.add_argument("--rank-threshold", type=int)
-
-    s = subs.add_parser("simple-set", help="random k-simple set, size and checks")
-    _add_common(s)
-    s.add_argument("--shape", type=int, nargs="+")
-    s.add_argument("--k", type=int)
-
-    s = subs.add_parser("lsystem", help="nested-subspace system from dense tuples")
-    _add_common(s)
-    s.add_argument("--shape", type=int, nargs="+")
-    s.add_argument("--delta")
-
-    s = subs.add_parser("counterexample", help="layer compatibility / concentration")
-    _add_common(s)
-    s.add_argument("--mode", choices=("compatibility", "concentration"))
-    s.add_argument("--ns", type=int, nargs="+")
-    s.add_argument("--c", type=float,
-                   help="cutoff constant c of the layer set {|u| <= n/2 - c*n^(3/4)} "
-                        "(default 0.1). The fraction falls to 0 as n grows only above "
-                        "c* = Phi^-1(2/3)/2 ~ 0.2154; the default lies below c*, where "
-                        "it tends to 1")
-    s.add_argument("--samples", type=int)
-    s.add_argument("--n", type=int)
-    s.add_argument("--w", type=int)
-    s.add_argument("--threshold")
-
-    s = subs.add_parser("scenarios", help="worked-example closedness table")
-    _add_common(s)
-
-    s = subs.add_parser("selftest", help="exact-identity self test")
-    s.add_argument("--seed", type=int, default=0)
+    for command, (_, help_text, flags) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--manifest", help="JSON manifest path (flags override)")
+        sub.add_argument("--seed", type=int, default=None)
+        sub.add_argument("--out", help="output path")
+        sub.add_argument("--format", choices=("json", "csv"), default=None)
+        for flag, _, keywords in flags:
+            sub.add_argument(flag, **keywords)
+    sub = subs.add_parser("selftest", help="exact-identity self test")
+    sub.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-
+    args = _parser().parse_args(argv)
     if args.command == "selftest":
         report = selftest(args.seed)
         print(_json_texts(report)[1])
         return 0 if report["all_ok"] else 2
-
     try:
-        if args.command == "closedness":
-            params: dict = {"n": args.n, "mode": args.mode, "samples": args.samples}
-            if args.set_kind:
-                params["set"] = _set_spec(args)
-            if args.generators or args.dims:
-                generators = {"kind": args.generators, "dims": args.dims}
-                params["generators"] = {k: v for k, v in generators.items() if v is not None}
-            manifest = _collect(args, "closedness", params)
-        elif args.command == "spectrum":
-            params = {"n": args.n}
-            if args.set_kind:
-                params["set"] = _set_spec(args)
-            manifest = _collect(args, "spectrum", params)
-        elif args.command == "bogolyubov":
-            params = {"n": args.n}
-            if args.set_size is not None:
-                params["set"] = {"kind": "random", "size": args.set_size}
-            manifest = _collect(args, "bogolyubov", params)
-        elif args.command == "forcing-pipeline":
-            params = {
-                "shape": args.shape,
-                "delta": args.delta,
-                "epsilon": args.epsilon,
-                "rank_threshold": args.rank_threshold,
-            }
-            manifest = _collect(args, "forcing-pipeline", params)
-        elif args.command == "simple-set":
-            manifest = _collect(args, "simple-set", {"shape": args.shape, "k": args.k})
-        elif args.command == "lsystem":
-            manifest = _collect(args, "lsystem", {"shape": args.shape, "delta": args.delta})
-        elif args.command == "counterexample":
-            params = {
-                "mode": args.mode,
-                "ns": args.ns,
-                "c": args.c,
-                "samples": args.samples,
-                "n": args.n,
-                "w": args.w,
-                "threshold": args.threshold,
-            }
-            manifest = _collect(args, "counterexample", params)
-        elif args.command == "scenarios":
-            manifest = _collect(args, "scenarios", {})
-        else:  # pragma: no cover
-            parser.error(f"unhandled command {args.command}")
-            return 1
+        manifest = _collect(args)
     except (ManifestError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
     return run(manifest)
 
 

@@ -44,14 +44,19 @@ __all__ = [
 ]
 
 
-def weight_table(n: int) -> np.ndarray:
+def weight_bitmap(n: int, lo: int, hi: int, support: int | None = None) -> np.ndarray:
+    """Bitmap of {v in F2^n : lo <= |v| <= hi}, and v inside ``support`` if given."""
     check_group_exponent(n)
-    return np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
+    points = np.arange(1 << n, dtype=np.int64)
+    weights = np.bitwise_count(points)  # uint8
+    bitmap = (weights >= lo) & (weights <= hi)
+    if support is not None:
+        bitmap &= (points & ~support) == 0
+    return bitmap
 
 
 def layer_groupset(n: int, lo: int, hi: int) -> GroupSet:
-    w = weight_table(n)
-    return GroupSet.from_bitmap(n, (w >= lo) & (w <= hi))
+    return GroupSet.from_bitmap(n, weight_bitmap(n, lo, hi))
 
 
 def standard_basis_multiset(n: int, support: int | None = None) -> GroupMultiset:
@@ -113,8 +118,7 @@ class SliceSet:
         return v.bit_count() == self.w
 
     def to_groupset(self) -> GroupSet:
-        w = weight_table(self.n)
-        return GroupSet.from_bitmap(self.n, w == self.w)
+        return layer_groupset(self.n, self.w, self.w)
 
 
 def slice_mu_hat(n: int, w: int, u_weight: int) -> Fraction:
@@ -437,11 +441,7 @@ def two_layer_scenario(n: int) -> ScenarioRow:
 
 def prefix_two_layer_scenario(n: int, m: int) -> ScenarioRow:
     """Weights m, m+1 supported on the first 2m coordinates; about 1/4-closed."""
-    support = (1 << (2 * m)) - 1
-    w = weight_table(n)
-    arange = np.arange(1 << n, dtype=np.int64)
-    bitmap = ((w == m) | (w == m + 1)) & ((arange & ~support) == 0)
-    a = GroupSet.from_bitmap(n, bitmap)
+    a = GroupSet.from_bitmap(n, weight_bitmap(n, m, m + 1, (1 << (2 * m)) - 1))
     eta = closedness_exact(a, standard_basis_multiset(n)).eta
     return ScenarioRow(
         "prefix-two-layers",
@@ -551,10 +551,7 @@ def bounded_support_middle_scenario(
     lo = max(0, (m - 1) // 2 - l)
     hi = min(m, (m + 1) // 2 + l)
     support = (1 << m) - 1
-    w = weight_table(n)
-    arange = np.arange(1 << n, dtype=np.int64)
-    c_bitmap = (w >= lo) & (w <= hi) & ((arange & ~support) == 0)
-    c = GroupSet.from_bitmap(n, c_bitmap)
+    c = GroupSet.from_bitmap(n, weight_bitmap(n, lo, hi, support))
     bprime = standard_basis_multiset(n, support)
     eta = closedness_exact(c, bprime).eta
     rows = [
@@ -568,8 +565,7 @@ def bounded_support_middle_scenario(
     ]
 
     mid = (m - 1) // 2
-    a_bitmap = ((w == mid) | (w == mid + 1)) & ((arange & ~support) == 0)
-    counts = _convolution_floor(a_bitmap, l)
+    counts = _convolution_floor(weight_bitmap(n, mid, mid + 1, support), l)
     floor = Fraction(int(counts[c.elements].min()), n**l)
     target = Fraction(m, 2 * n) ** l
     rows.append(
@@ -599,10 +595,7 @@ def third_window_scenario(
     m = 2 * n // 3
     support = (1 << m) - 1
     hi = min(m, n // 3 + l)
-    w = weight_table(n)
-    arange = np.arange(1 << n, dtype=np.int64)
-    c_bitmap = (w <= hi) & ((arange & ~support) == 0)
-    c = GroupSet.from_bitmap(n, c_bitmap)
+    c = GroupSet.from_bitmap(n, weight_bitmap(n, 0, hi, support))
     bprime = standard_basis_multiset(n, support)
     eta = closedness_exact(c, bprime).eta
     rows = [
@@ -614,8 +607,7 @@ def third_window_scenario(
             eta >= 1 - eps,
         )
     ]
-    a_bitmap = w <= n // 3
-    counts = _convolution_floor(a_bitmap, l)
+    counts = _convolution_floor(weight_bitmap(n, 0, n // 3), l)
     floor = Fraction(int(counts[c.elements].min()), n**l)
     target = Fraction(1, 3) ** l
     rows.append(

@@ -143,6 +143,21 @@ def axis_position_map(shape: TensorShape, axes: tuple[int, ...]) -> np.ndarray:
     return np.transpose(arr, perm).reshape(p_i, -1)
 
 
+def axis_subsets(d: int) -> list[tuple[int, ...]]:
+    """The nonempty subsets of the axes 0..d-1, ascending, in bitmask order."""
+    return [tuple(a for a in range(d) if mask >> a & 1) for mask in range(1, 1 << d)]
+
+
+def _blowup_gather(posmap: np.ndarray, rows: list[int]) -> list[int]:
+    """The packed tensors z (x) e_j, for each z in ``rows`` (vectors of F2^I)
+    and each index j of F2^{I^c}; ``posmap`` is :func:`axis_position_map`."""
+    gens = []
+    for row in rows:
+        picked = posmap[[k for k in range(posmap.shape[0]) if (row >> k) & 1]]
+        gens.extend(sum(1 << pos for pos in column) for column in picked.T.tolist())
+    return gens
+
+
 def embed_blowup(shape: TensorShape, axes: tuple[int, ...], space: Subspace) -> Subspace:
     """H (x) F2^{I^c} as a subspace of the flattened tensor space.
 
@@ -152,11 +167,7 @@ def embed_blowup(shape: TensorShape, axes: tuple[int, ...], space: Subspace) -> 
     posmap = axis_position_map(shape, axes)
     if space.ambient_dim != posmap.shape[0]:
         raise DimensionMismatch("subspace ambient does not match axis product")
-    gens = []
-    for row in space.rows:
-        picked = posmap[[k for k in range(posmap.shape[0]) if (row >> k) & 1]]
-        gens.extend(sum(1 << pos for pos in column) for column in picked.T.tolist())
-    return rref(gens, shape.total)
+    return rref(_blowup_gather(posmap, space.rows), shape.total)
 
 
 def sum_of_blowups(
@@ -172,12 +183,8 @@ def _normalize_spaces(
     shape: TensorShape, spaces: Mapping[tuple[int, ...], Subspace]
 ) -> dict[tuple[int, ...], Subspace]:
     """Fill every nonempty axis subset, defaulting to the full space."""
-    out: dict[tuple[int, ...], Subspace] = {}
-    d = shape.d
-    for mask in range(1, 1 << d):
-        axes = tuple(a for a in range(d) if (mask >> a) & 1)
-        p_i = math.prod(shape.dims[a] for a in axes)
-        out[axes] = Subspace.full(p_i)
+    out = {axes: Subspace.full(math.prod(shape.dims[a] for a in axes))
+           for axes in axis_subsets(shape.d)}
     for axes, space in spaces.items():
         key = tuple(sorted(axes))
         if key not in out:
@@ -227,10 +234,7 @@ class SimpleSet:
         """
         masks = []
         for axes, space in self.spaces.items():
-            posmap = axis_position_map(self.shape, axes)
-            for z in space.complement().rows:
-                rows = posmap[[k for k in range(space.ambient_dim) if (z >> k) & 1]]
-                masks.extend(sum(1 << pos for pos in column) for column in rows.T.tolist())
+            masks += _blowup_gather(axis_position_map(self.shape, axes), space.complement().rows)
         return orthogonal_to_all(data, masks, self.shape.total, self.translate.data)
 
     def subspace(self) -> Subspace:
@@ -367,8 +371,7 @@ def _degeneracy_stages(shape: TensorShape, k: int):
     tensors whose I-flattening has rank <= k; and the prefix sumset supports
     {0}, F_I1, F_I1 + F_I2, ..., the last of which is D_k = sum_I F_I."""
     check_enumeration(1 << shape.total, active().witness_budget)
-    d = shape.d
-    subsets = [tuple(a for a in range(d - 1) if m >> a & 1) for m in range(1, 1 << (d - 1))]
+    subsets = axis_subsets(shape.d - 1)
     pieces = [_low_rank_flattenings(shape, axes, k) for axes in subsets]
     prefixes = [_low_rank_flattenings(shape, (), 0)] + pieces[:1]  # rank <= 0: {0}
     for piece in pieces[1:]:

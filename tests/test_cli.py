@@ -511,3 +511,69 @@ def test_rank_one_generators_from_flags(capsys):
     assert doc["payload"]["generators_total"] == 16 * 16  # x (x) y over F2^4 x F2^4
     assert cli.main(["closedness", "--generators", "basis"]) == 1
     assert capsys.readouterr().err == "error: missing parameter 'n'\n"
+
+
+@pytest.mark.parametrize("raw", [
+    "[1]", '{"seed": null}', '{"seed": "x"}', '{"budgets": 5}', '{"output": 5}',
+], ids=["not-an-object", "seed-null", "seed-str", "budgets-int", "output-int"])
+def test_manifest_type_errors_exit_cleanly(raw, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(raw)
+    assert cli.main(["scenarios", "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _flag_manifest(monkeypatch, argv) -> dict:
+    """The manifest ``argv`` builds, captured where ``main`` hands it to ``run``."""
+    captured = []
+    monkeypatch.setattr(cli, "run", lambda manifest: captured.append(manifest) or 0)
+    assert cli.main(argv) == 0
+    (manifest,) = captured
+    return manifest.to_dict()
+
+
+@pytest.mark.parametrize("argv, params", [
+    ("closedness --n 8 --set-kind layers --lo 1 --hi 3 --set-size 5 --generators rank-one "
+     "--dims 2 4 --mode sampled --samples 100",
+     {"n": 8, "set": {"kind": "layers", "lo": 1, "hi": 3, "size": 5},
+      "generators": {"kind": "rank-one", "dims": [2, 4]}, "mode": "sampled", "samples": 100}),
+    ("spectrum --n 6 --set-kind layers --lo 1 --hi 2 --set-size 4",
+     {"n": 6, "set": {"kind": "layers", "lo": 1, "hi": 2, "size": 4}}),
+    ("bogolyubov --n 8 --set-size 17", {"n": 8, "set": {"kind": "random", "size": 17}}),
+    ("forcing-pipeline --shape 3 3 --delta 3/4 --epsilon 1/16 --rank-threshold 2",
+     {"shape": [3, 3], "delta": "3/4", "epsilon": "1/16", "rank_threshold": 2}),
+    ("simple-set --shape 2 2 2 --k 2", {"shape": [2, 2, 2], "k": 2}),
+    ("lsystem --shape 3 3 --delta 3/4", {"shape": [3, 3], "delta": "3/4"}),
+    ("counterexample --mode concentration --ns 36 49 --c 0.2 --samples 100 --n 20 --w 4 "
+     "--threshold 9/10",
+     {"mode": "concentration", "ns": [36, 49], "c": 0.2, "samples": 100, "n": 20, "w": 4,
+      "threshold": "9/10"}),
+    ("scenarios", {}),
+    ("closedness --n 8 --set-size 9", {"n": 8, "set": {"size": 9}}),
+    ("closedness --n 16 --dims 4 4", {"n": 16, "generators": {"dims": [4, 4]}}),
+], ids=["closedness", "spectrum", "bogolyubov", "forcing-pipeline", "simple-set", "lsystem",
+        "counterexample", "scenarios", "set-size-without-kind", "dims-alone"])
+def test_flags_write_the_keys_they_name(argv, params, monkeypatch):
+    manifest = _flag_manifest(monkeypatch, [*argv.split(), "--seed", "3", "--format", "csv"])
+    assert manifest == {"command": argv.split()[0], "params": params, "seed": 3, "budgets": {},
+                        "output": {"format": "csv"}}
+
+
+def test_flags_replace_a_manifest_mapping_as_a_whole(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"command": "closedness", "seed": 2, "params": {
+        "n": 6, "set": {"kind": "layers", "lo": 1, "hi": 2}, "generators": {"kind": "basis"}}}))
+    manifest = _flag_manifest(monkeypatch, ["closedness", "--manifest", str(path),
+                                            "--set-kind", "random"])
+    assert manifest["params"] == {"n": 6, "set": {"kind": "random"},
+                                  "generators": {"kind": "basis"}}
+    assert manifest["seed"] == 2
+
+
+def test_bogolyubov_set_size_names_the_int_type(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogolyubov", "--set-size", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --set-size: invalid int value: 'x'\n")
