@@ -45,7 +45,7 @@ class Budget:
     """The manifest ``budgets`` section, with its defaults."""
 
     max_group_exponent: int = 24  # largest n for dense 2^n work
-    witness_budget: int = 2**24  # largest sumset bitmap (SumsetReach, degenerate_decide)
+    witness_budget: int = 2**24  # largest SumsetReach array, low-rank or degeneracy bitmap
     max_samples: int = 10**8  # most Monte Carlo samples a command may ask for
 
 

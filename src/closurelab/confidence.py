@@ -1,53 +1,8 @@
-"""Concentration bounds and confidence radii for the sampled estimators.
-
-Chernoff expressions run under mpmath at 120-bit precision because the
-interesting exponents underflow doubles long before they reach zero.
-"""
+"""Confidence radii for the sampled estimators."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import mpmath
-
-PRECISION_BITS = 120
-
-
-@dataclass(frozen=True)
-class ChernoffParams:
-    """Parameters of P(X >= E[X] + lam) <= exp(-lam^2 / (2(Var + M*lam/3)))."""
-
-    variance: float
-    m_bound: float
-    lam: float
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ChernoffBound:
-    value: mpmath.mpf
-    degenerate: bool  # denominator vanished with lam > 0: exact 0 limit
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def chernoff_bound(params: ChernoffParams) -> ChernoffBound:
-    """exp(-lam^2 / (2(Var + M*lam/3))) in extended precision."""
-    with mpmath.workprec(PRECISION_BITS):
-        lam = mpmath.mpf(params.lam)
-        if lam == 0:
-            return ChernoffBound(mpmath.mpf(1), False)
-        denom = 2 * (mpmath.mpf(params.variance) + mpmath.mpf(params.m_bound) * lam / 3)
-        if denom <= 0:
-            return ChernoffBound(mpmath.mpf(0), True)
-        return ChernoffBound(mpmath.exp(-(lam * lam) / denom), False)
 
 
 def hoeffding_radius(samples: int, confidence: float) -> float:

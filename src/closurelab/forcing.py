@@ -33,7 +33,14 @@ from .budgets import (
 )
 from .gf2 import Subspace, rref
 from .spectral import GroupMultiset, GroupSet, bogolyubov, sumset_support, wht
-from .tensor import LSystem, TensorShape, lsystem_intersect, rank1_flat, sum_of_blowups
+from .tensor import (
+    LSystem,
+    TensorShape,
+    lsystem_intersect,
+    rank1_flat,
+    rank_reach,
+    sum_of_blowups,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -502,26 +509,10 @@ class PipelineResult:
     measured: dict = field(default_factory=dict)
 
 
-def rank_reach(shape: TensorShape, depth: int | None = None) -> SumsetReach:
-    """Reachability over nonzero rank-1 matrices, up to ``depth`` summands.
-
-    Over GF(2), rank(M) equals the minimum number of rank-1 summands, so
-    dist is the rank up to ``depth`` (default min(n1, n2), every rank) and
-    dist <= l is exactly the rank<=l bitmap.
-    """
-    n1, n2 = shape.dims
-    gens = [
-        rank1_flat(shape.dims, (u, v))
-        for u in range(1, 1 << n1)
-        for v in range(1, 1 << n2)
-    ]
-    return SumsetReach(set(gens), shape.total, min(n1, n2) if depth is None else depth)
-
-
 _LOWER = np.tri(64, 64, -1, dtype=bool)  # _LOWER[i, j]: j < i
 
 
-def _greedy_centers(points: np.ndarray, ball: np.ndarray, in_ball: np.ndarray) -> list[int]:
+def _greedy_centers(points: np.ndarray, in_ball: np.ndarray) -> list[int]:
     """Greedy clustering of ascending ``points`` with the ball {m : in_ball[m]}.
 
     A point joins the centers iff no earlier center's ball c ^ ball holds
@@ -531,6 +522,7 @@ def _greedy_centers(points: np.ndarray, ball: np.ndarray, in_ball: np.ndarray) -
     in_ball[c ^ c'], as one 64-bit clash mask per survivor.  The balls of a
     block's centers are scattered into ``blocked`` at once.
     """
+    ball = np.flatnonzero(in_ball)
     blocked = np.zeros(in_ball.size, dtype=bool)
     # at most 64 survivors a block, fewer for large balls to bound the scatter
     most = min(_LOWER.shape[0], max(1, (1 << 18) // ball.size))
@@ -577,8 +569,7 @@ def matrix_pipeline(
     r_arr = np.flatnonzero(profile.counts >= thresh).astype(np.int64)
     r_set = r_arr.tolist()
 
-    in_ball = rank_reach(shape, rank_threshold).dist <= rank_threshold
-    centers = _greedy_centers(r_arr, np.flatnonzero(in_ball), in_ball)
+    centers = _greedy_centers(r_arr, rank_reach(shape, (0,), rank_threshold))
 
     # span(centers) + W1 (x) F2^{n2} + F2^{n1} (x) W2, blowup rows first:
     # rref stops eliminating once the target is the whole space

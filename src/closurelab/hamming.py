@@ -20,28 +20,9 @@ import numpy as np
 
 from .budgets import BudgetExceeded, check_group_exponent
 from .closure import closedness_exact, seeded_chunks
-from .confidence import ChernoffBound, ChernoffParams, chernoff_bound, hoeffding_radius
+from .confidence import hoeffding_radius
 from .gf2 import rref
 from .spectral import GroupMultiset, GroupSet, mu_hat
-
-__all__ = [
-    "ChernoffBound",
-    "ChernoffParams",
-    "CompatibilityReport",
-    "ConcentrationResult",
-    "LayerSet",
-    "ScenarioRow",
-    "SliceSet",
-    "chernoff_bound",
-    "compatibility_fraction",
-    "compatibility_fraction_exact",
-    "counterexample_scenarios",
-    "fourier_concentration",
-    "layer_groupset",
-    "random_translate_fixture",
-    "slice_mu_hat",
-    "standard_basis_multiset",
-]
 
 
 def weight_bitmap(n: int, lo: int, hi: int, support: int | None = None) -> np.ndarray:

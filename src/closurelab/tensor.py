@@ -24,7 +24,7 @@ from .budgets import (
     check_enumeration,
     check_group_exponent,
 )
-from .gf2 import Subspace, orthogonal_to_all, rref, to_hex
+from .gf2 import Subspace, all_subspaces, orthogonal_to_all, rref, to_hex
 from .spectral import subspace_elements, sumset_support
 
 
@@ -122,15 +122,6 @@ def rank1_flat(dims: tuple[int, ...], factors: tuple[int, ...]) -> int:
         out |= rest << (i * stride)
         u &= u - 1
     return out
-
-
-def matrix_rows(data: int, n1: int, n2: int) -> list[int]:
-    mask = (1 << n2) - 1
-    return [(data >> (i * n2)) & mask for i in range(n1)]
-
-
-def matrix_rank(data: int, n1: int, n2: int) -> int:
-    return rref(matrix_rows(data, n1, n2), n2).dim
 
 
 def axis_position_map(shape: TensorShape, axes: tuple[int, ...]) -> np.ndarray:
@@ -342,20 +333,21 @@ class DegeneracyDecision:
     witness: dict[tuple[int, ...], Subspace] | None
 
 
-def _low_rank_flattenings(shape: TensorShape, axes: tuple[int, ...], k: int) -> np.ndarray:
-    """Bitmap of the tensors whose ``axes``-flattening has rank <= k: the
-    union of the blowups of the lines of the shorter side (rank <= 1), then
-    its k-fold sumset support."""
+def rank_reach(shape: TensorShape, axes: tuple[int, ...], k: int) -> np.ndarray:
+    """Bitmap of the tensors whose ``axes``-flattening has rank <= k.
+
+    A flattening has rank <= k exactly when its columns on the shorter side
+    lie in some k-dimensional H, so the bitmap is the union of the blowups
+    H (x) F2^{rest} over the subspaces H of dimension min(k, side).
+    """
+    check_enumeration(1 << shape.total, active().witness_budget)
     if math.prod(shape.dims[a] for a in axes) ** 2 > shape.total:  # same rank, shorter side
         axes = tuple(a for a in range(shape.d) if a not in axes)
     side = math.prod(shape.dims[a] for a in axes)
     out = np.zeros(1 << shape.total, dtype=bool)
-    out[0] = True
-    for u in range(1, 1 << side if k else 1):
-        out[subspace_elements(embed_blowup(shape, axes, rref([u], side)))] = True
-    ones = out
-    for _ in range(min(k, side) - 1):
-        out = sumset_support(out, ones)
+    for space in all_subspaces(side, k):
+        if space.dim == min(k, side):
+            out[subspace_elements(embed_blowup(shape, axes, space))] = True
     return out
 
 
@@ -370,10 +362,9 @@ def _degeneracy_stages(shape: TensorShape, k: int):
     """The axis subsets I of the first d-1 axes; per I the bitmap F_I of the
     tensors whose I-flattening has rank <= k; and the prefix sumset supports
     {0}, F_I1, F_I1 + F_I2, ..., the last of which is D_k = sum_I F_I."""
-    check_enumeration(1 << shape.total, active().witness_budget)
     subsets = axis_subsets(shape.d - 1)
-    pieces = [_low_rank_flattenings(shape, axes, k) for axes in subsets]
-    prefixes = [_low_rank_flattenings(shape, (), 0)] + pieces[:1]  # rank <= 0: {0}
+    pieces = [rank_reach(shape, axes, k) for axes in subsets]
+    prefixes = [rank_reach(shape, (0,), 0)] + pieces[:1]  # rank <= 0: {0}
     for piece in pieces[1:]:
         prefixes.append(sumset_support(prefixes[-1], piece))
     return subsets, pieces, prefixes

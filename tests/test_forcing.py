@@ -21,12 +21,17 @@ from closurelab.forcing import (
     find_system,
     matrix_pipeline,
     random_factor_tuples,
-    rank_reach,
     reduced_witness,
 )
 from closurelab.gf2 import Subspace, random_subspace, rref
 from closurelab.spectral import GroupMultiset
-from closurelab.tensor import TensorShape, rank1_flat, rank_one_counter, sum_of_blowups
+from closurelab.tensor import (
+    TensorShape,
+    rank1_flat,
+    rank_one_counter,
+    rank_reach,
+    sum_of_blowups,
+)
 
 from .oracles import (
     agreement_count,
@@ -300,7 +305,7 @@ def test_reduced_witness_low_rank_containment_exhaustive():
     target = sum_of_blowups(shape, {(0,): res.w1, (1,): res.w2})
     profile = agreement_profile(q, shape)
     thresh = agreement_threshold(q.total, Fraction(7, 8))
-    low_rank = rank_reach(shape).dist <= 1
+    low_rank = rank_reach(shape, (0,), 1)
     for r in np.flatnonzero(profile.counts >= thresh).tolist():
         if low_rank[r]:
             assert target.contains(int(r))
@@ -487,7 +492,7 @@ def test_matrix_pipeline_seeded_run_and_determinism():
     assert res1.measured == res2.measured == res3.measured
     assert res1.centers == res2.centers == res3.centers
     # every agreement-set element is within rank threshold of some center
-    low_rank = rank_reach(shape).dist <= res1.rank_threshold
+    low_rank = rank_reach(shape, (0,), res1.rank_threshold)
     centers = np.array(res1.centers, dtype=np.int64)
     covered = np.zeros(low_rank.size, dtype=bool)
     for b in np.flatnonzero(low_rank):

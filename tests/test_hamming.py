@@ -1,20 +1,17 @@
-"""Tests for layered sets, Krawtchouk spectra, compatibility, Chernoff,
-and the worked scenarios."""
+"""Tests for layered sets, Krawtchouk spectra, compatibility and the
+worked scenarios."""
 
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
 from closurelab.budgets import BudgetExceeded
 from closurelab.closure import closedness_exact
 from closurelab.hamming import (
-    ChernoffParams,
     LayerSet,
     SliceSet,
-    chernoff_bound,
     compatibility_fraction,
     compatibility_fraction_exact,
     counterexample_scenarios,
@@ -208,49 +205,6 @@ def test_samplers_with_tied_keys_match_double_argsort():
     cutoffs = np.random.default_rng(34).integers(0, 51, size=count)
     assert np.array_equal(_smallest_key_bits(keys, cutoffs),
                           smallest_key_bits_oracle(keys, cutoffs.tolist()))
-
-
-def test_chernoff_lambda_zero_is_one():
-    assert chernoff_bound(ChernoffParams(5.0, 2.0, 0.0)).value == 1
-
-
-def test_chernoff_degenerate_zero_flagged():
-    res = chernoff_bound(ChernoffParams(0.0, 0.0, 3.0))
-    assert res.degenerate
-    assert res.value == 0
-
-
-def test_chernoff_paper_display_value():
-    t = 1
-    n = 1e12
-    params = ChernoffParams(
-        variance=1000 * t * math.sqrt(n), m_bound=2 * t, lam=1e14 * t * n**0.25
-    )
-    res = chernoff_bound(params)
-    assert not res.degenerate
-    assert res.value > 0
-    assert res.value <= 1 / (2 * 100**t)
-    # the exponent is far below double-precision underflow; precision matters
-    assert mpmath.log(res.value) < -1e16
-
-
-def test_chernoff_monotonicity():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        var = float(rng.uniform(0.1, 50))
-        m = float(rng.uniform(0.1, 5))
-        lam1 = float(rng.uniform(0.1, 10))
-        lam2 = lam1 + float(rng.uniform(0.1, 10))
-        b1 = chernoff_bound(ChernoffParams(var, m, lam1)).value
-        b2 = chernoff_bound(ChernoffParams(var, m, lam2)).value
-        assert b2 <= b1
-        b3 = chernoff_bound(ChernoffParams(var + 1.0, m, lam1)).value
-        assert b3 >= b1
-
-
-def test_chernoff_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        ChernoffParams(-1.0, 1.0, 1.0)
 
 
 def test_fourier_concentration_zero_multiset():

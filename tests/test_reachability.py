@@ -5,6 +5,9 @@ method or property of such a class (``Class.member``), must be referenced
 by name from ``src/``, ``perfbench/`` or ``tools/`` (inside the package, a
 use within its own body does not count), or be listed in ``KEPT`` with the
 reason it stays.  Code that only its own unit tests call is deleted instead.
+Inside the package, a module's imports and the strings of its ``__all__``
+are not references, only its uses of a name are, so a re-export cannot keep
+a dead name alive.
 A member shares its name with every other use of that name, so the rule
 cannot see a dead member whose name is alive elsewhere.
 """
@@ -25,7 +28,6 @@ KEPT = {
     "basic_set": "the paper's basic matrix sets, checked by the closedness tests",
     "subspace_groupset": "a subspace as a GroupSet, the other set family beside basic_set",
     "rank1": "validating constructor of a rank-1 tensor; rank1_flat is its unchecked core",
-    "matrix_rank": "per-matrix GF(2) rank, the definition behind rank_reach's layers",
     "from_hex": "inverse of to_hex, the hex serialization of every payload vector",
     "is_compatible": "per-point compatibility, the definition compatibility_fraction_exact counts",
     "TensorShape.unflat": "inverse of flat; the bijection test pins the row-major order through it",
@@ -50,6 +52,14 @@ def _public_definitions() -> dict[str, str]:
                 for member in filter(_public, node.body):
                     out[f"{node.name}.{member.name}"] = path.name
     return out
+
+
+def _reexports(node: ast.AST) -> bool:
+    """A module-level import, or an assignment to ``__all__``."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return True
+    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
 def _referenced_names() -> set[str]:
@@ -78,8 +88,11 @@ def _referenced_names() -> set[str]:
                 visit(tree, frozenset())
                 continue
             # a package definition's own body does not count for its name:
-            # a top-level function's or class's, or a method's of such a class
+            # a top-level function's or class's, or a method's of such a class;
+            # nor do the module's imports and __all__, only its uses of a name
             for node in tree.body:
+                if _reexports(node):
+                    continue
                 if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     visit(node, frozenset())
                     continue

@@ -16,18 +16,20 @@ from closurelab.tensor import (
     SimpleSet,
     Tensor,
     TensorShape,
+    axis_subsets,
     degenerate_decide,
     embed_blowup,
     lsystem_intersect,
-    matrix_rank,
     rank1,
     rank1_flat,
     rank_one_counter,
+    rank_reach,
     sum_of_blowups,
 )
 
 from .oracles import (
     degenerate_dfs_oracle,
+    gauss_rank,
     matrix_rank_oracle,
     partition_rank_oracle,
     simple_set_member_oracle,
@@ -91,11 +93,25 @@ def test_rank1_matches_outer_product_of_bits():
         assert np.array_equal(t.to_array(), expect)
 
 
-def test_matrix_rank_matches_oracle():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        data = int(rng.integers(0, 1 << 12))
-        assert matrix_rank(data, 4, 3) == matrix_rank_oracle(data, 4, 3)
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4), (4, 3)])
+def test_rank_reach_matches_matrix_rank_oracle(dims):
+    ranks = np.array([matrix_rank_oracle(x, *dims) for x in range(1 << math.prod(dims))])
+    for k in range(min(dims) + 1):
+        assert np.array_equal(rank_reach(TensorShape(dims), (0,), k), ranks <= k)
+
+
+def test_rank_reach_matches_flattening_rank_oracle_223():
+    dims = (2, 2, 3)
+    bits = (np.arange(1 << 12)[:, None] >> np.arange(12)) & 1
+    for axes in axis_subsets(2):
+        rest = tuple(a for a in range(3) if a not in axes)
+        side = math.prod(dims[a] for a in axes)
+        ranks = np.array([
+            gauss_rank(np.transpose(row.reshape(dims), axes + rest).reshape(side, -1))
+            for row in bits
+        ])
+        for k in (1, 2):
+            assert np.array_equal(rank_reach(TensorShape(dims), axes, k), ranks <= k)
 
 
 def test_simple_set_membership_full_and_row_constraint():

@@ -29,8 +29,10 @@ interpreter.  The artifact has four parts:
   the count of degenerate ones), and, at seed 2000, the
   16-deep ``SumsetReach`` alone over the rank-one pairs at (4,4) delta 1/2
   and 3/4 and at (4,5) delta 1/2, and the greedy rank-1 clustering of the
-  (4,4) delta 1/2 agreement set (a checkout without
-  ``forcing._greedy_centers`` runs the inline loop that preceded it).
+  (4,4) delta 1/2 agreement set with the rank <= 1 ball built inline from
+  every rank-one u (x) v (a checkout without ``forcing._greedy_centers``
+  runs the inline loop that preceded it, and ``_greedy_centers`` is passed
+  the arguments its signature on that side takes).
   ``rounds`` holds each round's output; ``summary`` holds per kernel each
   side's median over the rounds and the median of the per-round
   change/parent ratios;
@@ -62,7 +64,7 @@ SEED = 101
 KERNEL_ROUNDS = 3
 
 KERNEL_SNIPPET = """
-import contextlib, io, json, math, os, statistics, tempfile, time
+import contextlib, inspect, io, json, math, os, statistics, tempfile, time
 from fractions import Fraction
 import numpy as np
 from closurelab import cli, closure, forcing, hamming, spectral
@@ -168,12 +170,15 @@ def inline_clustering(points, ball):
 
 pairs = random_factor_tuples((4, 4), 128, np.random.default_rng(2000))
 points = np.array(matrix_pipeline(pairs, TensorShape((4, 4)), Fraction(1, 2)).agreement_set)
-in_ball = forcing.rank_reach(TensorShape((4, 4)), 1).dist <= 1
+in_ball = np.zeros(1 << 16, dtype=bool)
+in_ball[[rank1_flat((4, 4), (u, v)) for u in range(16) for v in range(16)]] = True
 ball = np.flatnonzero(in_ball)
-if hasattr(forcing, "_greedy_centers"):
+if not hasattr(forcing, "_greedy_centers"):
+    cluster = lambda: inline_clustering(points, ball)
+elif len(inspect.signature(forcing._greedy_centers).parameters) == 3:  # (points, ball, in_ball)
     cluster = lambda: forcing._greedy_centers(points, ball, in_ball)
 else:
-    cluster = lambda: inline_clustering(points, ball)
+    cluster = lambda: forcing._greedy_centers(points, in_ball)
 out["greedy_clustering(4, 4)"], centers = median_s(cluster, 9)
 out["greedy_clustering(4, 4)"].update(points=int(points.size), centers=len(centers))
 print(json.dumps(out))
