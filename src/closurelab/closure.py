@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,32 +26,38 @@ from .spectral import GroupMultiset, GroupSet, exact_sum_of_products, subspace_e
 
 EXACT_PAIR_LIMIT = 2**28  # most (a, b) pairs closedness_exact counts
 SAMPLE_CHUNK = 4096  # samples drawn per seeded chunk
+CONFIDENCE = 0.99  # two-sided confidence of every sampled radius
 
 
 @dataclass(frozen=True)
 class ClosednessReport:
-    mode: str  # "exact" | "sampled"
-    eta: Fraction | None = None
-    pair_count: int | None = None
-    estimate: float | None = None
-    radius: float | None = None
-    confidence: float | None = None
-    samples: int | None = None
-    seed: int | None = None
+    eta: Fraction
+    pair_count: int
 
     def to_json(self) -> dict:
-        if self.mode == "exact":
-            return {
-                "mode": "exact",
-                "eta_num": self.eta.numerator,
-                "eta_den": self.eta.denominator,
-                "pair_count": self.pair_count,
-            }
+        return {
+            "mode": "exact",
+            "eta_num": self.eta.numerator,
+            "eta_den": self.eta.denominator,
+            "pair_count": self.pair_count,
+        }
+
+
+@dataclass(frozen=True)
+class SampledEstimate:
+    """A seeded fraction and its two-sided radius at :data:`CONFIDENCE`."""
+
+    estimate: float
+    radius: float
+    samples: int
+    seed: int
+
+    def to_json(self) -> dict:
         return {
             "mode": "sampled",
             "estimate": self.estimate,
             "radius": self.radius,
-            "confidence": self.confidence,
+            "confidence": CONFIDENCE,
             "samples": self.samples,
             "seed": self.seed,
         }
@@ -73,18 +79,20 @@ def closedness_exact(a: GroupSet, b: GroupMultiset) -> ClosednessReport:
         hits = int(np.count_nonzero(bitmap[elems ^ elem]))
         pair_count += mult * hits
     eta = Fraction(pair_count, a.size * b.total)
-    return ClosednessReport(mode="exact", eta=eta, pair_count=pair_count)
+    return ClosednessReport(eta, pair_count)
 
 
-def multiset_sampler(b: GroupMultiset) -> Callable:
-    """Exact multiset sampler via cumulative-multiplicity inversion."""
-    vals = np.fromiter(b.counts.keys(), dtype=np.int64)
-    cums = np.cumsum(np.fromiter(b.counts.values(), dtype=np.int64))
-    total = int(cums[-1])
+def inversion_sampler(values: Sequence[int], masses: Sequence[int]) -> Callable:
+    """Draws values[i] with probability masses[i] / sum(masses), by
+    inverting the cumulative masses at one uniform 64-bit integer per draw."""
+    total = sum(masses)
+    if total >= 2**63:
+        raise BudgetExceeded("total mass too large for 64-bit uniform sampling")
+    vals = np.asarray(values, dtype=np.int64)
+    cums = np.cumsum(np.asarray(masses, dtype=np.int64))
 
     def sample(rng, count: int) -> np.ndarray:
-        u = rng.integers(0, total, size=count)
-        return vals[np.searchsorted(cums, u, side="right")]
+        return vals[np.searchsorted(cums, rng.integers(0, total, size=count), side="right")]
 
     return sample
 
@@ -115,40 +123,49 @@ def seeded_chunks(samples: int, seed: int) -> Iterator[tuple[np.random.Generator
         yield rng, min(SAMPLE_CHUNK, samples - start)
 
 
+def sampled_fraction(
+    chunk_hits: Callable[[np.random.Generator, int], int],
+    samples: int,
+    seed: int,
+    radius_method: str = "hoeffding",
+) -> SampledEstimate:
+    """Seeded Monte Carlo fraction of successes, with its radius.
+
+    ``chunk_hits(rng, count)`` draws ``count`` trials from ``rng`` and counts
+    the successes, once per chunk of :func:`seeded_chunks`.  The radius is
+    Hoeffding's, or the variance-adaptive Bernstein one for ``"chernoff"``.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    hits = sum(chunk_hits(rng, count) for rng, count in seeded_chunks(samples, seed))
+    estimate = hits / samples
+    if radius_method == "hoeffding":
+        radius = hoeffding_radius(samples, CONFIDENCE)
+    elif radius_method == "chernoff":
+        radius = chernoff_radius(samples, CONFIDENCE, estimate * (1.0 - estimate))
+    else:
+        raise ValueError(f"unknown radius method {radius_method!r}")
+    return SampledEstimate(estimate, radius, samples, seed)
+
+
 def closedness_sampled(
     a_member: Callable[[np.ndarray], np.ndarray],
     a_sampler: Callable,
     b: GroupMultiset | Callable,
     samples: int,
     seed: int,
-    confidence: float = 0.99,
     radius_method: str = "hoeffding",
-) -> ClosednessReport:
-    """Seeded Monte Carlo estimate of (B,eta)-closedness, drawn in
-    :func:`seeded_chunks`."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    b_sample = b if callable(b) else multiset_sampler(b)
-    hits = 0
-    for rng, count in seeded_chunks(samples, seed):
+) -> SampledEstimate:
+    """Seeded estimate of (B,eta)-closedness: P(a + b in A) for a drawn
+    from A, then b from B, in each chunk."""
+    b_sample = b if callable(b) else inversion_sampler(list(b.counts), list(b.counts.values()))
+
+    def chunk_hits(rng, count: int) -> int:
         a_batch = np.asarray(a_sampler(rng, count))
         b_batch = np.asarray(b_sample(rng, count))
-        hits += int(np.count_nonzero(a_member(a_batch ^ b_batch)))
-    estimate = hits / samples
-    if radius_method == "hoeffding":
-        radius = hoeffding_radius(samples, confidence)
-    elif radius_method == "chernoff":
-        radius = chernoff_radius(samples, confidence, estimate * (1.0 - estimate))
-    else:
-        raise ValueError(f"unknown radius method {radius_method!r}")
-    return ClosednessReport(
-        mode="sampled",
-        estimate=estimate,
-        radius=radius,
-        confidence=confidence,
-        samples=samples,
-        seed=seed,
-    )
+        return int(np.count_nonzero(a_member(a_batch ^ b_batch)))
+
+    return sampled_fraction(chunk_hits, samples, seed, radius_method)
 
 
 def mixed_energy(a: GroupSet, b: GroupMultiset) -> Fraction:

@@ -198,17 +198,14 @@ def rref(vectors: Iterable[int], ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, tuple(rows), tuple(pivots))
 
 
-def count_small_support(
-    space: Subspace, k: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> int:
+def count_small_support(space: Subspace, k: int) -> int:
     """Exact #{v in space : weight(v) <= k}.
 
     Never exceeds sum_{i<=k} C(dim, i); the test suite asserts that bound.
     """
     if not 0 <= k <= space.ambient_dim:
         raise ValueError(f"k={k} out of range for ambient {space.ambient_dim}")
-    check_enumeration(1 << space.dim, budget)
-    return sum(1 for v in space.enumerate(budget) if v.bit_count() <= k)
+    return sum(1 for v in space.enumerate() if v.bit_count() <= k)
 
 
 def all_subspaces(n: int, max_dim: int | None = None) -> Iterator[Subspace]:

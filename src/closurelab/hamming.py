@@ -19,8 +19,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .budgets import BudgetExceeded, check_group_exponent
-from .closure import closedness_exact, seeded_chunks
-from .confidence import hoeffding_radius
+from .closure import (
+    SampledEstimate,
+    closedness_exact,
+    closedness_sampled,
+    inversion_sampler,
+    sampled_fraction,
+)
 from .gf2 import rref
 from .spectral import GroupMultiset, GroupSet, mu_hat
 
@@ -183,27 +188,13 @@ def compatibility_fraction_exact(layer: LayerSet, sl: SliceSet) -> Fraction:
     return Fraction(mass, layer.size)
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    n: int
-    estimate: float
-    radius: float
-    confidence: float
-    samples: int
-    seed: int
-
-
 # u samples x B' elements per overlap block of an explicit B'
 _COMPAT_BLOCK = 1 << 16
 
 
 def compatibility_fraction(
-    layer: LayerSet,
-    bprime: SliceSet | Sequence[int],
-    u_samples: int,
-    seed: int,
-    confidence: float = 0.99,
-) -> CompatibilityReport:
+    layer: LayerSet, bprime: SliceSet | Sequence[int], u_samples: int, seed: int
+) -> SampledEstimate:
     """Monte Carlo fraction of u in the layer set that are B'-compatible.
 
     u is compatible when at least a third of B' does not increase its
@@ -213,36 +204,33 @@ def compatibility_fraction(
     """
     n = layer.n
     draw_weights = _weight_sampler(layer)
-    full_slice = isinstance(bprime, SliceSet)
-    if full_slice:
-        good = _slice_compatible_weights(layer, bprime)
+    if isinstance(bprime, SliceSet):
         good_mask = np.zeros(n + 1, dtype=bool)
-        for m in good:
-            good_mask[m] = True
-    else:
-        if n > 64:
-            raise BudgetExceeded("an explicit B' supports n <= 64")
-        b_arr = np.array([int(w) for w in bprime], dtype=np.uint64)
-        b_sizes = np.bitwise_count(b_arr)
-        block = max(1, _COMPAT_BLOCK // max(b_arr.size, 1))
+        good_mask[sorted(_slice_compatible_weights(layer, bprime))] = True
 
-    hits = 0
-    for rng, count in seeded_chunks(u_samples, seed):
-        m_batch = draw_weights(rng, count)
-        if full_slice:
-            hits += int(np.count_nonzero(good_mask[m_batch]))
-        else:
-            us = np.array(
-                [_random_point_of_weight(n, m, rng) for m in m_batch.tolist()],
-                dtype=np.uint64,
-            )
-            for lo in range(0, count, block):
-                overlap = np.bitwise_count(us[lo:lo + block, None] & b_arr)
-                stay = np.count_nonzero(2 * overlap >= b_sizes, axis=1)
-                hits += int(np.count_nonzero(3 * stay >= b_arr.size))
-    estimate = hits / u_samples
-    radius = hoeffding_radius(u_samples, confidence)
-    return CompatibilityReport(n, estimate, radius, confidence, u_samples, seed)
+        def chunk_hits(rng, count: int) -> int:
+            return int(np.count_nonzero(good_mask[draw_weights(rng, count)]))
+
+        return sampled_fraction(chunk_hits, u_samples, seed)
+    if n > 64:
+        raise BudgetExceeded("an explicit B' supports n <= 64")
+    b_arr = np.array([int(w) for w in bprime], dtype=np.uint64)
+    b_sizes = np.bitwise_count(b_arr)
+    block = max(1, _COMPAT_BLOCK // max(b_arr.size, 1))
+
+    def chunk_hits(rng, count: int) -> int:
+        us = np.array(
+            [_random_point_of_weight(n, m, rng) for m in draw_weights(rng, count).tolist()],
+            dtype=np.uint64,
+        )
+        hits = 0
+        for lo in range(0, count, block):
+            overlap = np.bitwise_count(us[lo:lo + block, None] & b_arr)
+            stay = np.count_nonzero(2 * overlap >= b_sizes, axis=1)
+            hits += int(np.count_nonzero(3 * stay >= b_arr.size))
+        return hits
+
+    return sampled_fraction(chunk_hits, u_samples, seed)
 
 
 def _random_point_of_weight(n: int, m: int, rng) -> int:
@@ -304,18 +292,7 @@ def fixed_weight_sampler(n: int, w: int):
 def _weight_sampler(layer: LayerSet):
     """Weights of uniform layer points: m with probability C(n, m) / |layer|."""
     masses = layer.weight_masses()
-    weights = sorted(masses)
-    total = sum(masses.values())
-    if total >= 2**63:
-        raise BudgetExceeded("layer set too large for 64-bit uniform sampling")
-    cums = np.cumsum([masses[m] for m in weights]).astype(np.int64)
-    weights_arr = np.array(weights, dtype=np.int64)
-
-    def sample(rng, count: int) -> np.ndarray:
-        draws = rng.integers(0, total, size=count)
-        return weights_arr[np.searchsorted(cums, draws, side="right")]
-
-    return sample
+    return inversion_sampler(list(masses), list(masses.values()))
 
 
 def layer_sampler(layer: LayerSet):
@@ -361,18 +338,11 @@ def layered_pair_eta_exact(layer: LayerSet, sl: SliceSet) -> Fraction:
 
 
 def layered_pair_eta_sampled(
-    layer: LayerSet, sl: SliceSet, samples: int, seed: int, confidence: float = 0.99
-):
+    layer: LayerSet, sl: SliceSet, samples: int, seed: int
+) -> SampledEstimate:
     """Seeded estimate of the same quantity through the generic estimator."""
-    from .closure import closedness_sampled
-
     return closedness_sampled(
-        layer_member(layer),
-        layer_sampler(layer),
-        fixed_weight_sampler(sl.n, sl.w),
-        samples,
-        seed,
-        confidence=confidence,
+        layer_member(layer), layer_sampler(layer), fixed_weight_sampler(sl.n, sl.w), samples, seed
     )
 
 
@@ -516,6 +486,35 @@ def _convolution_floor(a_bitmap: np.ndarray, l: int) -> np.ndarray:
     return counts
 
 
+def _window_rows(
+    name: str, params: dict, window: np.ndarray, support: int, a_bitmap: np.ndarray,
+    l: int, eps: Fraction, target: Fraction, target_text: str,
+) -> list[ScenarioRow]:
+    """The two rows of an almost-closed window C (a bitmap): its eta against
+    the basis vectors of ``support``, and min over x in C of the chance that
+    l basis steps from x land in A, against ``target``."""
+    n = params["n"]
+    c = GroupSet.from_bitmap(n, window)
+    eta = closedness_exact(c, standard_basis_multiset(n, support)).eta
+    floor = Fraction(int(_convolution_floor(a_bitmap, l)[c.elements].min()), n**l)
+    return [
+        ScenarioRow(
+            name,
+            {**params, "eps": str(eps)},
+            _frac(eta),
+            f"eta >= 1 - eps = {_frac(1 - eps)}",
+            eta >= 1 - eps,
+        ),
+        ScenarioRow(
+            f"{name}-reach",
+            {**params, "l": l},
+            _frac(floor),
+            f"min_x P(x + b_1..b_l in A) >= {target_text} = {_frac(target)}",
+            floor >= target,
+        ),
+    ]
+
+
 def bounded_support_middle_scenario(
     n: int, m: int, eps: Fraction = Fraction(1, 4)
 ) -> list[ScenarioRow]:
@@ -529,36 +528,12 @@ def bounded_support_middle_scenario(
     if m % 2 == 0:
         raise ValueError("m must be odd")
     l = int(1 / eps)
-    lo = max(0, (m - 1) // 2 - l)
-    hi = min(m, (m + 1) // 2 + l)
-    support = (1 << m) - 1
-    c = GroupSet.from_bitmap(n, weight_bitmap(n, lo, hi, support))
-    bprime = standard_basis_multiset(n, support)
-    eta = closedness_exact(c, bprime).eta
-    rows = [
-        ScenarioRow(
-            "bounded-support-window",
-            {"n": n, "m": m, "eps": str(eps)},
-            _frac(eta),
-            f"eta >= 1 - eps = {_frac(1 - eps)}",
-            eta >= 1 - eps,
-        )
-    ]
-
     mid = (m - 1) // 2
-    counts = _convolution_floor(weight_bitmap(n, mid, mid + 1, support), l)
-    floor = Fraction(int(counts[c.elements].min()), n**l)
-    target = Fraction(m, 2 * n) ** l
-    rows.append(
-        ScenarioRow(
-            "bounded-support-window-reach",
-            {"n": n, "m": m, "l": l},
-            _frac(floor),
-            f"min_x P(x + b_1..b_l in A) >= (m/2n)^l = {_frac(target)}",
-            floor >= target,
-        )
-    )
-    return rows
+    support = (1 << m) - 1
+    window = weight_bitmap(n, max(0, mid - l), min(m, mid + 1 + l), support)
+    a_bitmap = weight_bitmap(n, mid, mid + 1, support)
+    return _window_rows("bounded-support-window", {"n": n, "m": m}, window, support, a_bitmap,
+                        l, eps, Fraction(m, 2 * n) ** l, "(m/2n)^l")
 
 
 def third_window_scenario(
@@ -575,32 +550,9 @@ def third_window_scenario(
     l = int(1 / eps)
     m = 2 * n // 3
     support = (1 << m) - 1
-    hi = min(m, n // 3 + l)
-    c = GroupSet.from_bitmap(n, weight_bitmap(n, 0, hi, support))
-    bprime = standard_basis_multiset(n, support)
-    eta = closedness_exact(c, bprime).eta
-    rows = [
-        ScenarioRow(
-            "third-window",
-            {"n": n, "eps": str(eps)},
-            _frac(eta),
-            f"eta >= 1 - eps = {_frac(1 - eps)}",
-            eta >= 1 - eps,
-        )
-    ]
-    counts = _convolution_floor(weight_bitmap(n, 0, n // 3), l)
-    floor = Fraction(int(counts[c.elements].min()), n**l)
-    target = Fraction(1, 3) ** l
-    rows.append(
-        ScenarioRow(
-            "third-window-reach",
-            {"n": n, "l": l},
-            _frac(floor),
-            f"min_x P(x + b_1..b_l in A) >= (1/3)^l = {_frac(target)}",
-            floor >= target,
-        )
-    )
-    return rows
+    window = weight_bitmap(n, 0, min(m, n // 3 + l), support)
+    return _window_rows("third-window", {"n": n}, window, support, weight_bitmap(n, 0, n // 3),
+                        l, eps, Fraction(1, 3) ** l, "(1/3)^l")
 
 
 def counterexample_scenarios(

@@ -380,6 +380,8 @@ def bogolyubov(s: GroupSet) -> Subspace:
     v = rref(large_spectrum(wht(bits, s.n), s.density**3 / 2), s.n).complement()
     two = sumset_support(bits, bits)
     four = sumset_support(two, two)  # S+S+S+S = 2S - 2S over F2
+    if v.codim == 0 and four.all():  # V is the whole group: no need to list it
+        return v
     elems = subspace_elements(v)
     failed = np.flatnonzero(~four[elems])
     if failed.size:

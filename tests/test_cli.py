@@ -294,6 +294,15 @@ def test_forcing_input_errors_name_the_bad_value(command, params, code, message,
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--mode", "compatibility", "--ns", "36", "--samples", "0"],
+    ["closedness", "--n", "6", "--mode", "sampled", "--samples", "0"],
+], ids=["compatibility", "closedness"])
+def test_zero_samples_exit_1_with_one_line(argv, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: samples must be >= 1\n"
+
+
 def test_io_error_exit_1(tmp_path):
     manifest = Manifest.from_dict(
         {

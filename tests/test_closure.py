@@ -8,11 +8,12 @@ import pytest
 
 from closurelab.closure import (
     basic_set,
+    SampledEstimate,
     closedness_exact,
     closedness_sampled,
     groupset_oracle,
+    inversion_sampler,
     mixed_energy,
-    multiset_sampler,
     subspace_groupset,
     translation_deficit,
     triangle_compose,
@@ -127,9 +128,47 @@ def test_closedness_sampled_chernoff_radius():
     assert report.radius < hoeff.radius
 
 
+SAMPLED_KEYS = ["mode", "estimate", "radius", "confidence", "samples", "seed"]
+
+
+def test_closedness_sampled_estimates_are_pinned():
+    """Frozen seeded estimates and radii over several chunks, with a basis
+    and with a weighted multiset: the draws and their order must not change."""
+    member, sampler = groupset_oracle(layers(7, 3, 4))
+    weighted = GroupMultiset.from_pairs(7, [(1, 3), (2, 1), (5, 2)])
+    cases = [
+        (standard_basis(7), 20000, 5, "hoeffding", 0.5739, 0.011509037065006824),
+        (standard_basis(7), 20000, 5, "chernoff", 0.5739, 0.011471284232114189),
+        (weighted, 9000, 2, "hoeffding", 0.566, 0.017156659488613283),
+        (weighted, 9000, 2, "chernoff", 0.566, 0.0172038999354808),
+    ]
+    for b, samples, seed, method, estimate, radius in cases:
+        report = closedness_sampled(member, sampler, b, samples, seed, radius_method=method)
+        assert report == SampledEstimate(estimate, radius, samples, seed)
+        assert list(report.to_json()) == SAMPLED_KEYS
+        assert report.to_json()["confidence"] == 0.99
+
+
+def test_sampled_estimators_refuse_no_samples():
+    member, sampler = groupset_oracle(layers(5, 2, 3))
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            closedness_sampled(member, sampler, standard_basis(5), samples, seed=1)
+    with pytest.raises(ValueError, match="unknown radius method"):
+        closedness_sampled(member, sampler, standard_basis(5), 10, 1, radius_method="wald")
+
+
+def test_inversion_sampler_refuses_a_total_past_64_bits():
+    from closurelab.budgets import BudgetExceeded
+
+    assert inversion_sampler([3], [2**63 - 1])(np.random.default_rng(0), 4).tolist() == [3] * 4
+    with pytest.raises(BudgetExceeded):
+        inversion_sampler([0, 1], [2**62, 2**62])
+
+
 def test_multiset_sampler_respects_multiplicities():
     b = GroupMultiset.from_pairs(4, [(1, 3), (2, 1)])
-    sample = multiset_sampler(b)
+    sample = inversion_sampler(list(b.counts), list(b.counts.values()))
     rng = np.random.default_rng(11)
     draws = sample(rng, 40000)
     frac = np.count_nonzero(draws == 1) / draws.size

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from closurelab.budgets import BudgetExceeded
-from closurelab.closure import closedness_exact
+from closurelab.closure import SampledEstimate, closedness_exact
 from closurelab.hamming import (
     LayerSet,
     SliceSet,
@@ -127,6 +127,21 @@ def test_compatibility_explicit_bprime_list():
     listed = compatibility_fraction(layer, blist, 4000, seed=5)
     # closed-form and explicit paths estimate the same quantity
     assert abs(full.estimate - listed.estimate) <= full.radius + listed.radius
+
+
+def test_compatibility_estimates_are_pinned():
+    """Frozen seeded estimates of the closed-form slice path and of the
+    explicit-B' scan: the draws and their order must not change."""
+    layer = LayerSet(12, 0, 5)
+    blist = SliceSet(12, 3).to_groupset().elements.tolist()
+    cases = [
+        (LayerSet.below_cutoff(36, 0.1), SliceSet(36, 6), 20000, 3, 0.89295, 0.011509037065006824),
+        (layer, blist, 5000, 5, 0.498, 0.02301807413001365),
+    ]
+    for layer, bprime, samples, seed, estimate, radius in cases:
+        rep = compatibility_fraction(layer, bprime, samples, seed)
+        assert rep == SampledEstimate(estimate, radius, samples, seed)
+        assert list(rep.to_json()) == ["mode", "estimate", "radius", "confidence", "samples", "seed"]
 
 
 def _explicit_compatibility_loop(layer, bprime, samples, seed):
@@ -270,6 +285,10 @@ def test_layered_eta_sampled_beyond_enumeration_small_n_consistency():
     exact = float(layered_pair_eta_exact(layer, sl))
     rep = layered_pair_eta_sampled(layer, sl, 20000, seed=9)
     assert abs(rep.estimate - exact) <= rep.radius
+    # frozen: the draws and their order must not change
+    assert rep == SampledEstimate(0.48645, 0.011509037065006824, 20000, 9)
+    assert rep.to_json() == {"mode": "sampled", "estimate": 0.48645, "radius": 0.011509037065006824,
+                             "confidence": 0.99, "samples": 20000, "seed": 9}
 
 
 def test_section3_pair_eta_reference_value_n64():

@@ -3,8 +3,10 @@
 A public module-level function or class of ``src/closurelab``, and a public
 method or property of such a class (``Class.member``), must be referenced
 by name from ``src/``, ``perfbench/`` or ``tools/`` (inside the package, a
-use within its own body does not count), or be listed in ``KEPT`` with the
-reason it stays.  Code that only its own unit tests call is deleted instead.
+use within its own body does not count, nor does a use within another
+definition that is itself unreached, so a dead chain is flagged whole), or
+be listed in ``KEPT`` with the reason it stays.  Code that only its own unit
+tests call is deleted instead.
 Inside the package, a module's imports and the strings of its ``__all__``
 are not references, only its uses of a name are, so a re-export cannot keep
 a dead name alive.
@@ -62,45 +64,61 @@ def _reexports(node: ast.AST) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _referenced_names() -> set[str]:
-    """Names used as identifiers, attributes, imports or dotted string constants."""
+def _names(node: ast.AST, own: frozenset[str] = frozenset()) -> set[str]:
+    """Names used as identifiers, attributes, imports or dotted string
+    constants anywhere in ``node``, less ``own``."""
     names: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(sub.value.split("."))  # e.g. perfbench's "SimpleSet.member" spans
+    return names - own
 
-    def visit(node: ast.AST, own: frozenset[str]) -> None:
-        if isinstance(node, ast.Name):
-            found = [node.id]
-        elif isinstance(node, ast.Attribute):
-            found = [node.attr]
-        elif isinstance(node, ast.alias):
-            found = [node.name.rsplit(".", 1)[-1]]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found = node.value.split(".")  # e.g. perfbench's "SimpleSet.member" spans
-        else:
-            found = []
-        names.update(name for name in found if name not in own)
-        for child in ast.iter_child_nodes(node):
-            visit(child, own)
 
+def _referenced_names() -> set[str]:
+    """Names referenced from a live place, to a fixed point.
+
+    Outside the package every use is live, and so is every module-level
+    statement of the package other than its imports and ``__all__``.  The
+    body of a package definition is live only once its name is referenced
+    (or kept): a function's or class's, a method's by the method's name, and
+    a dunder method's by its class's.  A definition's own body does not count
+    for its name.
+    """
+    live: set[str] = set()
+    bodies: list[tuple[str, set[str]]] = []  # (name that makes it live, its references)
     for folder in REFERENCE_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             tree = ast.parse(path.read_text())
             if path.parent != PACKAGE:
-                visit(tree, frozenset())
+                live |= _names(tree)
                 continue
-            # a package definition's own body does not count for its name:
-            # a top-level function's or class's, or a method's of such a class;
-            # nor do the module's imports and __all__, only its uses of a name
             for node in tree.body:
                 if _reexports(node):
                     continue
-                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    visit(node, frozenset())
-                    continue
-                own = frozenset({node.name})
-                parts = ast.iter_child_nodes(node) if isinstance(node, ast.ClassDef) else [node]
-                for part in parts:
-                    visit(part, own | {part.name} if isinstance(part, ast.FunctionDef) else own)
-    return names
+                if isinstance(node, ast.FunctionDef):
+                    bodies.append((node.name, _names(node, frozenset({node.name}))))
+                elif isinstance(node, ast.ClassDef):
+                    for part in ast.iter_child_nodes(node):
+                        key, own = node.name, frozenset({node.name})
+                        if isinstance(part, ast.FunctionDef):
+                            own |= {part.name}
+                            if not part.name.startswith("__"):
+                                key = part.name
+                        bodies.append((key, _names(part, own)))
+                else:
+                    live |= _names(node)
+    kept = {name.rsplit(".", 1)[-1] for name in KEPT}
+    while ready := [refs for key, refs in bodies if key in live or key in kept]:
+        bodies = [(key, refs) for key, refs in bodies if not (key in live or key in kept)]
+        for refs in ready:
+            live |= refs
+    return live
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
