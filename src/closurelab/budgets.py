@@ -13,8 +13,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator
 
-DEFAULT_ENUMERATION_BUDGET = 2**24
-
 
 class ClosureLabError(Exception):
     """Base class for all library errors."""
@@ -36,17 +34,13 @@ class VerificationFailure(ClosureLabError):
     """A theorem-backed internal check failed; indicates a bug, not data."""
 
 
-class IntegerOverflowGuard(ClosureLabError):
-    """Exact integer arithmetic would not fit the fast signed-64 path."""
-
-
 @dataclass(frozen=True)
 class Budget:
     """The manifest ``budgets`` section, with its defaults."""
 
     max_group_exponent: int = 24  # largest n for dense 2^n work
-    witness_budget: int = 2**24  # largest SumsetReach array, low-rank or degeneracy bitmap
-    max_samples: int = 10**8  # most Monte Carlo samples a command may ask for
+    witness_budget: int = 2**24  # most elements of one subspace, product or bitmap enumeration
+    max_samples: int = 10**8  # most Monte Carlo samples one estimate draws
 
 
 _ACTIVE: ContextVar[Budget] = ContextVar("closurelab_budget", default=Budget())
@@ -72,6 +66,9 @@ def check_group_exponent(n: int) -> None:
         raise BudgetExceeded(f"group exponent {n} exceeds budget {cap}")
 
 
-def check_enumeration(count: int, limit: int = DEFAULT_ENUMERATION_BUDGET) -> None:
+def check_enumeration(count: int, limit: int | None = None) -> None:
+    """Refuse enumerating ``count`` elements above ``limit``, by default the
+    active ``witness_budget``."""
+    limit = _ACTIVE.get().witness_budget if limit is None else limit
     if count > limit:
         raise BudgetExceeded(f"enumeration of {count} elements exceeds budget {limit}")

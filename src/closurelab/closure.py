@@ -18,6 +18,7 @@ from .budgets import (
     BudgetExceeded,
     DimensionMismatch,
     VerificationFailure,
+    active,
     check_group_exponent,
 )
 from .confidence import chernoff_radius, hoeffding_radius
@@ -65,8 +66,8 @@ class SampledEstimate:
 
 def closedness_exact(a: GroupSet, b: GroupMultiset) -> ClosednessReport:
     """Exact eta with multiplicities: |{(a,b): a+b in A}| / (|A| |B|)."""
-    if a.size < 1:
-        raise ValueError("A must be nonempty")
+    if a.size < 1 or b.total < 1:
+        raise ValueError("A and B must be nonempty")
     if a.n != b.n:
         raise DimensionMismatch("A and B live in different groups")
     if a.size * b.support_size > EXACT_PAIR_LIMIT:
@@ -86,6 +87,8 @@ def inversion_sampler(values: Sequence[int], masses: Sequence[int]) -> Callable:
     """Draws values[i] with probability masses[i] / sum(masses), by
     inverting the cumulative masses at one uniform 64-bit integer per draw."""
     total = sum(masses)
+    if total < 1:
+        raise ValueError("B must be nonempty: its masses sum to 0")
     if total >= 2**63:
         raise BudgetExceeded("total mass too large for 64-bit uniform sampling")
     vals = np.asarray(values, dtype=np.int64)
@@ -134,9 +137,13 @@ def sampled_fraction(
     ``chunk_hits(rng, count)`` draws ``count`` trials from ``rng`` and counts
     the successes, once per chunk of :func:`seeded_chunks`.  The radius is
     Hoeffding's, or the variance-adaptive Bernstein one for ``"chernoff"``.
+    The active ``max_samples`` caps ``samples``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    cap = active().max_samples
+    if samples > cap:
+        raise BudgetExceeded(f"samples {samples} exceed budget {cap}")
     hits = sum(chunk_hits(rng, count) for rng, count in seeded_chunks(samples, seed))
     estimate = hits / samples
     if radius_method == "hoeffding":

@@ -23,14 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .budgets import (
-    BudgetExceeded,
-    DensityTooLow,
-    DimensionMismatch,
-    VerificationFailure,
-    active,
-    check_enumeration,
-)
+from .budgets import DensityTooLow, DimensionMismatch, VerificationFailure, check_enumeration
 from .gf2 import Subspace, rref
 from .spectral import GroupMultiset, GroupSet, bogolyubov, sumset_support, wht
 from .tensor import (
@@ -48,9 +41,6 @@ from .tensor import (
 # ---------------------------------------------------------------------------
 
 
-PROFILE_MAX_EXPONENT = 20  # largest n whose 2^n agreement profile is computed
-
-
 @dataclass(frozen=True, eq=False)
 class AgreementProfile:
     """counts[r] = #{q in Q : r.q = 0}, multiplicities included."""
@@ -66,12 +56,11 @@ class AgreementProfile:
 def agreement_profile(q: GroupMultiset, shape: TensorShape | None = None) -> AgreementProfile:
     """Exact agreement counts for every array, via one transform.
 
-    counts[r] = (|Q| + sum_q mult(q)(-1)^(r.q)) / 2.
+    counts[r] = (|Q| + sum_q mult(q)(-1)^(r.q)) / 2.  The transform is dense
+    2^n work, so the active ``max_group_exponent`` bounds n.
     """
     if shape is not None and shape.total != q.n:
         raise DimensionMismatch("shape.total differs from multiset exponent")
-    if q.n > PROFILE_MAX_EXPONENT:
-        raise BudgetExceeded(f"2^{q.n} profile exceeds 2^{PROFILE_MAX_EXPONENT} budget")
     spec = wht(q.counts_array(), q.n)
     counts = (q.total + spec.coeffs) // 2
     if int(counts[0]) != q.total or int(counts.max()) > q.total or counts.min() < 0:
@@ -146,7 +135,7 @@ class SumsetReach:
 
     def __init__(self, generators: Iterable[int], nbits: int, depth: int):
         size = 1 << nbits
-        check_enumeration(size, active().witness_budget)
+        check_enumeration(size)
         self.depth = depth
         self.generators = sorted(set(int(g) for g in generators))
         self._gens = np.array(self.generators, dtype=np.int64)
@@ -500,7 +489,7 @@ class PipelineResult:
     structure: StructureResult
     q: GroupMultiset
     profile: AgreementProfile
-    agreement_set: list[int]
+    agreement_set: np.ndarray  # int64, ascending
     centers: list[int]
     w1: Subspace
     w2: Subspace
@@ -567,7 +556,6 @@ def matrix_pipeline(
     profile = agreement_profile(q, shape)
     thresh = agreement_threshold(q.total, 1 - Fraction(epsilon))
     r_arr = np.flatnonzero(profile.counts >= thresh).astype(np.int64)
-    r_set = r_arr.tolist()
 
     centers = _greedy_centers(r_arr, rank_reach(shape, (0,), rank_threshold))
 
@@ -584,7 +572,7 @@ def matrix_pipeline(
         "u_codim": structure.u_space.codim,
         "v_common_codim": structure.common_codim,
         "q_total": q.total,
-        "agreement_set_size": len(r_set),
+        "agreement_set_size": r_arr.size,
         "num_centers": len(centers),
         "dim_w1": witness.w1.dim,
         "dim_w2": witness.w2.dim,
@@ -599,7 +587,7 @@ def matrix_pipeline(
         structure=structure,
         q=q,
         profile=profile,
-        agreement_set=r_set,
+        agreement_set=r_arr,
         centers=centers,
         w1=witness.w1,
         w2=witness.w2,

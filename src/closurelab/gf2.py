@@ -18,12 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .budgets import (
-    DEFAULT_ENUMERATION_BUDGET,
-    BudgetExceeded,
-    DimensionMismatch,
-    check_enumeration,
-)
+from .budgets import BudgetExceeded, DimensionMismatch, check_enumeration
 
 
 def dot(a: int, b: int) -> int:
@@ -150,8 +145,9 @@ class Subspace:
             raise DimensionMismatch("ambient dimensions differ")
         return self.complement().sum(other.complement()).complement()
 
-    def enumerate(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Iterator[int]:
-        """All elements in Gray-code order over basis coefficients."""
+    def enumerate(self, budget: int | None = None) -> Iterator[int]:
+        """All elements in Gray-code order over basis coefficients, refused above
+        ``budget`` (by default the active ``witness_budget``)."""
         count = 1 << self.dim
         check_enumeration(count, budget)
         x = 0

@@ -22,8 +22,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .budgets import (
+    BudgetExceeded,
     DimensionMismatch,
-    IntegerOverflowGuard,
     VerificationFailure,
     check_enumeration,
     check_group_exponent,
@@ -269,7 +269,7 @@ def _crt_sum_of_products(arrays: list[np.ndarray], bound: int) -> int:
         residues.append((p, int(r.sum()) % p))
         modulus *= p
     if modulus <= 2 * bound:
-        raise IntegerOverflowGuard(f"a sum of products up to {bound} needs more CRT primes")
+        raise BudgetExceeded(f"a sum of products up to {bound} needs more CRT primes")
     total = sum(r * (modulus // p) * pow(modulus // p, -1, p) for p, r in residues) % modulus
     return total - modulus if total > modulus // 2 else total
 
@@ -278,7 +278,7 @@ def wht(f, n: int | None = None) -> Spectrum:
     """Exact Walsh-Hadamard transform: coeffs[r] = sum_x f(x)(-1)^(r.x).
 
     O(N log N) integer butterflies; applying it twice returns 2^n * f.
-    Raises IntegerOverflowGuard if the exact result might not fit int64,
+    Raises BudgetExceeded if the exact result might not fit int64,
     and VerificationFailure if the integer Parseval identity fails.
     """
     arr = np.array(f, dtype=np.int64, copy=True)
@@ -289,9 +289,7 @@ def wht(f, n: int | None = None) -> Spectrum:
     check_group_exponent(n)
     s_in = exact_sum_of_products(arr, arr)
     if (1 << n) * s_in >= 2**63:
-        raise IntegerOverflowGuard(
-            f"2^{n} * sum(f^2) = {(1 << n) * s_in} exceeds signed-64 range"
-        )
+        raise BudgetExceeded(f"2^{n} * sum(f^2) = {(1 << n) * s_in} exceeds signed-64 range")
     out = _butterfly(arr)
     s_out = int(np.dot(out, out))  # nonnegative terms bounded by the exact total
     if s_out != (1 << n) * s_in:

@@ -20,7 +20,6 @@ import numpy as np
 from .budgets import (
     DimensionMismatch,
     VerificationFailure,
-    active,
     check_enumeration,
     check_group_exponent,
 )
@@ -340,7 +339,7 @@ def rank_reach(shape: TensorShape, axes: tuple[int, ...], k: int) -> np.ndarray:
     lie in some k-dimensional H, so the bitmap is the union of the blowups
     H (x) F2^{rest} over the subspaces H of dimension min(k, side).
     """
-    check_enumeration(1 << shape.total, active().witness_budget)
+    check_enumeration(1 << shape.total)
     if math.prod(shape.dims[a] for a in axes) ** 2 > shape.total:  # same rank, shorter side
         axes = tuple(a for a in range(shape.d) if a not in axes)
     side = math.prod(shape.dims[a] for a in axes)

@@ -47,7 +47,6 @@ from closurelab.hamming import (
 )
 from closurelab.spectral import (
     GroupMultiset,
-    GroupSet,
     bogolyubov,
     random_groupset,
     spectral_closedness,

@@ -92,15 +92,19 @@ def test_budget_override_via_manifest(tmp_path, monkeypatch):
         ("spectrum", spectrum_n10, {}, 0),  # the cap of 9 ended with its run
         ("simple-set", {"shape": [5, 5], "k": 1}, {"max_group_exponent": 25}, 0),
         ("forcing-pipeline", {"shape": [4, 4]}, {"witness_budget": 1024}, 3),
+        ("forcing-pipeline", {"shape": [3, 7]}, {}, 0),  # a 2^21 agreement profile
+        ("forcing-pipeline", {"shape": [3, 7]}, {"max_group_exponent": 20}, 3),
         ("spectrum", spectrum_n10, {"witness_budget": None}, 1),  # not an integer
         ("scenarios", {}, {"max_samples": "many"}, 1),
     ]
     path = tmp_path / "m.json"
     for command, params, budgets, code in cases:
-        manifest = {"command": command, "params": params, "budgets": budgets,
+        manifest = {"command": command, "params": params, "budgets": budgets, "seed": 2000,
                     "output": {"path": str(tmp_path / "out.json")}}
         path.write_text(json.dumps(manifest))
         assert cli.main([command, "--manifest", str(path)]) == code, (command, budgets)
+        if (command, code) == ("forcing-pipeline", 0):
+            assert json.loads((tmp_path / "out.json").read_text())["payload"]["verified"] is True
 
     # the environment is no budget source
     monkeypatch.setenv("CLOSURELAB_BUDGET_EXP", "9")
@@ -301,6 +305,16 @@ def test_forcing_input_errors_name_the_bad_value(command, params, code, message,
 def test_zero_samples_exit_1_with_one_line(argv, capsys):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: samples must be >= 1\n"
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("exact", "error: A and B must be nonempty\n"),
+    ("sampled", "error: B must be nonempty: its masses sum to 0\n"),
+], ids=["exact", "sampled"])
+def test_empty_generator_multiset_exit_1_with_one_line(mode, message, capsys):
+    params = {"n": 6, "mode": mode, "generators": {"kind": "basis", "support": 0}}
+    assert run(Manifest.from_dict({"command": "closedness", "params": params})) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_io_error_exit_1(tmp_path):

@@ -435,7 +435,7 @@ def test_matrix_pipeline_centers_match_gather_oracle():
             res = matrix_pipeline(pairs, shape, delta, epsilon, threshold)
             if threshold == 0 and len(res.agreement_set) > 8192:
                 # every array is its own center at threshold 0
-                assert res.centers == res.agreement_set
+                assert res.centers == res.agreement_set.tolist()
                 continue
             assert res.centers == greedy_centers(res.agreement_set, layers[threshold])
 

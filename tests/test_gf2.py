@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from closurelab.budgets import BudgetExceeded, DimensionMismatch
+from closurelab.budgets import Budget, BudgetExceeded, DimensionMismatch, using
+from closurelab.forcing import random_factor_tuples
 from closurelab.gf2 import (
     Subspace,
     all_subspaces,
@@ -18,6 +19,7 @@ from closurelab.gf2 import (
     to_hex,
     to_hex_array,
 )
+from closurelab.spectral import subspace_elements
 
 
 def test_rref_two_independent_vectors():
@@ -116,6 +118,17 @@ def test_enumerate_budget():
     v = Subspace.full(20)
     with pytest.raises(BudgetExceeded):
         list(v.enumerate(budget=2**10))
+    # with no explicit limit, every enumeration reads the active witness_budget
+    enumerations = [
+        lambda bits: list(Subspace.full(bits).enumerate()),
+        lambda bits: subspace_elements(Subspace.full(bits)),
+        lambda bits: random_factor_tuples((5, bits - 5), 1, np.random.default_rng(0)),
+    ]
+    with using(Budget(witness_budget=2**10)):
+        for enumerate_bits in enumerations:
+            enumerate_bits(10)  # at the limit
+            with pytest.raises(BudgetExceeded):
+                enumerate_bits(11)
 
 
 def test_contains_array_agrees_with_contains():

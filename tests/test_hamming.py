@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from closurelab.budgets import BudgetExceeded
+from closurelab.budgets import Budget, BudgetExceeded, using
 from closurelab.closure import SampledEstimate, closedness_exact
 from closurelab.hamming import (
     LayerSet,
@@ -17,7 +17,6 @@ from closurelab.hamming import (
     counterexample_scenarios,
     fourier_concentration,
     is_compatible,
-    layer_groupset,
     random_translate_fixture,
     slice_mu_hat,
     standard_basis_multiset,
@@ -117,6 +116,18 @@ def test_compatibility_sampled_deterministic():
     r1 = compatibility_fraction(layer, sl, 5000, seed=3)
     r2 = compatibility_fraction(layer, sl, 5000, seed=3)
     assert r1.estimate == r2.estimate
+
+
+def test_library_estimators_read_the_active_sample_cap():
+    from closurelab.hamming import layered_pair_eta_sampled
+
+    layer = LayerSet.below_cutoff(36, 0.1)
+    sl = SliceSet(36, 6)
+    with using(Budget(max_samples=10)):
+        for estimate in (compatibility_fraction, layered_pair_eta_sampled):
+            assert estimate(layer, sl, 10, seed=1).samples == 10  # at the cap
+            with pytest.raises(BudgetExceeded, match="samples 11 exceed budget 10"):
+                estimate(layer, sl, 11, seed=1)
 
 
 def test_compatibility_explicit_bprime_list():

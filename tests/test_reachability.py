@@ -12,6 +12,9 @@ are not references, only its uses of a name are, so a re-export cannot keep
 a dead name alive.
 A member shares its name with every other use of that name, so the rule
 cannot see a dead member whose name is alive elsewhere.
+
+A second rule: no module of ``src/``, ``tests/`` or ``tools/`` imports a
+name it never uses (``from __future__`` aside).
 """
 
 from __future__ import annotations
@@ -129,3 +132,27 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert unreached - set(KEPT) == set(), {n: defined[n] for n in unreached - set(KEPT)}
     # a kept name that gained a caller leaves the list
     assert set(KEPT) - unreached == set()
+
+
+IMPORT_DIRS = ("src", "tests", "tools")
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    """Names a module imports (``from __future__`` aside) and never uses by name."""
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".", 1)[0] for alias in node.names}
+    return imported - {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+
+
+def test_no_unused_imports():
+    unused = {}
+    for folder in IMPORT_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            names = _unused_imports(ast.parse(path.read_text()))
+            if names:
+                unused[str(path.relative_to(ROOT))] = sorted(names)
+    assert unused == {}

@@ -9,11 +9,10 @@ import pytest
 from closurelab.budgets import (
     BudgetExceeded,
     DimensionMismatch,
-    IntegerOverflowGuard,
     VerificationFailure,
 )
 from closurelab.closure import closedness_exact
-from closurelab.gf2 import Subspace, dot, random_subspace, rref
+from closurelab.gf2 import Subspace, random_subspace, rref
 from closurelab.hamming import layer_groupset, standard_basis_multiset
 from closurelab.spectral import (
     GroupMultiset,
@@ -78,7 +77,7 @@ def test_wht_involution():
 
 def test_wht_overflow_guard():
     big = [2**31] * 4
-    with pytest.raises(IntegerOverflowGuard):
+    with pytest.raises(BudgetExceeded):
         wht(big)
 
 

@@ -1,7 +1,6 @@
 """Tests for tensor shapes, rank-1 algebra, simple sets and l-systems."""
 
 import math
-from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -11,7 +10,6 @@ import closurelab.tensor as tensor_module
 from closurelab.budgets import VerificationFailure
 from closurelab.gf2 import Subspace, random_subspace, rref
 from closurelab.tensor import (
-    DegeneracyDecision,
     LSystem,
     SimpleSet,
     Tensor,
@@ -21,7 +19,6 @@ from closurelab.tensor import (
     embed_blowup,
     lsystem_intersect,
     rank1,
-    rank1_flat,
     rank_one_counter,
     rank_reach,
     sum_of_blowups,
