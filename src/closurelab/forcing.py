@@ -512,6 +512,8 @@ def _greedy_centers(points: np.ndarray, in_ball: np.ndarray) -> list[int]:
     block's centers are scattered into ``blocked`` at once.
     """
     ball = np.flatnonzero(in_ball)
+    if ball.size == 1 and ball[0] == 0:  # the ball {0}: every point is its own center
+        return points.tolist()
     blocked = np.zeros(in_ball.size, dtype=bool)
     # at most 64 survivors a block, fewer for large balls to bound the scatter
     most = min(_LOWER.shape[0], max(1, (1 << 18) // ball.size))

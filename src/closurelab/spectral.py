@@ -6,10 +6,15 @@ identity sum_r coeffs[r]^2 == 2^n sum_x f(x)^2; a violation raises, so no
 corrupted spectrum can propagate.  A width guard refuses inputs whose
 exact transform could leave signed 64-bit range.
 
-Transforms above 2^16 points are cache-blocked: a pass over the whole
-array would stream it from memory once per two levels, so the low 16 levels
-run inside each 2^16-point block (512 KiB of int64, resident in a core's
-L2) and the remaining levels across the blocks, a slab of columns at a time.
+The transform's levels are float64 matrix products: H_{2^n} is a Kronecker
+product of 16x16 Sylvester factors, so every four levels are one GEMM.
+float64 is exact because every value and every partial sum is a signed sum
+of input entries, at most the input's l1 norm: below 2^31.5 under the
+transform's guard, and at most 2^2n <= 2^52 in ``sumset_support``, which
+refuses n > 26.  Transforms above 2^16 points are cache-blocked: the low
+16 levels run inside each 2^16-point block (512 KiB of int64, resident in
+a core's L2) and the remaining levels across the blocks, a slab of columns
+at a time.
 """
 
 from __future__ import annotations
@@ -149,66 +154,82 @@ class RationalSpectrum:
         return Fraction(int(self.numerators[r]), self.denominator)
 
 
-_H4 = np.array(
-    [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=np.int64
-)
-_H4_MATMUL_MAX = 1 << 11  # up to this size one 4x4 matmul per pass beats four adds
 _BLOCK = 1 << 16  # points per cache-resident block: 512 KiB of int64, a quarter of L2
 _SLAB = 1 << 12  # columns per slab in the levels across blocks
+# multiply-adds per GEMM: OpenBLAS runs up to 2^18 on the calling thread; threaded, a
+# 2^20 transform ran 30 times slower on a 2-core host that two other busy processes shared
+_GEMM_MULADDS = 1 << 18
+# the Sylvester factors H_{2^k}[i, j] = (-1)^(i.j), k <= 4, in float64 for BLAS
+_FACTORS = tuple(
+    (-1.0) ** np.bitwise_count(np.arange(1 << k)[:, None] & np.arange(1 << k)) for k in range(5)
+)
 
 
-def _levels(v: np.ndarray) -> None:
-    """Every Walsh-Hadamard level along axis 0 of the view ``v``, in place.
+def _levels(v: np.ndarray, bufs: np.ndarray) -> None:
+    """Every Walsh-Hadamard level along axis 0 of the int64 view ``v``, in place.
 
-    Two levels per pass (radix 4), then one radix-2 level for odd length;
-    the levels commute, so the odd one runs last, over contiguous halves.
-    Further axes of ``v`` are columns transformed side by side.  Splitting
-    axis 0 never copies, so every reshape below writes through to ``v``.
+    H_{2^L} is the Kronecker product of Sylvester factors H_{2^k}, k <= 4
+    (Van Loan, *Computational Frameworks for the FFT*, 1992), so every four
+    levels are one float64 GEMM.  ``bufs`` holds two float64 arrays of
+    ``v``'s shape: ``v`` is copied into the first, the GEMMs ping-pong
+    between them, and the result is written back into ``v``.  A 1-D block
+    takes each factor as ``H @ x.reshape(-1, 2^k).T``: that transforms the
+    low k index bits and rotates the index right by k, so after all the
+    levels every bit is back in place.  Further axes of ``v`` are columns
+    transformed side by side: the factor is applied batched along axis 0,
+    to the index bits of stride ``step``.  Each GEMM is split by columns
+    into calls of at most _GEMM_MULADDS multiply-adds.
+
+    float64 is exact here: every value and every partial sum inside a GEMM
+    is a signed sum of distinct input entries, so it is at most the input's
+    l1 norm, which the callers keep below 2^53.
     """
-    m, cols = v.shape[0], v.shape[1:]
-    h = 1
-    while 4 * h <= m:
-        w = v.reshape(-1, 4, h, *cols)
-        if v.size <= _H4_MATMUL_MAX:  # a whole small array: a slab has more points
-            w[...] = _H4 @ w
+    src, dst = bufs
+    src[...] = v
+    levels, step = v.shape[0].bit_length() - 1, v.size // v.shape[0]
+    while levels:
+        k = min(levels, 4)
+        h, size = _FACTORS[k], 1 << k
+        if v.ndim == 1:
+            x, out = src.reshape(-1, size).T, dst.reshape(size, -1)
         else:
-            a0, a1, a2, a3 = w[:, 0], w[:, 1], w[:, 2], w[:, 3]
-            s01, d01 = a0 + a1, a0 - a1
-            s23, d23 = a2 + a3, a2 - a3
-            np.add(s01, s23, out=a0)
-            np.subtract(s01, s23, out=a2)
-            np.add(d01, d23, out=a1)
-            np.subtract(d01, d23, out=a3)
-        h *= 4
-    if h < m:
-        w = v.reshape(2, -1, *cols)
-        s = w[0] + w[1]
-        np.subtract(w[0], w[1], out=w[1])
-        w[0] = s
+            x, out = src.reshape(-1, size, step), dst.reshape(-1, size, step)
+            step *= size
+        cols = _GEMM_MULADDS >> 2 * k
+        for lo in range(0, x.shape[-1], cols):
+            np.matmul(h, x[..., lo : lo + cols], out=out[..., lo : lo + cols])
+        src, dst = dst, src
+        levels -= k
+    v[...] = src
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard butterfly over a contiguous int64 array.
 
-    Up to _BLOCK points it is one run of radix-4 passes over the whole
-    array.  Above, each pass over the whole array would stream it through
-    the last-level cache, so the transform is blocked (the "four-step"
-    order of Bailey, *FFTs in external or hierarchical memory*, 1990): the
-    low 16 levels inside each cache-resident row of the (size / _BLOCK,
-    _BLOCK) view, then the remaining levels along its axis 0, one slab of
-    _SLAB columns at a time.  The levels commute and int64 addition is
-    exact modulo 2^64, so the output is the same in every order.
+    Up to _BLOCK points it is one run of GEMM levels over the whole array.
+    Above, each pass over the whole array would stream it through the
+    last-level cache, so the transform is blocked (the "four-step" order of
+    Bailey, *FFTs in external or hierarchical memory*, 1990): the low 16
+    levels inside each cache-resident row of the (size / _BLOCK, _BLOCK)
+    view, then the remaining levels along its axis 0, one slab of _SLAB
+    columns at a time.  The two float64 work buffers are allocated once per
+    call, sized to one block or one slab, so peak memory is the array plus
+    them.  The levels commute, so the output is the same in every order.
     """
     if a.size <= _BLOCK:
-        _levels(a)
+        _levels(a, np.empty((2, a.size)))
         return a
     rows = a.reshape(-1, _BLOCK)
     if not np.shares_memory(rows, a):
         raise ValueError("the butterfly needs a contiguous array to work in place")
+    slab = rows.shape[0] * _SLAB
+    work = np.empty(2 * max(_BLOCK, slab))
+    bufs = work[: 2 * _BLOCK].reshape(2, _BLOCK)
     for row in rows:
-        _levels(row)
+        _levels(row, bufs)
+    bufs = work[: 2 * slab].reshape(2, -1, _SLAB)
     for lo in range(0, _BLOCK, _SLAB):
-        _levels(rows[:, lo : lo + _SLAB])
+        _levels(rows[:, lo : lo + _SLAB], bufs)
     return a
 
 
@@ -238,7 +259,8 @@ def exact_sum_of_products(*factors: np.ndarray) -> int:
     if size == 0:
         return 0
     # one scan per distinct array: wht and the spectral sums repeat a factor
-    maxima = {id(f): max(int(f.max()), -int(f.min())) for f in arrays}
+    distinct = {id(f): f for f in arrays}
+    maxima = {key: max(int(f.max()), -int(f.min())) for key, f in distinct.items()}
     bound = math.prod(maxima[id(f)] for f in arrays)  # on |term|
     if bound >= 2**63:
         return _crt_sum_of_products(arrays, size * bound)
@@ -287,7 +309,10 @@ def wht(f, n: int | None = None) -> Spectrum:
     if arr.size != 1 << n:
         raise DimensionMismatch(f"array length {arr.size} is not 2^{n}")
     check_group_exponent(n)
-    s_in = exact_sum_of_products(arr, arr)
+    if isinstance(f, np.ndarray) and f.dtype == bool:  # a bitmap: sum(f^2) counts its ones
+        s_in = int(np.count_nonzero(f))
+    else:
+        s_in = exact_sum_of_products(arr, arr)
     if (1 << n) * s_in >= 2**63:
         raise BudgetExceeded(f"2^{n} * sum(f^2) = {(1 << n) * s_in} exceeds signed-64 range")
     out = _butterfly(arr)
@@ -309,11 +334,15 @@ def sumset_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a`` and ``b`` are 0/1 bitmaps over F2^n.  The butterfly of the product
     of their transforms is 2^n * #{(x, y) in A x B : x + y = z}.  Every partial
     sum of it is at most sum_r |a^(r) b^(r)| <= 2^n sqrt(|A| |B|) <= 2^2n
-    (Cauchy-Schwarz and Parseval), so int64 is exact up to n = 31.
+    (Cauchy-Schwarz and Parseval), so the butterfly's float64 GEMMs are exact
+    up to n = 26; a larger n raises BudgetExceeded.
     """
     if a.shape != b.shape or a.ndim != 1 or not a.size or a.size & (a.size - 1):
         raise DimensionMismatch("bitmaps must be equal-length arrays of 2^n entries")
-    check_group_exponent(a.size.bit_length() - 1)
+    n = a.size.bit_length() - 1
+    check_group_exponent(n)
+    if n > 26:
+        raise BudgetExceeded(f"a sumset over F2^{n} reaches 2^{2 * n}, past float64's 2^53")
     fa = _butterfly(a.astype(np.int64))
     fb = fa if b is a else _butterfly(b.astype(np.int64))
     return _butterfly(np.multiply(fa, fb, out=fa)) > 0

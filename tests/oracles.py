@@ -275,6 +275,32 @@ def four_sum_first_failure(c: np.ndarray, elements) -> int | None:
     return None
 
 
+def naive_sumset(a, b, n: int) -> np.ndarray:
+    """Bitmap of {x + y : x in a, y in b} over F2^n, one gather per element of a."""
+    out = np.zeros(1 << n, dtype=bool)
+    b = np.asarray(b, dtype=np.int64)
+    for x in np.asarray(a, dtype=np.int64).tolist():
+        out[b ^ x] = True
+    return out
+
+
+def four_sum_witness(bitmap: np.ndarray, x: int, rng, draws: int = 64):
+    """Some (s1, s2, s3, s4) in S^4 with s1 + s2 + s3 + s4 = x, by bitmap lookups alone.
+
+    S is the set of ones of ``bitmap``.  Each draw takes s3, s4 from S and
+    looks up x + s3 + s4 + s1 for every s1 in S; None if no draw finds one.
+    """
+    elems = np.flatnonzero(bitmap)
+    for _ in range(draws):
+        s3, s4 = (int(e) for e in rng.choice(elems, size=2))
+        y = x ^ s3 ^ s4
+        hits = np.flatnonzero(bitmap[elems ^ y])
+        if hits.size:
+            s1 = int(elems[hits[0]])
+            return s1, s1 ^ y, s3, s4
+    return None
+
+
 def convolution_floor_oracle(a_bitmap: np.ndarray, l: int) -> np.ndarray:
     """counts[x] = #{(i_1..i_l) : x + e_i1 + ... + e_il in A}, by l gathers per basis vector."""
     counts = a_bitmap.astype(np.int64)

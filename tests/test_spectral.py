@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from closurelab.budgets import (
+    Budget,
     BudgetExceeded,
     DimensionMismatch,
     VerificationFailure,
+    using,
 )
 from closurelab.closure import closedness_exact
 from closurelab.gf2 import Subspace, random_subspace, rref
@@ -31,8 +33,10 @@ from closurelab.spectral import (
 from .oracles import (
     bfs_sum_layers,
     four_sum_first_failure,
+    four_sum_witness,
     naive_closedness,
     naive_convolution_pairs,
+    naive_sumset,
     naive_wht,
     radix2_wht,
     sum_of_products_oracle,
@@ -98,7 +102,9 @@ def test_wht_parseval_assertion_detects_fault(monkeypatch):
 
 def test_blocked_butterfly_matches_radix2_reference():
     rng = np.random.default_rng(41)
-    for n in (16, 17, 18, 20, 21):
+    # every split into Hadamard factors: tails of 1-3 levels, and n = 17-19
+    # across the 2^16-point block boundary
+    for n in range(1, 23):
         # the largest m with 2^n * 2^n * m^2 < 2^63, so wht's int64 guard holds
         m = math.isqrt((2**63 - 1) >> (2 * n))
         f = rng.integers(-m, m + 1, size=1 << n)
@@ -121,8 +127,8 @@ def test_wht_parseval_detects_fault_in_last_block(monkeypatch):
     real = spectral._levels
     rows = []
 
-    def corrupt_last_block(v):
-        real(v)
+    def corrupt_last_block(v, bufs):
+        real(v, bufs)
         if v.ndim == 1:  # the low levels of one contiguous block
             rows.append(v)
             if len(rows) == (1 << n) // spectral._BLOCK:
@@ -271,6 +277,25 @@ def test_sumset_support_matches_pairwise_sums():
         assert set(np.flatnonzero(doubled).tolist()) == {int(x) ^ int(y) for x in a for y in a}
 
 
+def test_sumset_support_matches_naive_sumset_up_to_n12():
+    rng = np.random.default_rng(32)
+    for n in range(1, 13):
+        # the whole group reaches the 2^2n peak of the second transform
+        for size_a, size_b in [(1 << n, 1 << n), (1 << (n - 1), max(1, n)), (2, 1)]:
+            a = rng.choice(1 << n, size=size_a, replace=False)
+            b = rng.choice(1 << n, size=size_b, replace=False)
+            bits_a, bits_b = np.zeros((2, 1 << n), dtype=bool)
+            bits_a[a], bits_b[b] = True, True
+            assert np.array_equal(sumset_support(bits_a, bits_b), naive_sumset(a, b, n))
+
+
+def test_sumset_support_refuses_n27_under_a_raised_budget():
+    bits = np.broadcast_to(np.ones(1, dtype=bool), (1 << 27,))  # no 2^27 array is allocated
+    with using(Budget(max_group_exponent=27)):
+        with pytest.raises(BudgetExceeded):
+            sumset_support(bits, bits)
+
+
 def test_sumset_support_rejects_mismatched_bitmaps():
     for a, b in [(np.ones(8), np.ones(4)), (np.ones(6), np.ones(6)), (np.ones(0), np.ones(0)),
                  (np.ones((4, 4)), np.ones((4, 4)))]:
@@ -292,8 +317,8 @@ def test_bogolyubov_full_group_at_n20_reaches_the_int64_bound(monkeypatch):
 
     monkeypatch.setattr(spectral, "_butterfly", recording)
     assert bogolyubov(GroupSet.from_elements(n, range(1 << n))) == Subspace.full(n)
-    # the second butterfly of each sumset: 2^n * |S|^2 = 2^2n at every point,
-    # the bound that makes int64 exact; the unclipped fourth power would be 2^4n
+    # the second butterfly of each sumset: 2^n * |S|^2 = 2^2n at every point, the
+    # bound that keeps its float64 GEMMs exact to n = 26; the unclipped fourth power is 2^4n
     assert max(peaks) == 1 << 2 * n
 
 
@@ -519,3 +544,16 @@ def test_bogolyubov_at_n17_matches_per_element_oracle(monkeypatch):
     expected = _oracle_outcome(s, u)
     assert expected[0] == "reject"
     assert _bogolyubov_outcome(s) == expected
+
+
+def test_dense_bogolyubov_at_n17_to_20_matches_explicit_four_sums():
+    for n in range(17, 21):
+        rng = np.random.default_rng(n)
+        s = random_groupset(n, 1 << (n - 1), rng)
+        v = bogolyubov(s)
+        bits, rows = s.bitmap(), np.array(v.rows, dtype=np.int64)
+        # a seeded sample of V, each element backed by s1 + s2 + s3 + s4 found by lookups alone
+        for _ in range(32):
+            x = int(np.bitwise_xor.reduce(rows[rng.integers(0, 2, size=rows.size) == 1], initial=0))
+            s1, s2, s3, s4 = four_sum_witness(bits, x, rng)
+            assert bits[[s1, s2, s3, s4]].all() and s1 ^ s2 ^ s3 ^ s4 == x

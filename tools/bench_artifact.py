@@ -16,7 +16,7 @@ interpreter.  The artifact has four parts:
   phase of the host then shows on both sides, not as a change), of
   ``matrix_pipeline`` at (4,4) and (4,5) (delta 1/2, seed 2000), ``wht`` at
   n = 8/16/17/18/20 (17 and 18 on either side of the butterfly's 2^16-point
-  block), ``bogolyubov`` on dense 1/2 sets at n = 12/13/16/20 (a side
+  block), ``bogolyubov`` on dense 1/2 sets at n = 12/13/16/20/22 (a side
   that refuses a size records the error),
   ``closedness_exact`` against ``spectral_closedness`` and ``mixed_energy``
   on the n = 20 layers 9..11 against the standard basis, the ``spectrum``
@@ -35,7 +35,8 @@ interpreter.  The artifact has four parts:
   the arguments its signature on that side takes).
   ``rounds`` holds each round's output; ``summary`` holds per kernel each
   side's median over the rounds and the median of the per-round
-  change/parent ratios;
+  change/parent ratios; ``peak_rss_mb`` holds each side's peak RSS of one
+  dense 1/2 ``bogolyubov`` at n = 20 and 22, each in a fresh interpreter;
 * ``suite``: the tier-1 suite's wall time, criterion 7's call time, and
   criterion 3's library seconds from its ``ACCEPTANCE 3: PASS`` line;
 * ``machine``: CPU, Python and numpy versions.
@@ -91,7 +92,7 @@ for dims, repeats in (((4, 4), 7), ((4, 5), 3)):
 for n, repeats in ((8, 2001), (16, 31), (17, 21), (18, 15), (20, 7)):
     f = np.random.default_rng(2000).integers(0, 2, size=1 << n)
     out[f"wht_n{n}"], _ = median_s(lambda: spectral.wht(f, n), repeats)
-for n, repeats in ((12, 7), (13, 5), (16, 5), (20, 3)):
+for n, repeats in ((12, 7), (13, 5), (16, 5), (20, 3), (22, 3)):
     s = spectral.random_groupset(n, 1 << (n - 1), np.random.default_rng(2000))
     try:
         out[f"bogolyubov_dense_n{n}"], v = median_s(lambda: spectral.bogolyubov(s), repeats)
@@ -185,6 +186,16 @@ print(json.dumps(out))
 """
 
 
+RSS_SNIPPET = """
+import resource, sys
+import numpy as np
+from closurelab import spectral
+n = int(sys.argv[1])
+spectral.bogolyubov(spectral.random_groupset(n, 1 << (n - 1), np.random.default_rng(2000)))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
 def _run(cmd: list[str], root: Path, env_src: bool = False) -> str:
     """stdout of ``cmd`` run in ``root``, importing closurelab from root/src if asked."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -230,7 +241,12 @@ def kernel_rounds(parent: Path) -> dict:
             "change_median_s": statistics.median(change_s),
             "change_over_parent": statistics.median(c / p for c, p in zip(change_s, parent_s)),
         }
-    return {"summary": summary, "rounds": rounds}
+    peak_rss_mb = {
+        f"bogolyubov_dense_n{n}": {
+            side: float(_run([sys.executable, "-c", RSS_SNIPPET, str(n)], root, env_src=True))
+            for side, root in sides.items()}
+        for n in (20, 22)}
+    return {"summary": summary, "rounds": rounds, "peak_rss_mb": peak_rss_mb}
 
 
 def summarize(pairs: list[dict], metrics: list[str]) -> dict:
