@@ -23,7 +23,8 @@ from .budgets import (
 )
 from .confidence import chernoff_radius, hoeffding_radius
 from .gf2 import Subspace, rref
-from .spectral import GroupMultiset, GroupSet, exact_sum_of_products, subspace_elements, wht
+from .spectral import GroupMultiset, GroupSet, spectral_sum, subspace_elements, wht
+from .tensor import rank1_flat
 
 EXACT_PAIR_LIMIT = 2**28  # most (a, b) pairs closedness_exact counts
 SAMPLE_CHUNK = 4096  # samples drawn per seeded chunk
@@ -185,10 +186,9 @@ def mixed_energy(a: GroupSet, b: GroupMultiset) -> Fraction:
         raise ValueError("A and B must be nonempty")
     if a.n != b.n:
         raise DimensionMismatch("A and B live in different groups")
-    c = wht(a.bitmap(), a.n).coeffs
     m = wht(b.counts_array(), b.n).coeffs
-    num = exact_sum_of_products(c, c, m, m)
-    value = Fraction(num, (1 << (2 * a.n)) * b.total**2)
+    m *= m  # each m^2 < 2^63: the transform's guard bounds the sum of them
+    value = Fraction(spectral_sum(wht(a.bitmap(), a.n), m), (1 << (2 * a.n)) * b.total**2)
     alpha = a.density
     if value > alpha:
         raise VerificationFailure(f"mixed energy {value} exceeds density {alpha}")
@@ -241,28 +241,13 @@ def basic_set(kind: str, x: int, y: int, shape: tuple[int, int]) -> GroupSet:
             return GroupSet.from_elements(nbits, [])
         return GroupSet.from_bitmap(nbits, np.ones(1 << nbits, dtype=bool))
 
+    t = x & -x  # M = y (x) t solves Mx = y, and t (x) y solves M^T x = y
     if kind == "row":
-        constraints = [x << (i * n) for i in range(m)]
-        t = (x & -x).bit_length() - 1
-        particular = 0
-        for i in range(m):
-            if (y >> i) & 1:
-                particular |= 1 << (i * n + t)
+        constraints = [rank1_flat(shape, (1 << i, x)) for i in range(m)]
+        particular = rank1_flat(shape, (y, t))
     else:
-        constraints = []
-        for j in range(n):
-            v = 0
-            xi = x
-            while xi:
-                i = (xi & -xi).bit_length() - 1
-                v |= 1 << (i * n + j)
-                xi &= xi - 1
-            constraints.append(v)
-        t = (x & -x).bit_length() - 1
-        particular = 0
-        for j in range(n):
-            if (y >> j) & 1:
-                particular |= 1 << (t * n + j)
+        constraints = [rank1_flat(shape, (x, 1 << j)) for j in range(n)]
+        particular = rank1_flat(shape, (t, y))
 
     homog = rref(constraints, nbits).complement()
     return GroupSet.from_elements(nbits, particular ^ subspace_elements(homog))

@@ -75,9 +75,6 @@ class LayerSet:
     def size(self) -> int:
         return sum(math.comb(self.n, w) for w in range(self.lo, self.hi + 1))
 
-    def contains(self, v: int) -> bool:
-        return self.lo <= v.bit_count() <= self.hi
-
     def weight_masses(self) -> dict[int, int]:
         return {w: math.comb(self.n, w) for w in range(self.lo, self.hi + 1)}
 
@@ -99,9 +96,6 @@ class SliceSet:
     @property
     def size(self) -> int:
         return math.comb(self.n, self.w)
-
-    def contains(self, v: int) -> bool:
-        return v.bit_count() == self.w
 
     def to_groupset(self) -> GroupSet:
         return layer_groupset(self.n, self.w, self.w)

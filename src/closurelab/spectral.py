@@ -4,7 +4,11 @@ Spectra are stored as signed integers scaled by 2^n: coeffs[r] =
 sum_x f(x) (-1)^(r.x).  Every transform asserts the integer Parseval
 identity sum_r coeffs[r]^2 == 2^n sum_x f(x)^2; a violation raises, so no
 corrupted spectrum can propagate.  A width guard refuses inputs whose
-exact transform could leave signed 64-bit range.
+exact transform could leave signed 64-bit range, so the verified energy
+sum_r coeffs[r]^2 is below 2^63.  It bounds every weighted spectral sum
+sum_r coeffs[r]^2 w[r] (closedness, mixed energy), which ``spectral_sum``
+takes exactly: modulo 2^64 in one pass, and modulo at most three primes
+more when the bound passes 2^63.
 
 The transform's levels are float64 matrix products: H_{2^n} is a Kronecker
 product of 16x16 Sylvester factors, so every four levels are one GEMM.
@@ -19,7 +23,6 @@ at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -73,10 +76,6 @@ class GroupSet:
         out = np.zeros(1 << self.n, dtype=bool)
         out[self.elements] = True
         return out
-
-    def contains(self, x: int) -> bool:
-        i = int(np.searchsorted(self.elements, x))
-        return i < self.elements.size and int(self.elements[i]) == x
 
     def __eq__(self, other):
         return (
@@ -136,10 +135,7 @@ class Spectrum:
 
     n: int
     coeffs: np.ndarray  # int64, length 2^n
-
-    def value(self, r: int) -> Fraction:
-        """The true Fourier coefficient f^(r) = coeffs[r] / 2^n."""
-        return Fraction(int(self.coeffs[r]), 1 << self.n)
+    energy: int  # sum_r coeffs[r]^2 = 2^n sum_x f(x)^2 < 2^63, checked by the transform
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,66 +229,37 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Distinct primes below 2^31: residues and their products stay below 2^62.
-_CRT_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-    2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
-)
+# Distinct primes below 2^31: a product of two residues is below 2^62, and a
+# sum of < 2^31 reduced products stays inside int64.
+_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
-def exact_sum_of_products(*factors: np.ndarray) -> int:
-    """sum_i prod_k factors[k][i] over equal-length int64 arrays, exactly.
+def spectral_sum(spec: Spectrum, w) -> int:
+    """sum_r spec.coeffs[r]^2 * w[r] for int64 weights ``w``, exactly.
 
-    When every term fits int64, the products are formed in int64; a sum
-    that might not fit is recovered from the exact sum of the terms' high
-    32 bits and their sum modulo 2^64.  Otherwise the sum is taken
-    modulo enough primes below 2^31 and recombined by the Chinese remainder
-    theorem (Knuth, TAOCP vol. 2, 4.3.2) into a signed Python int.  No
-    branch loops over the elements.
+    The sum is at most bound = energy * max|w| < 2^126 in size.  Its residue
+    modulo 2^64 is one wrapping uint64 pass over coeffs, coeffs and ``w``,
+    with no array of squares.  While the modulus is at most 2 * bound, a
+    residue modulo the next prime below 2^31 is joined to it by one step of
+    Garner's incremental Chinese remainder theorem (Knuth, TAOCP vol. 2,
+    4.3.2); each square there is at most the energy, so it fits int64.
+    2^64 times the three primes exceeds 2^156 > 2 * bound, so at most three
+    primes are needed, and none while bound < 2^63.
     """
-    if not factors:
-        raise ValueError("need at least one factor")
-    arrays = [np.asarray(f, dtype=np.int64) for f in factors]
-    size = arrays[0].size
-    if any(f.shape != arrays[0].shape for f in arrays) or size >= 2**31:
-        raise DimensionMismatch("factors must be equal-length arrays of < 2^31 terms")
-    if size == 0:
-        return 0
-    # one scan per distinct array: wht and the spectral sums repeat a factor
-    distinct = {id(f): f for f in arrays}
-    maxima = {key: max(int(f.max()), -int(f.min())) for key, f in distinct.items()}
-    bound = math.prod(maxima[id(f)] for f in arrays)  # on |term|
-    if bound >= 2**63:
-        return _crt_sum_of_products(arrays, size * bound)
-    if len(arrays) == 2 and size * bound < 2**63:
-        return int(np.dot(arrays[0], arrays[1]))  # one pass, no product array
-    prod = arrays[0] * arrays[1] if len(arrays) > 1 else arrays[0].copy()
-    for f in arrays[2:]:
-        prod *= f
-    if size * bound < 2**63:
-        return int(prod.sum())
-    # term = 2^32 high + low: the highs (|high| <= 2^31) sum exactly, and the
-    # lows' sum, in [0, 2^63), is the wrapped uint64 sum less 2^32 * highs
-    wrapped = int(prod.view(np.uint64).sum())
-    high = int(np.right_shift(prod, 32, out=prod).sum())
-    return (high << 32) + (wrapped - (high << 32)) % 2**64
-
-
-def _crt_sum_of_products(arrays: list[np.ndarray], bound: int) -> int:
-    """The sum of products with |sum| <= bound, from its residues by CRT."""
-    modulus, residues = 1, []
-    for p in _CRT_PRIMES:
+    c = spec.coeffs
+    w = np.asarray(w, dtype=np.int64)
+    if w.shape != c.shape or c.size >= 2**31:
+        raise DimensionMismatch("weights must be one per coefficient, fewer than 2^31")
+    bound = spec.energy * max(int(w.max()), -int(w.min()))
+    cu = c.view(np.uint64)
+    total, modulus = int(np.einsum("i,i,i->", cu, cu, w.view(np.uint64))), 1 << 64
+    for p in _PRIMES:
         if modulus > 2 * bound:
             break
-        r = np.remainder(arrays[0], p)
-        for f in arrays[1:]:
-            r *= np.remainder(f, p)
-            np.remainder(r, p, out=r)
-        residues.append((p, int(r.sum()) % p))
+        terms = np.remainder(c * c, p) * np.remainder(w, p)
+        r = int(np.remainder(terms, p, out=terms).sum())
+        total += modulus * ((r - total) * pow(modulus, -1, p) % p)
         modulus *= p
-    if modulus <= 2 * bound:
-        raise BudgetExceeded(f"a sum of products up to {bound} needs more CRT primes")
-    total = sum(r * (modulus // p) * pow(modulus // p, -1, p) for p, r in residues) % modulus
     return total - modulus if total > modulus // 2 else total
 
 
@@ -312,7 +279,10 @@ def wht(f, n: int | None = None) -> Spectrum:
     if isinstance(f, np.ndarray) and f.dtype == bool:  # a bitmap: sum(f^2) counts its ones
         s_in = int(np.count_nonzero(f))
     else:
-        s_in = exact_sum_of_products(arr, arr)
+        peak = max(int(arr.max()), -int(arr.min()))
+        if (1 << n) * peak**2 >= 2**63:
+            raise BudgetExceeded(f"2^{n} * max|f|^2 = {(1 << n) * peak**2} exceeds signed-64 range")
+        s_in = int(np.dot(arr, arr))  # every partial sum is at most 2^n peak^2
     if (1 << n) * s_in >= 2**63:
         raise BudgetExceeded(f"2^{n} * sum(f^2) = {(1 << n) * s_in} exceeds signed-64 range")
     out = _butterfly(arr)
@@ -321,7 +291,7 @@ def wht(f, n: int | None = None) -> Spectrum:
         raise VerificationFailure(
             f"integer Parseval violated: {s_out} != 2^{n} * {s_in}"
         )
-    return Spectrum(n, out)
+    return Spectrum(n, out, s_out)
 
 
 def indicator_spectrum(a: GroupSet) -> Spectrum:
@@ -367,15 +337,13 @@ def spectral_closedness(a: GroupSet, b: GroupMultiset) -> Fraction:
     rational; by the convolution law this equals the combinatorial pair
     count |{(a,b): a+b in A}| / (|A| |B|).
     """
-    if a.size < 1:
-        raise ValueError("A must be nonempty")
+    if a.size < 1 or b.total < 1:
+        raise ValueError("A and B must be nonempty")
     if a.n != b.n:
         raise DimensionMismatch("A and B live in different groups")
-    c = indicator_spectrum(a).coeffs
-    m = wht(b.counts_array(), b.n).coeffs
-    num = exact_sum_of_products(c, c, m)
-    den = b.total * (1 << a.n) * a.size  # = total * sum_r c^2
-    return Fraction(num, den)
+    spec = indicator_spectrum(a)
+    num = spectral_sum(spec, wht(b.counts_array(), b.n).coeffs)
+    return Fraction(num, b.total * spec.energy)
 
 
 def large_spectrum(spec: Spectrum, sq_threshold: Fraction) -> list[int]:

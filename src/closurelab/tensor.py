@@ -85,11 +85,6 @@ class Tensor:
         packed = np.packbits(flat, bitorder="little").tobytes()
         return cls(TensorShape(tuple(arr.shape)), int.from_bytes(packed, "little"))
 
-    def __xor__(self, other: "Tensor") -> "Tensor":
-        if self.shape != other.shape:
-            raise DimensionMismatch("tensor shapes differ")
-        return Tensor(self.shape, self.data ^ other.data)
-
     def to_json(self) -> dict:
         return {
             "shape": list(self.shape.dims),

@@ -209,6 +209,22 @@ def test_mixed_energy_at_n18_n20_matches_python_int_formula():
             assert mixed_energy(a, b) == want
 
 
+def test_mixed_energy_at_n12_with_heavy_multiplicities_matches_convolution():
+    # multiplicities 2^11..2^12 on every element: the sum's bound 2^n |A| total^2
+    # is past 2^63, so the spectral sum joins a prime to its 2^64 residue
+    rng = np.random.default_rng(15)
+    n = 12
+    a = random_groupset(n, 1 << 11, rng)
+    b = GroupMultiset.from_pairs(n, [(e, int(rng.integers(2**11, 2**12))) for e in range(1 << n)])
+    assert (1 << n) * a.size * b.total**2 >= 2**63
+    bitmap, idx = a.bitmap(), np.arange(1 << n)
+    conv = np.zeros(1 << n, dtype=np.int64)  # N(x) = sum_b mult(b) 1_A(x + b), at most total
+    for e, mult in b.counts.items():
+        conv += mult * bitmap[idx ^ e]
+    want = Fraction(sum(v * v for v in conv.tolist()), (1 << n) * b.total**2)
+    assert mixed_energy(a, b) == want
+
+
 def test_mixed_energy_matches_naive_convolution_oracle():
     rng = np.random.default_rng(3)
     for _ in range(30):

@@ -19,13 +19,14 @@ from closurelab.hamming import layer_groupset, standard_basis_multiset
 from closurelab.spectral import (
     GroupMultiset,
     GroupSet,
+    Spectrum,
     bogolyubov,
-    exact_sum_of_products,
     indicator_spectrum,
     large_spectrum,
     mu_hat,
     random_groupset,
     spectral_closedness,
+    spectral_sum,
     sumset_support,
     wht,
 )
@@ -46,7 +47,7 @@ from .oracles import (
 def test_wht_point_mass():
     spec = wht([1, 0, 0, 0, 0, 0, 0, 0])
     assert np.array_equal(spec.coeffs, np.ones(8, dtype=np.int64))
-    assert spec.value(3) == Fraction(1, 8)
+    assert spec.energy == 8
 
 
 def test_wht_subspace_indicator_is_scaled_dual_indicator():
@@ -167,6 +168,11 @@ def test_mu_hat_subspace_is_dual_indicator():
 def test_mu_hat_rejects_empty():
     with pytest.raises(ValueError):
         mu_hat(GroupMultiset(3, {}))
+
+
+def test_spectral_closedness_refuses_an_empty_b():
+    with pytest.raises(ValueError, match="A and B must be nonempty"):
+        spectral_closedness(layer_groupset(6, 2, 3), GroupMultiset(6, {}))
 
 
 def test_spectral_closedness_full_group():
@@ -376,94 +382,120 @@ def test_groupset_from_elements_sorts_dedups_and_checks_range():
         GroupSet.from_elements(5, np.array([-1, 4], dtype=np.int64))
 
 
-def _count_crt_calls(monkeypatch):
+def _primes_needed(spec, w) -> int:
+    """How many of spectral._PRIMES make 2^64 p_1..p_k exceed 2 * energy * max|w|."""
     import closurelab.spectral as spectral
 
-    calls = []
-    real = spectral._crt_sum_of_products
-
-    def counted(arrays, bound):
-        calls.append(bound)
-        return real(arrays, bound)
-
-    monkeypatch.setattr(spectral, "_crt_sum_of_products", counted)
-    return calls
+    bound = spec.energy * max(abs(int(v)) for v in w)
+    modulus, k = 1 << 64, 0
+    while modulus <= 2 * bound:
+        modulus *= spectral._PRIMES[k]
+        k += 1
+    return k
 
 
-def test_exact_sum_of_products_int64_branch(monkeypatch):
-    crt = _count_crt_calls(monkeypatch)
-    rng = np.random.default_rng(11)
-    empty = np.zeros(0, dtype=np.int64)
-    assert exact_sum_of_products(empty) == 0
-    assert exact_sum_of_products(empty, empty, empty) == 0
-    assert exact_sum_of_products(np.array([-7]), np.array([6])) == -42
-    assert exact_sum_of_products(np.array([2**62 + 5])) == 2**62 + 5
-    assert exact_sum_of_products(np.array([-(2**63) + 1])) == -(2**63) + 1
-    cases = [
-        # small mixed-sign terms, 1 to 4 factors
-        [rng.integers(-9, 10, size=300) for _ in range(k)] for k in (1, 2, 3, 4)
-    ]
-    # every term fits, but the sum passes 2^63: both signs, and cancelling
-    big = rng.integers(2**40, 2**41, size=1 << 16)
-    scale = np.full(big.size, 3 * 2**20)
-    cases.append([big, scale])
-    cases.append([-big, scale])
-    cases.append([big, rng.choice([-(2**21), 2**21], size=big.size)])
-    cases.append([np.full(4, 2**62), np.ones(4, dtype=np.int64)])
-    cases.append([np.full(1 << 12, -(2**31)), np.full(1 << 12, 2**31 - 1)])
-    for factors in cases:
-        got = exact_sum_of_products(*factors)
-        assert type(got) is int
-        assert got == sum_of_products_oracle(*factors)
-    assert sum_of_products_oracle(big, scale) >= 2**63
-    assert sum_of_products_oracle(-big, scale) < -(2**63)
-    assert crt == []
+def _spectrum(coeffs) -> Spectrum:
+    c = np.asarray(coeffs, dtype=np.int64)
+    return Spectrum(c.size.bit_length() - 1, c, sum(v * v for v in c.tolist()))
 
 
-def test_exact_sum_of_products_crt_branch(monkeypatch):
-    crt = _count_crt_calls(monkeypatch)
+def test_spectral_sum_matches_oracle_with_zero_to_three_primes(monkeypatch):
+    import closurelab.spectral as spectral
+
     rng = np.random.default_rng(12)
+    top, bottom = 2**63 - 1, -(2**63)
+    edge = 3037000499  # the largest c with c^2 < 2^63
     cases = [
-        # single terms that overflow int64 on their own
-        [np.array([2**40]), np.array([-(2**40)])],
-        [np.array([2**32]), np.array([2**31])],  # 2^63, one past int64
-        [np.array([2**62, -(2**62)]), np.array([3, 3])],
-        [np.array([2**62, -(2**62)]), np.array([4, 4]), np.array([3, 5])],
-        # many overflowing terms of both signs, 2 to 4 factors
-        [rng.integers(-(2**35), 2**35, size=2000) for _ in range(2)],
-        [rng.integers(-(2**40), 2**40, size=5000) for _ in range(3)],
-        [rng.integers(-(2**62), 2**62, size=1000) for _ in range(4)],
-        # int64 extremes, and a sum that cancels to exactly 0
-        [np.array([-(2**63), 2**63 - 1]), np.array([2**63 - 1, 2**63 - 1])],
-        [np.array([2**50, 2**50]), np.array([2**20, -(2**20)])],
+        # 0 primes: small terms of both signs, and a zero spectrum against int64 extremes
+        (rng.integers(-100, 100, size=256), rng.integers(-1000, 1000, size=256)),
+        (np.zeros(4, dtype=np.int64), [top, bottom, -top, 0]),
+        (np.full(1 << 10, 1 << 16), np.full(1 << 10, (1 << 21) - 1)),  # bound 2^63 - 2^42
+        # 1 prime: past int64 in both signs, and a sum that cancels to 0
+        (np.full(1 << 10, 1 << 16), np.full(1 << 10, 1 << 21)),  # sum 2^63 exactly
+        # sum = +-bound = +-(2^63 + 2^42): a modulus of 2^64 > bound would misread its sign
+        (np.full(1 << 10, 1 << 16), np.full(1 << 10, (1 << 21) + 1)),
+        (np.full(1 << 10, 1 << 16), np.full(1 << 10, -(1 << 21) - 1)),
+        (rng.integers(-(2**20), 2**20, size=1 << 12), rng.integers(-(2**40), 2**40, size=1 << 12)),
+        ([2**20, 2**20], [2**40, -(2**40)]),
+        # 2 primes
+        (rng.integers(-(2**24), 2**24, size=1 << 12), rng.integers(-(2**62), 2**62, size=1 << 12)),
+        ([2**25, -(2**25)], [top, top]),
+        ([2**25, -(2**25)], [bottom, bottom]),
+        # 3 primes: the energy near 2^63 against int64 extremes, both signs and cancelling
+        ([edge, 0], [bottom, 5]),
+        ([edge, 0], [top, -5]),
+        ([2**30] * 7 + [0], [top, bottom, top, bottom, top, bottom, -1, 7]),
+        ([2**30] * 7 + [0], [top, bottom + 1, top, -top, top, -top, 0, 0]),
     ]
-    for factors in cases:
-        assert exact_sum_of_products(*factors) == sum_of_products_oracle(*factors)
-    assert len(crt) == len(cases)
+    used = set()
+    for coeffs, w in cases:
+        spec, w = _spectrum(coeffs), np.asarray(w, dtype=np.int64)
+        assert spec.energy < 2**63
+        k = _primes_needed(spec, w)
+        used.add(k)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_PRIMES", spectral._PRIMES[:k])  # k primes suffice
+            got = spectral_sum(spec, w)
+        assert type(got) is int
+        assert got == sum_of_products_oracle(spec.coeffs, spec.coeffs, w)
+    assert used == {0, 1, 2, 3}
 
 
-def test_exact_sum_of_products_rejects_mismatched_or_missing_factors():
-    with pytest.raises(ValueError):
-        exact_sum_of_products()
+def test_spectral_sum_of_a_transform_matches_oracle():
+    rng = np.random.default_rng(13)
+    for n in range(0, 11):
+        spec = wht(rng.integers(-50, 50, size=1 << n))
+        for w in (rng.integers(-9, 10, size=1 << n), rng.integers(-(2**63), 2**63 - 1, size=1 << n)):
+            want = sum_of_products_oracle(spec.coeffs, spec.coeffs, w)
+            assert spectral_sum(spec, w) == want
+
+
+def test_spectral_sum_rejects_mismatched_weights():
+    spec = wht(np.ones(8, dtype=np.int64))
+    for w in (np.ones(4, dtype=np.int64), np.ones(16, dtype=np.int64), np.ones((2, 4), dtype=np.int64)):
+        with pytest.raises(DimensionMismatch):
+            spectral_sum(spec, w)
+    # 2^31 terms are refused before anything is computed (zero-copy views)
+    huge = np.broadcast_to(np.int64(0), (1 << 31,))
     with pytest.raises(DimensionMismatch):
-        exact_sum_of_products(np.ones(4, dtype=np.int64), np.ones(1, dtype=np.int64))
+        spectral_sum(Spectrum(31, huge, 0), huge)
 
 
 def test_crt_primes_are_distinct_primes_below_2_31():
     import closurelab.spectral as spectral
 
-    primes = spectral._CRT_PRIMES
+    primes = spectral._PRIMES
     assert len(set(primes)) == len(primes)
     for p in primes:
         assert 2**30 < p < 2**31
         assert all(p % d for d in [2] + list(range(3, math.isqrt(p) + 1, 2)))
+    # every sum is at most energy * max|w| < 2^63 * 2^63 in size
+    assert (1 << 64) * math.prod(primes) > 2 * 2**126
+
+
+def test_wht_guard_refuses_by_peak_or_by_sum_and_admits_just_below():
+    # peak-refused: 2^n * max|f|^2 >= 2^63 before any sum is taken
+    for f in ([2**31, 0, 0, 0], [-(2**63), 0], [0, 2**63 - 1]):
+        with pytest.raises(BudgetExceeded, match=r"max\|f\|\^2"):
+            wht(f)
+    # sum-refused: the peak passes (2^n * max|f|^2 = 2^62), 2^n * sum(f^2) = 2^63 does not
+    with pytest.raises(BudgetExceeded, match=r"sum\(f\^2\)"):
+        wht([2**30, 2**30, 0, 0])
+    # just below: 2^n * sum(f^2) = 2^63 - 2^33 + 4
+    f = [2**30, 2**30 - 1, 0, 0]
+    assert 2**63 - 2**34 < 4 * sum(v * v for v in f) < 2**63
+    spec = wht(f)
+    assert spec.coeffs.tolist() == naive_wht(f)
+    assert spec.energy == 4 * sum(v * v for v in f)
 
 
 def test_spectral_closedness_equals_exact_count_at_n20():
     a = layer_groupset(20, 9, 11)
     b = standard_basis_multiset(20)
-    # the parent's int64 guard refused this size: 2^20 * |A|^2 * 20 >= 2^62
+    # terms c^2 m reach 2^20 |A|^2 * 20 >= 2^62, but the sum is at most the
+    # energy 2^20 |A| times max|m| = 20, below 2^63: one uint64 dot, no prime
     assert (1 << 20) * a.size**2 * b.total >= 2**62
+    assert (1 << 20) * a.size * b.total < 2**63
     assert spectral_closedness(a, b) == closedness_exact(a, b).eta
 
 

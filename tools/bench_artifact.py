@@ -15,7 +15,7 @@ interpreter.  The artifact has four parts:
   ``KERNEL_ROUNDS`` rounds that alternate which side runs first (a slow
   phase of the host then shows on both sides, not as a change), of
   ``matrix_pipeline`` at (4,4) and (4,5) (delta 1/2, seed 2000), ``wht`` at
-  n = 8/16/17/18/20 (17 and 18 on either side of the butterfly's 2^16-point
+  n = 4/8/16/17/18/20 (17 and 18 on either side of the butterfly's 2^16-point
   block), ``bogolyubov`` on dense 1/2 sets at n = 12/13/16/20/22 (a side
   that refuses a size records the error),
   ``closedness_exact`` against ``spectral_closedness`` and ``mixed_energy``
@@ -89,7 +89,7 @@ for dims, repeats in (((4, 4), 7), ((4, 5), 3)):
     out[f"matrix_pipeline{dims}"], result = median_s(
         lambda: matrix_pipeline(pairs, TensorShape(dims), Fraction(1, 2)), repeats)
     out[f"matrix_pipeline{dims}"]["measured"] = result.measured
-for n, repeats in ((8, 2001), (16, 31), (17, 21), (18, 15), (20, 7)):
+for n, repeats in ((4, 2001), (8, 2001), (16, 31), (17, 21), (18, 15), (20, 7)):
     f = np.random.default_rng(2000).integers(0, 2, size=1 << n)
     out[f"wht_n{n}"], _ = median_s(lambda: spectral.wht(f, n), repeats)
 for n, repeats in ((12, 7), (13, 5), (16, 5), (20, 3), (22, 3)):
