@@ -399,17 +399,45 @@ def _spectrum(coeffs) -> Spectrum:
     return Spectrum(c.size.bit_length() - 1, c, sum(v * v for v in c.tolist()))
 
 
-def test_spectral_sum_matches_oracle_with_zero_to_three_primes(monkeypatch):
+def _check_against_oracle(monkeypatch, cases) -> set[int]:
+    """Run spectral_sum on each case with only the primes its bound needs; return the counts used."""
     import closurelab.spectral as spectral
 
+    used = set()
+    for coeffs, w in cases:
+        spec, w = _spectrum(coeffs), np.asarray(w, dtype=np.int64)
+        assert spec.energy < 2**63
+        k = _primes_needed(spec, w)
+        used.add(k)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_PRIMES", spectral._PRIMES[:k])  # k primes suffice
+            got = spectral_sum(spec, w)
+        assert type(got) is int
+        assert got == sum_of_products_oracle(spec.coeffs, spec.coeffs, w)
+    return used
+
+
+def test_exact_sum_of_products_int64_branch(monkeypatch):
+    """spectral_sum with no prime: the bound stays below 2^63."""
+    rng = np.random.default_rng(11)
+    top, bottom = 2**63 - 1, -(2**63)
+    cases = [
+        ([7], [-6]),
+        # small terms of both signs, and a zero spectrum against int64 extremes
+        (rng.integers(-100, 100, size=256), rng.integers(-1000, 1000, size=256)),
+        (np.zeros(4, dtype=np.int64), [top, bottom, -top, 0]),
+        (np.full(1 << 10, 1 << 16), np.full(1 << 10, (1 << 21) - 1)),  # bound 2^63 - 2^42
+        (np.full(1 << 10, -(1 << 16)), np.full(1 << 10, -(1 << 21) + 1)),
+    ]
+    assert _check_against_oracle(monkeypatch, cases) == {0}
+
+
+def test_exact_sum_of_products_crt_branch(monkeypatch):
+    """spectral_sum with one to three primes joined to the residue mod 2^64."""
     rng = np.random.default_rng(12)
     top, bottom = 2**63 - 1, -(2**63)
     edge = 3037000499  # the largest c with c^2 < 2^63
     cases = [
-        # 0 primes: small terms of both signs, and a zero spectrum against int64 extremes
-        (rng.integers(-100, 100, size=256), rng.integers(-1000, 1000, size=256)),
-        (np.zeros(4, dtype=np.int64), [top, bottom, -top, 0]),
-        (np.full(1 << 10, 1 << 16), np.full(1 << 10, (1 << 21) - 1)),  # bound 2^63 - 2^42
         # 1 prime: past int64 in both signs, and a sum that cancels to 0
         (np.full(1 << 10, 1 << 16), np.full(1 << 10, 1 << 21)),  # sum 2^63 exactly
         # sum = +-bound = +-(2^63 + 2^42): a modulus of 2^64 > bound would misread its sign
@@ -427,18 +455,7 @@ def test_spectral_sum_matches_oracle_with_zero_to_three_primes(monkeypatch):
         ([2**30] * 7 + [0], [top, bottom, top, bottom, top, bottom, -1, 7]),
         ([2**30] * 7 + [0], [top, bottom + 1, top, -top, top, -top, 0, 0]),
     ]
-    used = set()
-    for coeffs, w in cases:
-        spec, w = _spectrum(coeffs), np.asarray(w, dtype=np.int64)
-        assert spec.energy < 2**63
-        k = _primes_needed(spec, w)
-        used.add(k)
-        with monkeypatch.context() as m:
-            m.setattr(spectral, "_PRIMES", spectral._PRIMES[:k])  # k primes suffice
-            got = spectral_sum(spec, w)
-        assert type(got) is int
-        assert got == sum_of_products_oracle(spec.coeffs, spec.coeffs, w)
-    assert used == {0, 1, 2, 3}
+    assert _check_against_oracle(monkeypatch, cases) == {1, 2, 3}
 
 
 def test_spectral_sum_of_a_transform_matches_oracle():
