@@ -249,36 +249,46 @@ def is_compatible(u: int, bprime: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _smallest_key_bits(keys: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-    """Row i of ``keys`` as a packed uint64 with bits at its ``cutoffs[i]``
-    smallest keys.
+_KEY_BLOCK = 512  # rows of keys drawn and ranked at a time: 256 KiB at n = 64, inside L2
 
-    The bits are ``keys.argsort(1).argsort(1) < cutoffs[:, None]``, read off
-    one sort per row and a threshold; a row whose threshold key is tied, so
-    that it marks more than ``cutoffs[i]`` bits, takes the double argsort.
+
+def _smallest_key_bits(rng, n: int, cutoffs: np.ndarray) -> np.ndarray:
+    """Per row i, a packed uint64 with bits at the ``cutoffs[i]`` smallest of
+    n uniform keys drawn from ``rng``.
+
+    The keys are drawn ``_KEY_BLOCK`` rows at a time; consecutive draws are
+    the same doubles as one ``rng.random((len(cutoffs), n))``.  The bits are
+    ``keys.argsort(1).argsort(1) < cutoffs[:, None]``, read off one sort per
+    row and a threshold; a row whose threshold key is tied, so that it marks
+    more than ``cutoffs[i]`` bits, takes the double argsort.
     """
-    count, n = keys.shape
-    ordered = np.sort(keys, axis=1)
-    thresholds = np.full(count, -np.inf)
-    marked = cutoffs > 0
-    thresholds[marked] = ordered[marked, cutoffs[marked] - 1]
-    bits = keys <= thresholds[:, None]
-    tied = np.flatnonzero(np.count_nonzero(bits, axis=1) != cutoffs)
-    if tied.size:
-        ranks = keys[tied].argsort(axis=1).argsort(axis=1)
-        bits[tied] = ranks < cutoffs[tied, None]
-    packed = np.zeros((count, 8), dtype=np.uint8)
-    packed[:, : (n + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8").ravel()
+    nbytes = (n + 7) // 8
+    packed = np.zeros((cutoffs.size, 8), dtype=np.uint8)
+    words = packed.view("<u8").ravel()
+    for lo in range(0, cutoffs.size, _KEY_BLOCK):
+        cut = cutoffs[lo:lo + _KEY_BLOCK]
+        rows = packed[lo:lo + cut.size]
+        keys = rng.random((cut.size, n))
+        ordered = np.sort(keys, axis=1)
+        thresholds = np.take_along_axis(ordered, np.maximum(cut - 1, 0)[:, None], axis=1)
+        thresholds[cut == 0] = -1.0  # keys lie in [0, 1): no bit
+        rows[:, :nbytes] = np.packbits(keys <= thresholds, axis=1, bitorder="little")
+        tied = np.flatnonzero(np.bitwise_count(words[lo:lo + cut.size]) != cut)
+        if tied.size:
+            ranks = keys[tied].argsort(axis=1).argsort(axis=1)
+            rows[tied, :nbytes] = np.packbits(ranks < cut[tied, None], axis=1, bitorder="little")
+    return words
 
 
 def fixed_weight_sampler(n: int, w: int):
     """Uniform random vectors of exactly weight w, packed as uint64."""
     if n > 64:
         raise BudgetExceeded("samplers support n <= 64")
+    if not 0 <= w <= n:
+        raise ValueError(f"bad slice weight {w} for n={n}")
 
     def sample(rng, count: int) -> np.ndarray:
-        return _smallest_key_bits(rng.random((count, n)), np.full(count, w))
+        return _smallest_key_bits(rng, n, np.full(count, w))
 
     return sample
 
@@ -297,8 +307,7 @@ def layer_sampler(layer: LayerSet):
     n = layer.n
 
     def sample(rng, count: int) -> np.ndarray:
-        m_batch = draw_weights(rng, count)
-        return _smallest_key_bits(rng.random((count, n)), m_batch)
+        return _smallest_key_bits(rng, n, draw_weights(rng, count))
 
     return sample
 

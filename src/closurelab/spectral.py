@@ -23,6 +23,7 @@ at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -354,10 +355,12 @@ def large_spectrum(spec: Spectrum, sq_threshold: Fraction) -> list[int]:
     sq_threshold = Fraction(sq_threshold)
     if sq_threshold <= 0:
         raise ValueError("threshold must be positive")
-    # f^(r) = coeffs[r] / 2^n, so the test is coeffs[r]^2 >= ceil(sq_threshold 4^n)
+    # f^(r) = coeffs[r] / 2^n, so the test is coeffs[r]^2 >= ceil(sq_threshold 4^n), which
+    # for an integer c is |c| >= t = ceil(sqrt(bound)): no 2^n temporary of squares
     bound = -(-sq_threshold.numerator * (1 << 2 * spec.n) // sq_threshold.denominator)
+    t = math.isqrt(bound - 1) + 1
     c = spec.coeffs
-    return np.flatnonzero(c * c >= bound).tolist()
+    return np.flatnonzero((c >= t) | (c <= -t)).tolist()
 
 
 def bogolyubov(s: GroupSet) -> Subspace:

@@ -166,6 +166,34 @@ def test_inversion_sampler_refuses_a_total_past_64_bits():
         inversion_sampler([0, 1], [2**62, 2**62])
 
 
+def test_inversion_sampler_matches_searchsorted_on_the_same_stream():
+    mixed = np.random.default_rng(3).integers(0, 10**6, size=300).tolist()
+    cases = [
+        [7] * 20,
+        [1] * 1000 + [2**62],  # every small mass in one crowded bucket
+        [0, 0, 5, 0, 0, 9, 0, 11, 0, 0],
+        [0, 0, 5 << 40, 0, 0, 9 << 40, 0, 11 << 40, 0, 0],  # zeros inside wide buckets
+        [2**63 - 1],
+        mixed,
+    ]
+    for masses in cases:
+        vals = np.arange(100, 100 + len(masses))
+        cums, total = np.cumsum(masses), sum(masses)
+        for seed in (1, 2):
+            got = inversion_sampler(vals.tolist(), masses)(np.random.default_rng(seed), 50000)
+            r = np.random.default_rng(seed).integers(0, total, 50000)
+            assert np.array_equal(got, vals[np.searchsorted(cums, r, side="right")])
+    assert min(mixed) >= 0 and len(set(mixed)) > 250
+
+
+def test_inversion_sampler_refuses_a_negative_mass():
+    with pytest.raises(ValueError, match="nonnegative"):
+        inversion_sampler([1, 2, 3], [5, -3, 4])
+    with pytest.raises(ValueError, match="nonempty"):
+        inversion_sampler([1, 2], [0, 0])
+    assert set(inversion_sampler([1, 2, 3], [0, 4, 0])(np.random.default_rng(0), 100)) == {2}
+
+
 def test_multiset_sampler_respects_multiplicities():
     b = GroupMultiset.from_pairs(4, [(1, 3), (2, 1)])
     sample = inversion_sampler(list(b.counts), list(b.counts.values()))

@@ -229,8 +229,55 @@ def test_samplers_with_tied_keys_match_double_argsort():
     # real keys: every row's bits are its w smallest keys
     keys = np.random.default_rng(33).random((count, 50))
     cutoffs = np.random.default_rng(34).integers(0, 51, size=count)
-    assert np.array_equal(_smallest_key_bits(keys, cutoffs),
+    assert np.array_equal(_smallest_key_bits(np.random.default_rng(33), 50, cutoffs),
                           smallest_key_bits_oracle(keys, cutoffs.tolist()))
+
+
+class _TiedRow:
+    """Real uniform keys, except that global row ``row`` is all one value,
+    wherever the caller's blocks split the rows."""
+
+    def __init__(self, seed, row):
+        self.rng, self.row, self.drawn = np.random.default_rng(seed), row, 0
+
+    def random(self, shape):
+        keys = self.rng.random(shape)
+        if self.drawn <= self.row < self.drawn + shape[0]:
+            keys[self.row - self.drawn] = 0.5
+        self.drawn += shape[0]
+        return keys
+
+
+def test_smallest_key_bits_across_key_blocks_matches_double_argsort():
+    from closurelab.hamming import _KEY_BLOCK, _smallest_key_bits
+
+    # two whole blocks of 512 rows, then a last block of 276 rows or of one
+    for count, n in ((1300, 1), (1300, 7), (1300, 20), (1300, 37), (1025, 37), (1300, 64)):
+        assert 2 * _KEY_BLOCK < count < 3 * _KEY_BLOCK
+        cutoffs = np.random.default_rng(n).integers(0, n + 1, size=count)
+        cutoffs[-1] = max(1, n - 1)  # the last row, all tied in _TiedRow, keeps a key out
+        for make in (lambda: _TiedKeys(n), lambda: _TiedRow(n, count - 1)):
+            keys = make().random((count, n))
+            expected = smallest_key_bits_oracle(keys, cutoffs.tolist())
+            got = _smallest_key_bits(make(), n, cutoffs)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.bitwise_count(got), cutoffs)
+    # the last block holds tied threshold keys in both generators
+    keys = _TiedKeys(37).random((1300, 37))[2 * _KEY_BLOCK:]
+    ordered = np.sort(keys, axis=1)
+    assert np.any(ordered[:, 17] == ordered[:, 18])
+    assert _TiedRow(64, 1299).random((1300, 64))[-1].tolist() == [0.5] * 64
+
+
+def test_fixed_weight_sampler_refuses_a_weight_outside_0_to_n():
+    from closurelab.hamming import fixed_weight_sampler
+
+    for w in (-1, 6, 7):
+        with pytest.raises(ValueError, match="bad slice weight"):
+            fixed_weight_sampler(5, w)
+    for w in (0, 5):
+        draws = fixed_weight_sampler(5, w)(np.random.default_rng(0), 3)
+        assert np.bitwise_count(draws).tolist() == [w] * 3
 
 
 def test_fourier_concentration_zero_multiset():

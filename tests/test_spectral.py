@@ -253,6 +253,19 @@ def test_large_spectrum_parseval_size_bound():
         assert got == [r for r in range(1 << n) if abs(int(c[r])) >= threshold * (1 << n)]
 
 
+def test_large_spectrum_is_exact_at_thresholds_beside_a_coefficient():
+    rng = np.random.default_rng(47)
+    n = 8
+    for _ in range(5):
+        spec = indicator_spectrum(random_groupset(n, int(rng.integers(1, 1 << n)), rng))
+        c = [int(x) for x in spec.coeffs]
+        for x in {abs(v) for v in c[1:]} - {0, 1}:
+            for sq in (x * x - 1, x * x, x * x + 1):  # two of the three are not squares
+                threshold = Fraction(sq, 1 << 2 * n)
+                expected = [r for r in range(1 << n) if Fraction(c[r], 1 << n) ** 2 >= threshold]
+                assert large_spectrum(spec, threshold) == expected
+
+
 def test_bogolyubov_subspace_fixed_point():
     rng = np.random.default_rng(8)
     for _ in range(10):
@@ -300,6 +313,38 @@ def test_sumset_support_refuses_n27_under_a_raised_budget():
     with using(Budget(max_group_exponent=27)):
         with pytest.raises(BudgetExceeded):
             sumset_support(bits, bits)
+
+
+def test_sumset_support_at_n0_and_lengths_that_are_not_powers_of_two():
+    one, zero = np.ones(1, dtype=bool), np.zeros(1, dtype=bool)
+    assert sumset_support(one, one).tolist() == [True]
+    assert sumset_support(one, zero).tolist() == [False]
+    for length in (3, 5, 6, 12):
+        with pytest.raises(DimensionMismatch):
+            sumset_support(np.ones(length, dtype=bool), np.ones(length, dtype=bool))
+
+
+def test_sumset_support_reads_the_exponent_of_a_16_point_bitmap_as_4():
+    rng = np.random.default_rng(41)
+    a, b = rng.integers(0, 2, size=(2, 16)).astype(bool)
+    with using(Budget(max_group_exponent=4)):
+        got = sumset_support(a, b)
+    with using(Budget(max_group_exponent=3)):
+        with pytest.raises(BudgetExceeded):
+            sumset_support(a, b)
+    assert np.array_equal(got, naive_sumset(np.flatnonzero(a), np.flatnonzero(b), 4))
+
+
+def test_subspace_elements_lists_enumerate_in_order():
+    from closurelab.spectral import subspace_elements
+
+    rng = np.random.default_rng(43)
+    for n in range(0, 9):
+        for _ in range(4):
+            v = random_subspace(n, int(rng.integers(0, n + 1)), rng)
+            got = subspace_elements(v)
+            assert got.dtype == np.int64
+            assert got.tolist() == list(v.enumerate())
 
 
 def test_sumset_support_rejects_mismatched_bitmaps():

@@ -22,8 +22,11 @@ interpreter.  The artifact has four parts:
   on the n = 20 layers 9..11 against the standard basis, the ``spectrum``
   CLI run of perfbench's ``spectrum-n16`` slot with stdout captured,
   the same run written with ``--format csv`` to a temporary file,
-  ``GroupSet.from_elements`` on 2^15 and 2^19 distinct elements, and
-  ``layered_pair_eta_sampled`` at n = 64 (10^5 samples), and
+  ``GroupSet.from_elements`` on 2^15 and 2^19 distinct elements,
+  ``layered_pair_eta_sampled`` at n = 64 (10^5 samples),
+  ``compatibility_fraction`` of the n = 64 layer below cutoff 0.1 against the
+  weight-8 slice (10^6 samples), ``inversion_sampler`` over 20 equal basis
+  masses (10^5 draws in the estimator's seeded chunks), and
   ``degenerate_decide`` at k = 1 per call, the median over seeded random
   tensors of shape (3,3), (2,2,3), (3,3,2), (3,2,3) and (2,2,2,2) (with
   the count of degenerate ones), and, at seed 2000, the
@@ -138,6 +141,14 @@ layer, sl = hamming.LayerSet(64, 30, 33), hamming.SliceSet(64, 2)
 out["layered_pair_eta_sampled_n64"], report = median_s(
     lambda: hamming.layered_pair_eta_sampled(layer, sl, 100000, 1), 7)
 out["layered_pair_eta_sampled_n64"]["estimate"] = report.estimate
+layer = hamming.LayerSet.below_cutoff(64, 0.1)
+out["compatibility_fraction_slice_n64"], report = median_s(
+    lambda: hamming.compatibility_fraction(layer, hamming.SliceSet(64, 8), 10**6, 1), 5)
+out["compatibility_fraction_slice_n64"]["estimate"] = report.estimate
+basis = closure.inversion_sampler(list(range(20)), [1] * 20)
+out["inversion_sampler_basis20"], draws = median_s(
+    lambda: sum(int(basis(rng, count).sum()) for rng, count in closure.seeded_chunks(10**5, 1)), 31)
+out["inversion_sampler_basis20"]["draw_sum"] = draws
 for dims, calls in (((3, 3), 51), ((2, 2, 3), 21), ((3, 3, 2), 5), ((3, 2, 3), 5),
                     ((2, 2, 2, 2), 5)):
     shape, rng = TensorShape(dims), np.random.default_rng(2000)
