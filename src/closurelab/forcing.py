@@ -74,36 +74,38 @@ def agreement_threshold(total: int, alpha: Fraction) -> int:
     return -(-alpha.numerator * total // alpha.denominator)
 
 
+def agreement_set(profile: AgreementProfile, alpha: Fraction) -> np.ndarray:
+    """The arrays r with counts[r] >= alpha * |Q|, ascending."""
+    return np.flatnonzero(profile.counts >= agreement_threshold(profile.total, alpha))
+
+
 @dataclass(frozen=True)
 class ForcingCertificate:
     q: GroupMultiset
     alpha: Fraction
-    spaces: Mapping[tuple[int, ...], Subspace]
-    k: int
+    target: Subspace
     verified: bool
     counterexample: int | None = None
     agreement_set_size: int = 0
 
 
 def check_forcing(
-    profile: AgreementProfile,
-    alpha: Fraction,
-    spaces: Mapping[tuple[int, ...], Subspace],
-    shape: TensorShape,
+    profile: AgreementProfile, alpha: Fraction, target: Subspace
 ) -> ForcingCertificate:
-    """Verify that the alpha-agreement set sits inside sum_I V_I (x) F2^{I^c}.
+    """Verify that the alpha-agreement set sits inside ``target``.
 
+    For the forcing statement ``target`` is a sum of blowups
+    sum_I V_I (x) F2^{I^c}, i.e. ``sum_of_blowups(shape, spaces)``.
     Failure is a result carrying a counterexample array, not an error.
     """
+    if target.ambient_dim != profile.q.n:
+        raise DimensionMismatch("target ambient differs from the multiset exponent")
     alpha = Fraction(alpha)
-    thresh = agreement_threshold(profile.total, alpha)
-    candidates = np.flatnonzero(profile.counts >= thresh)
-    outside = np.flatnonzero(~sum_of_blowups(shape, spaces).contains_array(candidates))
+    candidates = agreement_set(profile, alpha)
+    outside = np.flatnonzero(~target.contains_array(candidates))
     counterexample = int(candidates[outside[0]]) if outside.size else None
-    k = max((s.dim for s in spaces.values()), default=0)
     return ForcingCertificate(
-        profile.q, alpha, dict(spaces), k, counterexample is None, counterexample,
-        int(candidates.size),
+        profile.q, alpha, target, counterexample is None, counterexample, candidates.size
     )
 
 
@@ -177,29 +179,29 @@ class SumsetReach:
             reached += frontier.size
         self.dist = dist
 
-    def depth_of(self, x: int) -> int | None:
-        d = int(self.dist[x])
-        return None if d == UNREACHED else d
+    def witness(self, targets: Iterable[int]) -> list[list[int] | None]:
+        """Per target, generators (at most ``depth`` of them) summing to it, or None.
 
-    def witness(self, x: int) -> list[int] | None:
-        """Generators (at most ``depth`` of them) summing to x, or None.
-
-        Each step takes the first generator, in sorted order, that moves x
-        one layer closer to 0.
+        All targets backtrack together, one layer at a time from the deepest:
+        one :func:`_first_hits` scan gives each target on layer j the first
+        generator, in sorted order, that moves it to layer j - 1.
         """
-        d = self.depth_of(x)
-        if d is None:
-            return None
-        out: list[int] = []
-        while d > 0:
-            closer = np.flatnonzero(self.dist[x ^ self._gens] < d)
-            if not closer.size:  # pragma: no cover - contradicts the distances
+        x = np.fromiter(targets, dtype=np.int64)
+        dist = self.dist[x]
+        reached = dist != UNREACHED
+        top = int(dist[reached].max(initial=0))
+        steps = np.zeros((x.size, top), dtype=np.int64)  # column top - j: the step off layer j
+        for j in range(top, 0, -1):
+            walking = np.flatnonzero(reached & (dist >= j))
+            first = _first_hits(x[walking], self._gens.size, self._gens.__getitem__, self.dist < j)
+            if (first < 0).any():  # pragma: no cover - contradicts the distances
                 raise VerificationFailure("witness backtrack lost its path")
-            g = self.generators[closer[0]]
-            out.append(g)
-            x ^= g
-            d -= 1
-        return out
+            steps[walking, top - j] = self._gens[first]
+            x[walking] ^= self._gens[first]
+        return [
+            row[top - d:] if ok else None
+            for ok, d, row in zip(reached.tolist(), dist.tolist(), steps.tolist())
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +218,8 @@ def random_factor_tuples(
     if not 0 <= count <= 1 << bits:
         raise ValueError(f"{count} distinct factor tuples do not fit in 2^{bits}")
     raw = rng.choice(1 << bits, size=count, replace=False)
-    out = set()
-    for packed in raw.tolist():
-        tup = []
-        for n in dims:
-            tup.append(packed & ((1 << n) - 1))
-            packed >>= n
-        out.add(tuple(tup))
-    return out
+    shifts = np.cumsum([0, *dims[:-1]])
+    return set(zip(*(((raw >> s) & ((1 << n) - 1)).tolist() for s, n in zip(shifts, dims))))
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +402,11 @@ def _witnesses(tuples, shape: TensorShape, depth: int, targets: Mapping) -> dict
     reach = SumsetReach(
         [rank1_flat(shape.dims, tup) for tup in tuples], shape.total, depth
     )
-    witnesses = {}
-    for key, elem in targets.items():
-        wit = reach.witness(elem)
-        if wit is None:
-            raise VerificationFailure(f"{elem:#x} missed the {depth}-fold sumset")
-        witnesses[key] = wit
-    return witnesses
+    found = reach.witness(targets.values())
+    if None in found:
+        elem = list(targets.values())[found.index(None)]
+        raise VerificationFailure(f"{elem:#x} missed the {depth}-fold sumset")
+    return dict(zip(targets, found))
 
 
 def find_system(tuples, shape: TensorShape, delta: Fraction) -> SystemResult:
@@ -463,10 +457,7 @@ def _find_system_inner(
     bound = u_space.codim
     splits = _four_splits(u_space.enumerate(), t_set, n1)
     for u, found in splits.items():
-        sub = lsystem_intersect(
-            lsystem_intersect(recursive[found[0]], recursive[found[1]]),
-            lsystem_intersect(recursive[found[2]], recursive[found[3]]),
-        )
+        sub = lsystem_intersect(*(recursive[t] for t in found))
         children[(u,)] = sub.root
         bound = max(bound, sub.root.codim)
         for prefix, space in sub.children.items():
@@ -549,15 +540,15 @@ def matrix_pipeline(
 
     find_structure -> Q -> exhaustive high-agreement set R at 1-epsilon ->
     greedy rank-threshold clustering of R -> reduced witness (W1, W2) ->
-    exhaustive check R subset of span(centers) + W1 (x) F2 + F2 (x) W2.
+    check_forcing of R against span(centers) + W1 (x) F2 + F2 (x) W2.
     """
     if not 0 <= rank_threshold <= min(shape.dims):
         raise ValueError(f"rank threshold {rank_threshold} out of range")
     structure = find_structure_matrix(pairs, shape, delta)
     q = build_q_matrix(structure.u_space, structure.v_spaces, shape)
     profile = agreement_profile(q, shape)
-    thresh = agreement_threshold(q.total, 1 - Fraction(epsilon))
-    r_arr = np.flatnonzero(profile.counts >= thresh).astype(np.int64)
+    alpha = 1 - Fraction(epsilon)
+    r_arr = agreement_set(profile, alpha)
 
     centers = _greedy_centers(r_arr, rank_reach(shape, (0,), rank_threshold))
 
@@ -566,9 +557,7 @@ def matrix_pipeline(
     witness = reduced_witness(structure.u_space, structure.v_spaces, rank_threshold)
     blowups = sum_of_blowups(shape, {(0,): witness.w1, (1,): witness.w2})
     target = rref(blowups.rows + tuple(centers), shape.total)
-
-    outside = np.flatnonzero(~target.contains_array(r_arr))
-    counterexample = int(r_arr[outside[0]]) if outside.size else None
+    cert = check_forcing(profile, alpha, target)
 
     measured = {
         "u_codim": structure.u_space.codim,
@@ -593,7 +582,7 @@ def matrix_pipeline(
         centers=centers,
         w1=witness.w1,
         w2=witness.w2,
-        verified=counterexample is None,
-        counterexample=counterexample,
+        verified=cert.verified,
+        counterexample=cert.counterexample,
         measured=measured,
     )

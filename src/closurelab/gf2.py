@@ -21,11 +21,6 @@ import numpy as np
 from .budgets import BudgetExceeded, DimensionMismatch, check_enumeration
 
 
-def dot(a: int, b: int) -> int:
-    """GF(2) dot product: parity of the AND of the packed words."""
-    return (a & b).bit_count() & 1
-
-
 def to_hex(v: int, length: int) -> str:
     """Lowercase hex, most significant coordinate last."""
     if v < 0 or v >> length:
@@ -139,11 +134,12 @@ class Subspace:
             raise DimensionMismatch("ambient dimensions differ")
         return rref(self.rows + other.rows, self.ambient_dim)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Exact intersection, via (V^perp + W^perp)^perp."""
-        if self.ambient_dim != other.ambient_dim:
+    def intersect(self, *others: "Subspace") -> "Subspace":
+        """Exact intersection with every space in ``others``, via (V^perp + W^perp + ...)^perp."""
+        if any(other.ambient_dim != self.ambient_dim for other in others):
             raise DimensionMismatch("ambient dimensions differ")
-        return self.complement().sum(other.complement()).complement()
+        perps = [row for space in (self, *others) for row in space.complement().rows]
+        return rref(perps, self.ambient_dim).complement()
 
     def enumerate(self, budget: int | None = None) -> Iterator[int]:
         """All elements in Gray-code order over basis coefficients, refused above

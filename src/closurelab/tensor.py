@@ -300,25 +300,25 @@ class LSystem:
         return worst
 
 
-def lsystem_intersect(q: LSystem, q2: LSystem) -> LSystem:
-    """System contained in both inputs: intersect spaces prefix by prefix."""
-    if q.shape != q2.shape:
+def lsystem_intersect(*systems: LSystem) -> LSystem:
+    """System contained in every input: meet their spaces prefix by prefix."""
+    first, *rest = systems
+    if any(q.shape != first.shape for q in rest):
         raise DimensionMismatch("system shapes differ")
-    root = q.root.intersect(q2.root)
+    root = first.root.intersect(*(q.root for q in rest))
     children: dict[tuple[int, ...], Subspace] = {}
 
     def walk(prefix: tuple[int, ...], space: Subspace):
-        if len(prefix) == q.shape.d - 1:
+        if len(prefix) == first.shape.d - 1:
             return
         for u in space.enumerate(SYSTEM_ENUMERATION_LIMIT):
             new_prefix = prefix + (u,)
-            meet = q.child(new_prefix).intersect(q2.child(new_prefix))
+            meet = first.child(new_prefix).intersect(*(q.child(new_prefix) for q in rest))
             children[new_prefix] = meet
             walk(new_prefix, meet)
 
-    if q.shape.d > 1:
-        walk((), root)
-    return LSystem(q.shape, root, children, bound=q.bound + q2.bound)
+    walk((), root)
+    return LSystem(first.shape, root, children, bound=sum(q.bound for q in systems))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from closurelab.spectral import (
     spectral_closedness,
     wht,
 )
-from closurelab.tensor import TensorShape, degenerate_decide, Tensor, rank1_flat
+from closurelab.tensor import TensorShape, degenerate_decide, Tensor, rank1_flat, sum_of_blowups
 
 from .oracles import bfs_sum_layers, matrix_rank_oracle, partition_rank_oracle
 
@@ -237,8 +237,7 @@ def test_criterion_6_d1_forcing_agreement_set_is_dual():
                     cert = check_forcing(
                         profile,
                         Fraction(3, 4),
-                        {(0,): u.complement()},
-                        TensorShape((n,)),
+                        sum_of_blowups(TensorShape((n,)), {(0,): u.complement()}),
                     )
                     assert cert.verified
 

@@ -9,8 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from closurelab.budgets import DensityTooLow
+from closurelab.budgets import DensityTooLow, DimensionMismatch
 from closurelab.forcing import (
+    UNREACHED,
     SumsetReach,
     _four_splits,
     agreement_profile,
@@ -82,9 +83,7 @@ def test_check_forcing_d1_subspace_agreement_set_is_dual():
         u = random_subspace(n, n - k, rng)
         q = GroupMultiset.from_elements(n, u.enumerate())
         profile = agreement_profile(q)
-        cert = check_forcing(
-            profile, Fraction(3, 4), {(0,): u.complement()}, TensorShape((n,))
-        )
+        cert = check_forcing(profile, Fraction(3, 4), u.complement())
         assert cert.verified
         # exactness: the agreement set IS the dual
         thresh = agreement_threshold(q.total, Fraction(3, 4))
@@ -94,19 +93,15 @@ def test_check_forcing_d1_subspace_agreement_set_is_dual():
 
 def test_check_forcing_full_spaces_always_verified():
     q = GroupMultiset.from_pairs(4, [(3, 1), (9, 2)])
-    cert = check_forcing(
-        agreement_profile(q), Fraction(1, 2), {(0,): Subspace.full(4)},
-        TensorShape((4,)),
-    )
+    cert = check_forcing(agreement_profile(q), Fraction(1, 2), Subspace.full(4))
     assert cert.verified
+    with pytest.raises(DimensionMismatch):
+        check_forcing(agreement_profile(q), Fraction(1, 2), Subspace.full(5))
 
 
 def test_check_forcing_zero_multiset_never_verified_for_proper_spaces():
     q = GroupMultiset.from_pairs(4, [(0, 3)])
-    cert = check_forcing(
-        agreement_profile(q), Fraction(3, 4), {(0,): Subspace.zero(4)},
-        TensorShape((4,)),
-    )
+    cert = check_forcing(agreement_profile(q), Fraction(3, 4), Subspace.zero(4))
     assert not cert.verified
     assert cert.counterexample is not None
 
@@ -119,10 +114,9 @@ def test_check_forcing_certificates_are_sound():
     u = random_subspace(9, 6, rng)
     q = GroupMultiset.from_elements(9, u.enumerate())
     profile = agreement_profile(q, shape)
-    spaces = {(0, 1): u.complement()}
-    cert = check_forcing(profile, Fraction(3, 4), spaces, shape)
+    target = sum_of_blowups(shape, {(0, 1): u.complement()})
+    cert = check_forcing(profile, Fraction(3, 4), target)
     assert cert.verified
-    target = sum_of_blowups(shape, spaces)
     requalified = 0
     for r in range(1 << 9):
         direct = agreement_count(q.counts, r)
@@ -140,8 +134,7 @@ def test_sumset_reach_matches_oracle_and_witnesses():
     layers = bfs_sum_layers(gens, 8, 5)
     for j in range(6):
         assert np.array_equal(reach.dist <= j, layers[j])
-    for x in range(256):
-        wit = reach.witness(x)
+    for x, wit in enumerate(reach.witness(range(256))):
         if wit is None:
             assert not layers[5][x]
         else:
@@ -151,6 +144,20 @@ def test_sumset_reach_matches_oracle_and_witnesses():
                 assert g in gens
                 acc ^= g
             assert acc == x
+
+
+def test_sumset_reach_witness_batches_unreached_repeated_and_empty_targets():
+    # the span is the even-weight vectors of F2^4; 0b1001 needs all three
+    # generators, one more than the depth
+    gens = [0b0011, 0b0110, 0b1100]
+    reach = SumsetReach(gens, 4, 2)
+    layers = bfs_sum_layers(gens, 4, 2)
+    targets = [0b1001, 0b0101, 0, 0b0001, 0b0101, 0b1001, 0, 0b0110]
+    want = [layered_witness(layers, gens, x) for x in targets]
+    assert want[:4] == [None, [0b0011, 0b0110], [], None]
+    assert reach.witness(targets) == want
+    assert reach.witness(iter(targets)) == want
+    assert reach.witness([]) == []
 
 
 def test_find_structure_full_pairs_gives_full_spaces():
@@ -263,14 +270,31 @@ def test_check_forcing_certificate_matches_per_candidate_loop():
                     amb = math.prod(dims[a] for a in axes)
                     spaces[axes] = random_subspace(amb, int(rng.integers(0, amb + 1)), rng)
             spaces.setdefault((0,), u.complement() if shape.d == 1 else Subspace.zero(dims[0]))
+            target = sum_of_blowups(shape, spaces)
             for alpha in (Fraction(1, 2), Fraction(3, 4)):
-                cert = check_forcing(profile, alpha, spaces, shape)
+                cert = check_forcing(profile, alpha, target)
                 thresh = agreement_threshold(q.total, alpha)
-                target = sum_of_blowups(shape, spaces)
                 want = forcing_loop_oracle(profile.counts, thresh, target.contains)
                 assert (cert.verified, cert.counterexample, cert.agreement_set_size) == want
                 outcomes.add(cert.verified)
     assert outcomes == {True, False}
+
+
+def test_pipeline_containment_fails_without_w2():
+    # at (4,4) delta 3/4 these seeds have dim W1 = 0 and R outside
+    # span(centers) + W1 (x) F2: only W2 covers it
+    shape = TensorShape((4, 4))
+    alpha = 1 - Fraction(1, 32)
+    for seed in (2001, 2005):
+        pairs = random_factor_tuples((4, 4), 192, np.random.default_rng(seed))
+        res = matrix_pipeline(pairs, shape, Fraction(3, 4))
+        for blowups, verified in (({(0,): res.w1, (1,): res.w2}, True), ({(0,): res.w1}, False)):
+            rows = sum_of_blowups(shape, blowups).rows + tuple(res.centers)
+            cert = check_forcing(res.profile, alpha, rref(rows, shape.total))
+            assert cert.verified == verified
+            assert cert.agreement_set_size == res.agreement_set.size
+        assert res.verified and res.measured["containment_dim"] < shape.total
+        assert cert.counterexample in res.agreement_set.tolist()
 
 
 def _structured_fixture(rng, n1=4, n2=4, u_codim=1, v_codim=1):
@@ -328,12 +352,13 @@ def test_sumset_reach_distances_and_witnesses_match_layered_oracle():
         assert reach.generators == sorted(set(gens))
         for j in range(depth + 1):
             assert np.array_equal(reach.dist <= j, layers[j])
-        for x in range(1 << nbits):
-            first = next((j for j, layer in enumerate(layers) if layer[x]), None)
-            assert reach.depth_of(x) == first
-            assert reach.witness(x) == layered_witness(layers, gens, x)
+        witnesses = reach.witness(range(1 << nbits))
+        for x, wit in enumerate(witnesses):
+            first = next((j for j, layer in enumerate(layers) if layer[x]), UNREACHED)
+            assert reach.dist[x] == first
+            assert wit == layered_witness(layers, gens, x)
         if not layers[-1].all():
-            assert any(reach.witness(x) is None for x in range(1 << nbits))
+            assert None in witnesses
 
 
 def _bottom_up_layers(layers: list[np.ndarray], span: int) -> list[int]:
@@ -370,8 +395,8 @@ def test_sumset_reach_bottom_up_layers_match_layered_oracle():
         reach = SumsetReach(gens, nbits, depth)
         for j in range(depth + 1):
             assert np.array_equal(reach.dist <= j, layers[j])
-        for x in np.random.default_rng(nbits + depth).integers(0, 1 << nbits, 400).tolist():
-            assert reach.witness(x) == layered_witness(layers, gens, x)
+        targets = np.random.default_rng(nbits + depth).integers(0, 1 << nbits, 400).tolist()
+        assert reach.witness(targets) == [layered_witness(layers, gens, x) for x in targets]
     # the last case stops at its first bottom-up layer, short of the span
     assert _bottom_up_layers(layers, span)[0] == depth and int(layers[-1].sum()) < span
 

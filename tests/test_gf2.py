@@ -1,5 +1,6 @@
 """Tests for the packed GF(2) linear algebra core."""
 
+import functools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from closurelab.gf2 import (
     Subspace,
     all_subspaces,
     count_small_support,
-    dot,
     from_hex,
     random_subspace,
     random_vector,
@@ -71,7 +71,7 @@ def test_double_complement_and_exhaustive_orthogonality():
         assert comp.dim == n - v.dim
         assert comp.complement() == v
         for x in comp.enumerate():
-            assert all(dot(x, row) == 0 for row in v.rows)
+            assert all((x & row).bit_count() % 2 == 0 for row in v.rows)
 
 
 def test_complement_is_involution_n16():
@@ -86,6 +86,23 @@ def test_intersect_examples():
     assert v.intersect(v) == v
     w = rref([0b010, 0b001], 3)
     assert v.intersect(w) == rref([0b010], 3)
+
+
+def test_intersect_of_many_matches_the_pairwise_fold_and_the_definition():
+    rng = np.random.default_rng(22)
+    for count in range(1, 6):
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            spaces = [random_subspace(n, int(rng.integers(n // 2, n + 1)), rng)
+                      for _ in range(count)]
+            got = spaces[0].intersect(*spaces[1:])
+            assert got == functools.reduce(lambda a, b: a.intersect(b), spaces)
+            inside = {x for x in range(1 << n) if all(s.contains(x) for s in spaces)}
+            assert set(got.enumerate()) == inside
+            assert Subspace.full(n).intersect(*spaces) == got
+            assert got.intersect(*spaces, Subspace.zero(n)) == Subspace.zero(n)
+    with pytest.raises(DimensionMismatch):
+        Subspace.full(3).intersect(Subspace.full(3), Subspace.zero(4))
 
 
 def test_intersect_matches_bruteforce_enumeration():

@@ -27,7 +27,6 @@ PACKAGE = ROOT / "src" / "closurelab"
 REFERENCE_DIRS = ("src", "perfbench", "tools")
 
 KEPT = {
-    "check_forcing": "subject of acceptance criterion 6",
     "count_small_support": "subject of acceptance criterion 10",
     "degenerate_decide": "subject of acceptance criterion 8",
     "basic_set": "the paper's basic matrix sets, checked by the closedness tests",
@@ -69,13 +68,15 @@ def _reexports(node: ast.AST) -> bool:
 
 def _names(node: ast.AST, own: frozenset[str] = frozenset()) -> set[str]:
     """Names used as identifiers, attributes, imports or dotted string
-    constants anywhere in ``node``, less ``own``."""
+    constants anywhere in ``node``, less ``own``.  An attribute of ``np`` or
+    ``numpy`` is numpy's name, not a use of the package's."""
     names: set[str] = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            if not (isinstance(sub.value, ast.Name) and sub.value.id in ("np", "numpy")):
+                names.add(sub.attr)
         elif isinstance(sub, ast.alias):
             names.add(sub.name.rsplit(".", 1)[-1])
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):

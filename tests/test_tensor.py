@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import closurelab.tensor as tensor_module
-from closurelab.budgets import VerificationFailure
+from closurelab.budgets import DimensionMismatch, VerificationFailure
 from closurelab.gf2 import Subspace, random_subspace, rref
 from closurelab.tensor import (
     LSystem,
@@ -250,6 +250,44 @@ def test_lsystem_elements_and_intersect():
         assert meet.root.codim <= a.root.codim + b.root.codim
         for prefix, space in meet.children.items():
             assert space.codim <= a.child(prefix).codim + b.child(prefix).codim
+
+
+def _random_system(shape: TensorShape, rng) -> LSystem:
+    """Every subspace of codimension 0 or 1, a child at every prefix."""
+    children = {}
+
+    def draw(axis: int) -> Subspace:
+        n = shape.dims[axis]
+        return random_subspace(n, n - int(rng.integers(0, 2)), rng)
+
+    def fill(prefix: tuple[int, ...], space: Subspace):
+        if len(prefix) == shape.d - 1:
+            return
+        for u in space.enumerate():
+            children[prefix + (u,)] = draw(len(prefix) + 1)
+            fill(prefix + (u,), children[prefix + (u,)])
+
+    root = draw(0)
+    fill((), root)
+    return LSystem(shape, root, children, bound=1)
+
+
+def test_lsystem_intersect_of_three_and_four_is_the_nested_pairwise_meet():
+    rng = np.random.default_rng(23)
+    for dims in ((3, 3), (2, 3, 2)):
+        shape = TensorShape(dims)
+        for count in (3, 4):
+            for _ in range(5):
+                systems = [_random_system(shape, rng) for _ in range(count)]
+                got = lsystem_intersect(*systems)
+                nested = systems[0]
+                for q in systems[1:]:
+                    nested = lsystem_intersect(nested, q)
+                assert got.root == nested.root
+                assert list(got.children.items()) == list(nested.children.items())
+                assert got.bound == nested.bound == count
+    with pytest.raises(DimensionMismatch):
+        lsystem_intersect(systems[0], systems[1], _random_system(TensorShape((2, 3, 3)), rng))
 
 
 def test_lsystem_self_intersection_is_identity_on_elements():

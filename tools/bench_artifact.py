@@ -14,10 +14,11 @@ interpreter.  The artifact has four parts:
 * ``kernels``: medians over repeats, each side in a fresh interpreter, in
   ``KERNEL_ROUNDS`` rounds that alternate which side runs first (a slow
   phase of the host then shows on both sides, not as a change), of
-  ``matrix_pipeline`` at (4,4) and (4,5) (delta 1/2, seed 2000), ``wht`` at
+  ``matrix_pipeline`` at (4,4) and (4,5) (delta 1/2, seed 2000),
+  ``find_system`` at (4,4) delta 1/2 and ``find_structure_matrix`` at (4,4)
+  delta 3/4 (seed 2000), ``wht`` at
   n = 4/8/16/17/18/20 (17 and 18 on either side of the butterfly's 2^16-point
-  block), ``bogolyubov`` on dense 1/2 sets at n = 12/13/16/20/22 (a side
-  that refuses a size records the error),
+  block), ``bogolyubov`` on dense 1/2 sets at n = 12/13/16/20/22,
   ``closedness_exact`` against ``spectral_closedness`` and ``mixed_energy``
   on the n = 20 layers 9..11 against the standard basis, the ``spectrum``
   CLI run of perfbench's ``spectrum-n16`` slot with stdout captured,
@@ -32,10 +33,8 @@ interpreter.  The artifact has four parts:
   the count of degenerate ones), and, at seed 2000, the
   16-deep ``SumsetReach`` alone over the rank-one pairs at (4,4) delta 1/2
   and 3/4 and at (4,5) delta 1/2, and the greedy rank-1 clustering of the
-  (4,4) delta 1/2 agreement set with the rank <= 1 ball built inline from
-  every rank-one u (x) v (a checkout without ``forcing._greedy_centers``
-  runs the inline loop that preceded it, and ``_greedy_centers`` is passed
-  the arguments its signature on that side takes).
+  (4,4) delta 1/2 agreement set by ``forcing._greedy_centers`` with the
+  rank <= 1 ball built inline from every rank-one u (x) v.
   ``rounds`` holds each round's output; ``summary`` holds per kernel each
   side's median over the rounds and the median of the per-round
   change/parent ratios; ``peak_rss_mb`` holds each side's peak RSS of one
@@ -68,12 +67,12 @@ SEED = 101
 KERNEL_ROUNDS = 3
 
 KERNEL_SNIPPET = """
-import contextlib, inspect, io, json, math, os, statistics, tempfile, time
+import contextlib, io, json, math, os, statistics, tempfile, time
 from fractions import Fraction
 import numpy as np
 from closurelab import cli, closure, forcing, hamming, spectral
-from closurelab.budgets import BudgetExceeded
-from closurelab.forcing import matrix_pipeline, random_factor_tuples
+from closurelab.forcing import (
+    find_structure_matrix, find_system, matrix_pipeline, random_factor_tuples)
 from closurelab.tensor import Tensor, TensorShape, degenerate_decide, rank1_flat
 
 
@@ -92,17 +91,19 @@ for dims, repeats in (((4, 4), 7), ((4, 5), 3)):
     out[f"matrix_pipeline{dims}"], result = median_s(
         lambda: matrix_pipeline(pairs, TensorShape(dims), Fraction(1, 2)), repeats)
     out[f"matrix_pipeline{dims}"]["measured"] = result.measured
+for name, find, delta in (("find_system", find_system, "1/2"),
+                          ("find_structure_matrix", find_structure_matrix, "3/4")):
+    pairs = random_factor_tuples((4, 4), math.ceil(Fraction(delta) * 256),
+                                 np.random.default_rng(2000))
+    out[f"{name}(4, 4)_delta{delta}"], _ = median_s(
+        lambda: find(pairs, TensorShape((4, 4)), Fraction(delta)), 9)
 for n, repeats in ((4, 2001), (8, 2001), (16, 31), (17, 21), (18, 15), (20, 7)):
     f = np.random.default_rng(2000).integers(0, 2, size=1 << n)
     out[f"wht_n{n}"], _ = median_s(lambda: spectral.wht(f, n), repeats)
 for n, repeats in ((12, 7), (13, 5), (16, 5), (20, 3), (22, 3)):
     s = spectral.random_groupset(n, 1 << (n - 1), np.random.default_rng(2000))
-    try:
-        out[f"bogolyubov_dense_n{n}"], v = median_s(lambda: spectral.bogolyubov(s), repeats)
-    except BudgetExceeded as exc:  # a side that refuses the size records why
-        out[f"bogolyubov_dense_n{n}"] = {"error": f"{type(exc).__name__}: {exc}"}
-    else:
-        out[f"bogolyubov_dense_n{n}"]["codim"] = v.codim
+    out[f"bogolyubov_dense_n{n}"], v = median_s(lambda: spectral.bogolyubov(s), repeats)
+    out[f"bogolyubov_dense_n{n}"]["codim"] = v.codim
 a, b = hamming.layer_groupset(20, 9, 11), hamming.standard_basis_multiset(20)
 for name, call in (("closedness_exact_n20", lambda: closure.closedness_exact(a, b).eta),
                    ("spectral_closedness_n20", lambda: spectral.spectral_closedness(a, b)),
@@ -170,28 +171,12 @@ for dims, delta, repeats in (((4, 4), "1/2", 9), ((4, 4), "3/4", 9), ((4, 5), "1
     out[name]["layer_sizes"] = np.bincount(reach.dist[reach.dist <= 16]).tolist()
 
 
-def inline_clustering(points, ball):
-    blocked = np.zeros(1 << 16, dtype=bool)
-    centers = []
-    for c in points.tolist():
-        if not blocked[c]:
-            centers.append(c)
-            blocked[ball ^ c] = True
-    return centers
-
-
 pairs = random_factor_tuples((4, 4), 128, np.random.default_rng(2000))
 points = np.array(matrix_pipeline(pairs, TensorShape((4, 4)), Fraction(1, 2)).agreement_set)
 in_ball = np.zeros(1 << 16, dtype=bool)
 in_ball[[rank1_flat((4, 4), (u, v)) for u in range(16) for v in range(16)]] = True
-ball = np.flatnonzero(in_ball)
-if not hasattr(forcing, "_greedy_centers"):
-    cluster = lambda: inline_clustering(points, ball)
-elif len(inspect.signature(forcing._greedy_centers).parameters) == 3:  # (points, ball, in_ball)
-    cluster = lambda: forcing._greedy_centers(points, ball, in_ball)
-else:
-    cluster = lambda: forcing._greedy_centers(points, in_ball)
-out["greedy_clustering(4, 4)"], centers = median_s(cluster, 9)
+out["greedy_clustering(4, 4)"], centers = median_s(
+    lambda: forcing._greedy_centers(points, in_ball), 9)
 out["greedy_clustering(4, 4)"].update(points=int(points.size), centers=len(centers))
 print(json.dumps(out))
 """
@@ -242,11 +227,8 @@ def kernel_rounds(parent: Path) -> dict:
         print(f"kernel round {k + 1}/{KERNEL_ROUNDS} done", file=sys.stderr)
     summary = {}
     for name in rounds[0]["parent"]:
-        parent_s = [r["parent"][name].get("median_s") for r in rounds]
-        change_s = [r["change"][name].get("median_s") for r in rounds]
-        if None in parent_s + change_s:  # a side refused the kernel: keep its first round
-            summary[name] = {side: rounds[0][side][name] for side in sides}
-            continue
+        parent_s = [r["parent"][name]["median_s"] for r in rounds]
+        change_s = [r["change"][name]["median_s"] for r in rounds]
         summary[name] = {
             "parent_median_s": statistics.median(parent_s),
             "change_median_s": statistics.median(change_s),
