@@ -272,6 +272,8 @@ def _delta(p: dict) -> Fraction:
 
 
 def build_groupset(n: int, spec: dict, rng) -> GroupSet:
+    if not isinstance(spec, dict):
+        raise ManifestError(f"set must be a mapping: {spec!r}")
     kind = spec.get("kind", "random")
     if kind == "middle-layers":
         if n % 2 == 0:
@@ -289,6 +291,8 @@ def build_groupset(n: int, spec: dict, rng) -> GroupSet:
 
 
 def build_multiset(n: int, spec: dict, rng) -> GroupMultiset:
+    if not isinstance(spec, dict):
+        raise ManifestError(f"generators must be a mapping: {spec!r}")
     kind = spec.get("kind", "basis")
     if kind == "basis":
         support = spec.get("support")
@@ -748,7 +752,7 @@ def run(manifest: Manifest, quiet: bool = False) -> int:
     except KeyError as exc:
         print(f"error: missing parameter {exc.args[0]!r}", file=sys.stderr)
         return 1
-    except (ManifestError, DimensionMismatch, ValueError) as exc:
+    except (ManifestError, DimensionMismatch, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

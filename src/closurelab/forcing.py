@@ -308,7 +308,7 @@ def find_structure_matrix(
     pairs = _dense_tuples(pairs, shape, delta)
     system, decompositions = _find_system_inner(pairs, shape, delta)
     n2 = shape.dims[1]
-    v_raw = {u: system.children[(u,)] for u in decompositions}
+    v_raw = {u: system.spaces[(u,)] for u in decompositions}
     common = max(space.codim for space in v_raw.values())
     v_spaces = {
         u: space.drop_last_rows(n2 - common) for u, space in v_raw.items()
@@ -433,7 +433,7 @@ def _find_system_inner(
     n1 = shape.dims[0]
     if shape.d == 1:
         root = bogolyubov(GroupSet.from_elements(n1, [t[0] for t in tuples]))
-        return LSystem(shape, root, bound=root.codim), {}
+        return LSystem(shape, {(): root}, bound=root.codim), {}
 
     tail_dims = shape.dims[1:]
     tail_shape = TensorShape(tail_dims)
@@ -453,17 +453,12 @@ def _find_system_inner(
     }
     u_space = bogolyubov(GroupSet.from_elements(n1, t_set))
 
-    children: dict[tuple[int, ...], Subspace] = {}
-    bound = u_space.codim
+    spaces = {(): u_space}
     splits = _four_splits(u_space.enumerate(), t_set, n1)
     for u, found in splits.items():
         sub = lsystem_intersect(*(recursive[t] for t in found))
-        children[(u,)] = sub.root
-        bound = max(bound, sub.root.codim)
-        for prefix, space in sub.children.items():
-            children[(u,) + prefix] = space
-            bound = max(bound, space.codim)
-    return LSystem(shape, u_space, children, bound=bound), splits
+        spaces.update(((u,) + p, s) for p, s in sub.spaces.items())
+    return LSystem(shape, spaces, bound=max(space.codim for space in spaces.values())), splits
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +539,8 @@ def matrix_pipeline(
     """
     if not 0 <= rank_threshold <= min(shape.dims):
         raise ValueError(f"rank threshold {rank_threshold} out of range")
+    if not 0 <= Fraction(epsilon) < 1:
+        raise ValueError(f"epsilon {epsilon} is outside [0, 1)")
     structure = find_structure_matrix(pairs, shape, delta)
     q = build_q_matrix(structure.u_space, structure.v_spaces, shape)
     profile = agreement_profile(q, shape)

@@ -85,10 +85,6 @@ class Subspace:
     pivots: tuple[int, ...]
 
     @classmethod
-    def zero(cls, n: int) -> "Subspace":
-        return cls(n, (), ())
-
-    @classmethod
     def full(cls, n: int) -> "Subspace":
         return cls(n, tuple(1 << i for i in range(n)), tuple(range(n)))
 
@@ -128,11 +124,6 @@ class Subspace:
                     v |= 1 << p
             kernel.append(v)
         return rref(kernel, n)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return rref(self.rows + other.rows, self.ambient_dim)
 
     def intersect(self, *others: "Subspace") -> "Subspace":
         """Exact intersection with every space in ``others``, via (V^perp + W^perp + ...)^perp."""

@@ -133,35 +133,32 @@ def axis_subsets(d: int) -> list[tuple[int, ...]]:
     return [tuple(a for a in range(d) if mask >> a & 1) for mask in range(1, 1 << d)]
 
 
-def _blowup_gather(posmap: np.ndarray, rows: list[int]) -> list[int]:
-    """The packed tensors z (x) e_j, for each z in ``rows`` (vectors of F2^I)
-    and each index j of F2^{I^c}; ``posmap`` is :func:`axis_position_map`."""
+def _blowup_gather(
+    shape: TensorShape, spaces: Mapping[tuple[int, ...], Subspace]
+) -> list[int]:
+    """The packed tensors z (x) e_j, for each axis subset I of ``spaces``, each
+    row z of its subspace of F2^I and each index j of F2^{I^c}."""
     gens = []
-    for row in rows:
-        picked = posmap[[k for k in range(posmap.shape[0]) if (row >> k) & 1]]
-        gens.extend(sum(1 << pos for pos in column) for column in picked.T.tolist())
+    for axes, space in spaces.items():
+        posmap = axis_position_map(shape, tuple(axes))
+        if space.ambient_dim != posmap.shape[0]:
+            raise DimensionMismatch("subspace ambient does not match axis product")
+        for row in space.rows:
+            picked = posmap[[k for k in range(posmap.shape[0]) if (row >> k) & 1]]
+            gens.extend(sum(1 << pos for pos in column) for column in picked.T.tolist())
     return gens
-
-
-def embed_blowup(shape: TensorShape, axes: tuple[int, ...], space: Subspace) -> Subspace:
-    """H (x) F2^{I^c} as a subspace of the flattened tensor space.
-
-    ``space`` lives in F2^I with I = ``axes``; the result consists of all
-    tensors whose every I^c-indexed slice along the I axes lies in H.
-    """
-    posmap = axis_position_map(shape, axes)
-    if space.ambient_dim != posmap.shape[0]:
-        raise DimensionMismatch("subspace ambient does not match axis product")
-    return rref(_blowup_gather(posmap, space.rows), shape.total)
 
 
 def sum_of_blowups(
     shape: TensorShape, spaces: Mapping[tuple[int, ...], Subspace]
 ) -> Subspace:
-    out = Subspace.zero(shape.total)
-    for axes, space in spaces.items():
-        out = out.sum(embed_blowup(shape, tuple(axes), space))
-    return out
+    """sum_I H_I (x) F2^{I^c} as a subspace of the flattened tensor space.
+
+    ``spaces`` maps each axis subset I to H_I in F2^I; H_I (x) F2^{I^c}
+    holds the tensors whose every I^c-indexed slice along the I axes lies
+    in H_I.  The generators z (x) e_j of every blowup go into one rref.
+    """
+    return rref(_blowup_gather(shape, spaces), shape.total)
 
 
 def _normalize_spaces(
@@ -217,10 +214,10 @@ class SimpleSet:
         translate must be orthogonal to z.  Built from the definition, not
         from subspace().
         """
-        masks = []
-        for axes, space in self.spaces.items():
-            masks += _blowup_gather(axis_position_map(self.shape, axes), space.complement().rows)
-        return orthogonal_to_all(data, masks, self.shape.total, self.translate.data)
+        perps = {axes: space.complement() for axes, space in self.spaces.items()}
+        return orthogonal_to_all(
+            data, _blowup_gather(self.shape, perps), self.shape.total, self.translate.data
+        )
 
     def subspace(self) -> Subspace:
         """The underlying subspace (ignoring the translate).
@@ -249,42 +246,33 @@ SYSTEM_ENUMERATION_LIMIT = 2**22  # most elements an l-system walk enumerates pe
 class LSystem:
     """Nested subspace family producing a multiset of rank-1 tensors.
 
-    root is a subspace of the first axis; for each prefix (u_1,..,u_{j-1})
-    of factors there is a subspace of axis j, stored in ``children``.
-    ``bound`` is the declared codimension bound l.
+    ``spaces[prefix]`` is the subspace of axis len(prefix) below the factor
+    prefix (u_1,..,u_j); the root, a subspace of the first axis, is
+    ``spaces[()]``.  ``bound`` is the declared codimension bound l.
     """
 
     def __init__(
-        self,
-        shape: TensorShape,
-        root: Subspace,
-        children: dict[tuple[int, ...], Subspace] | None = None,
-        bound: int = 0,
+        self, shape: TensorShape, spaces: Mapping[tuple[int, ...], Subspace], bound: int = 0
     ):
-        if root.ambient_dim != shape.dims[0]:
-            raise DimensionMismatch("root ambient differs from first axis")
+        for prefix, space in spaces.items():
+            if len(prefix) >= shape.d:
+                raise DimensionMismatch(f"prefix {prefix} is not shorter than the {shape.d} axes")
+            if space.ambient_dim != shape.dims[len(prefix)]:
+                raise DimensionMismatch(f"space at prefix {prefix} differs from its axis")
         self.shape = shape
-        self.root = root
-        self.children = dict(children or {})
+        self.spaces = dict(spaces)
         self.bound = bound
 
-    def child(self, prefix: tuple[int, ...]) -> Subspace:
-        if not 1 <= len(prefix) <= self.shape.d - 1:
-            raise ValueError(f"bad prefix length {len(prefix)}")
-        got = self.children.get(prefix)
-        if got is None:
-            raise KeyError(f"no subspace for prefix {prefix}")
-        if got.ambient_dim != self.shape.dims[len(prefix)]:
-            raise DimensionMismatch("child ambient differs from its axis")
-        return got
+    @property
+    def root(self) -> Subspace:
+        return self.spaces[()]
 
     def factor_tuples(self) -> Iterator[tuple[int, ...]]:
         def walk(prefix: tuple[int, ...]):
             if len(prefix) == self.shape.d:
                 yield prefix
                 return
-            space = self.root if not prefix else self.child(prefix)
-            for u in space.enumerate(SYSTEM_ENUMERATION_LIMIT):
+            for u in self.spaces[prefix].enumerate(SYSTEM_ENUMERATION_LIMIT):
                 yield from walk(prefix + (u,))
 
         yield from walk(())
@@ -293,11 +281,7 @@ class LSystem:
         return Counter(rank1_flat(self.shape.dims, tup) for tup in self.factor_tuples())
 
     def max_codim(self) -> int:
-        worst = self.root.codim
-        for tup in self.factor_tuples():
-            for j in range(1, self.shape.d):
-                worst = max(worst, self.child(tup[:j]).codim)
-        return worst
+        return max(space.codim for space in self.spaces.values())
 
 
 def lsystem_intersect(*systems: LSystem) -> LSystem:
@@ -305,20 +289,17 @@ def lsystem_intersect(*systems: LSystem) -> LSystem:
     first, *rest = systems
     if any(q.shape != first.shape for q in rest):
         raise DimensionMismatch("system shapes differ")
-    root = first.root.intersect(*(q.root for q in rest))
-    children: dict[tuple[int, ...], Subspace] = {}
+    spaces: dict[tuple[int, ...], Subspace] = {}
 
-    def walk(prefix: tuple[int, ...], space: Subspace):
-        if len(prefix) == first.shape.d - 1:
-            return
-        for u in space.enumerate(SYSTEM_ENUMERATION_LIMIT):
-            new_prefix = prefix + (u,)
-            meet = first.child(new_prefix).intersect(*(q.child(new_prefix) for q in rest))
-            children[new_prefix] = meet
-            walk(new_prefix, meet)
+    def walk(prefix: tuple[int, ...]):
+        meet = first.spaces[prefix].intersect(*(q.spaces[prefix] for q in rest))
+        spaces[prefix] = meet
+        if len(prefix) < first.shape.d - 1:
+            for u in meet.enumerate(SYSTEM_ENUMERATION_LIMIT):
+                walk(prefix + (u,))
 
-    walk((), root)
-    return LSystem(first.shape, root, children, bound=sum(q.bound for q in systems))
+    walk(())
+    return LSystem(first.shape, spaces, bound=sum(q.bound for q in systems))
 
 
 @dataclass(frozen=True)
@@ -341,7 +322,7 @@ def rank_reach(shape: TensorShape, axes: tuple[int, ...], k: int) -> np.ndarray:
     out = np.zeros(1 << shape.total, dtype=bool)
     for space in all_subspaces(side, k):
         if space.dim == min(k, side):
-            out[subspace_elements(embed_blowup(shape, axes, space))] = True
+            out[subspace_elements(sum_of_blowups(shape, {axes: space}))] = True
     return out
 
 

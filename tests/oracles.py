@@ -329,7 +329,7 @@ def _embedded_candidates(dims: tuple[int, ...], k: int):
     """Per axis subset of the first d-1 axes, every dim <= k subspace of
     F2^I embedded as its blowup H (x) F2^{I^c}."""
     from closurelab.gf2 import all_subspaces
-    from closurelab.tensor import TensorShape, embed_blowup
+    from closurelab.tensor import TensorShape, sum_of_blowups
 
     shape = TensorShape(dims)
     d = len(dims)
@@ -337,7 +337,8 @@ def _embedded_candidates(dims: tuple[int, ...], k: int):
         tuple(a for a in range(d - 1) if (mask >> a) & 1) for mask in range(1, 1 << (d - 1))
     ]
     return [
-        [embed_blowup(shape, axes, h) for h in all_subspaces(math.prod(dims[a] for a in axes), k)]
+        [sum_of_blowups(shape, {axes: h})
+         for h in all_subspaces(math.prod(dims[a] for a in axes), k)]
         for axes in subsets
     ]
 
@@ -348,15 +349,17 @@ def degenerate_dfs_oracle(data: int, dims: tuple[int, ...], k: int) -> bool:
     of candidate subspaces (the search ``degenerate_decide`` ran before its
     sumset bitmap), carrying the partial sum of blowups.
     """
-    from closurelab.gf2 import Subspace
+    from closurelab.gf2 import rref
 
     levels = _embedded_candidates(tuple(dims), k)
+    n = math.prod(dims)
 
     def search(level: int, partial) -> bool:
         if partial.contains(data):
             return True
         if level == len(levels):
             return False
-        return any(search(level + 1, partial.sum(blowup)) for blowup in levels[level])
+        return any(search(level + 1, rref(partial.rows + blowup.rows, n))
+                   for blowup in levels[level])
 
-    return search(0, Subspace.zero(math.prod(dims)))
+    return search(0, rref((), n))

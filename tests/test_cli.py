@@ -547,6 +547,27 @@ def test_manifest_type_errors_exit_cleanly(raw, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("raw", [
+    {"command": "forcing-pipeline", "params": {"shape": 4}},
+    {"command": "closedness", "params": {"n": 6, "set": [1, 2]}},
+    {"command": "counterexample", "params": {"ns": 36}},
+    {"command": "closedness", "params": {"n": 6, "generators": 5}},
+], ids=["shape-int", "set-list", "ns-int", "generators-int"])
+def test_malformed_parameter_types_exit_1_with_one_line(raw, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([raw["command"], "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("epsilon, code", [("1", 1), ("2", 1), ("-1/32", 1), ("0", 0)])
+def test_forcing_pipeline_refuses_epsilon_outside_0_1(epsilon, code, capsys):
+    assert cli.main(["forcing-pipeline", "--shape", "3", "3", f"--epsilon={epsilon}"]) == code
+    err = capsys.readouterr().err
+    assert err == (f"error: epsilon {epsilon} is outside [0, 1)\n" if code else "")
+
+
 def _flag_manifest(monkeypatch, argv) -> dict:
     """The manifest ``argv`` builds, captured where ``main`` hands it to ``run``."""
     captured = []

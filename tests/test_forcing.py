@@ -101,7 +101,7 @@ def test_check_forcing_full_spaces_always_verified():
 
 def test_check_forcing_zero_multiset_never_verified_for_proper_spaces():
     q = GroupMultiset.from_pairs(4, [(0, 3)])
-    cert = check_forcing(agreement_profile(q), Fraction(3, 4), Subspace.zero(4))
+    cert = check_forcing(agreement_profile(q), Fraction(3, 4), rref((), 4))
     assert not cert.verified
     assert cert.counterexample is not None
 
@@ -209,14 +209,14 @@ def test_find_structure_is_the_d2_system():
     assert res.u_space == system.root
     for u, space in res.v_spaces.items():
         assert space.codim == res.common_codim
-        assert space == system.child((u,)).drop_last_rows(space.dim)
+        assert space == system.spaces[(u,)].drop_last_rows(space.dim)
     with pytest.raises(ValueError, match=r"\(2, 2, 4\) is not 2-dimensional"):
         find_structure_matrix(pairs, TensorShape((2, 2, 4)), Fraction(1, 2))
 
 
 def test_build_q_matrix_trivial_and_full():
     shape = TensorShape((3, 3))
-    zero_u = Subspace.zero(3)
+    zero_u = rref((), 3)
     q = build_q_matrix(zero_u, {0: rref([1, 2], 3)}, shape)
     assert dict(q.counts) == {0: 4}
 
@@ -269,7 +269,7 @@ def test_check_forcing_certificate_matches_per_candidate_loop():
                     axes = tuple(a for a in range(shape.d) if (mask >> a) & 1)
                     amb = math.prod(dims[a] for a in axes)
                     spaces[axes] = random_subspace(amb, int(rng.integers(0, amb + 1)), rng)
-            spaces.setdefault((0,), u.complement() if shape.d == 1 else Subspace.zero(dims[0]))
+            spaces.setdefault((0,), u.complement() if shape.d == 1 else rref((), dims[0]))
             target = sum_of_blowups(shape, spaces)
             for alpha in (Fraction(1, 2), Fraction(3, 4)):
                 cert = check_forcing(profile, alpha, target)
@@ -310,7 +310,7 @@ def test_reduced_witness_full_and_fixed_v():
     u_space = random_subspace(4, 3, rng)
     full_v = {u: Subspace.full(4) for u in u_space.enumerate()}
     res = reduced_witness(u_space, full_v, 1)
-    assert res.w2 == Subspace.zero(4)
+    assert res.w2 == rref((), 4)
     assert res.x_list == [0]
     assert res.w1 == u_space.complement()
 
@@ -495,6 +495,16 @@ def test_find_system_random_d2_verified():
             assert g in allowed
             acc ^= g
         assert acc == elem
+
+
+@pytest.mark.parametrize("dims", [(4, 4), (2, 2, 2), (2, 3, 3), (3, 3, 2), (2, 2, 2, 2)])
+def test_find_system_map_holds_exactly_the_walked_prefixes(dims):
+    shape = TensorShape(dims)
+    tuples = random_factor_tuples(dims, 1 << (sum(dims) - 1), np.random.default_rng(14))
+    system = find_system(tuples, shape, Fraction(1, 2)).system
+    walked = {tup[:j] for tup in system.factor_tuples() for j in range(shape.d)}
+    assert set(system.spaces) == walked
+    assert system.max_codim() == max(system.spaces[p].codim for p in walked) == system.bound
 
 
 def test_find_system_d3_runs_and_verifies():

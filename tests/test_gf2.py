@@ -58,8 +58,8 @@ def test_rref_canonical_independent_of_generating_set():
 
 def test_orthogonal_complement_examples():
     assert rref([0b001], 3).complement() == rref([0b010, 0b100], 3)
-    assert Subspace.full(4).complement() == Subspace.zero(4)
-    assert Subspace.zero(4).complement() == Subspace.full(4)
+    assert Subspace.full(4).complement() == rref((), 4)
+    assert rref((), 4).complement() == Subspace.full(4)
 
 
 def test_double_complement_and_exhaustive_orthogonality():
@@ -100,9 +100,9 @@ def test_intersect_of_many_matches_the_pairwise_fold_and_the_definition():
             inside = {x for x in range(1 << n) if all(s.contains(x) for s in spaces)}
             assert set(got.enumerate()) == inside
             assert Subspace.full(n).intersect(*spaces) == got
-            assert got.intersect(*spaces, Subspace.zero(n)) == Subspace.zero(n)
+            assert got.intersect(*spaces, rref((), n)) == rref((), n)
     with pytest.raises(DimensionMismatch):
-        Subspace.full(3).intersect(Subspace.full(3), Subspace.zero(4))
+        Subspace.full(3).intersect(Subspace.full(3), rref((), 4))
 
 
 def test_intersect_matches_bruteforce_enumeration():
@@ -151,7 +151,7 @@ def test_enumerate_budget():
 def test_contains_array_agrees_with_contains():
     rng = np.random.default_rng(19)
     for n in (1, 2, 5, 12, 20, 33, 63, 64):
-        spaces = [Subspace.zero(n), Subspace.full(n)]
+        spaces = [rref((), n), Subspace.full(n)]
         spaces += [random_subspace(n, int(rng.integers(0, n + 1)), rng) for _ in range(4)]
         for v in spaces:
             if n <= 12:
@@ -168,14 +168,14 @@ def test_contains_array_agrees_with_contains():
             assert got.dtype == bool
             assert got.tolist() == [v.contains(x) for x in points]
     assert Subspace.full(64).contains_array(np.array([2**64 - 1], dtype=np.uint64)).all()
-    assert not Subspace.zero(64).contains_array(np.array([2**63], dtype=np.uint64)).any()
+    assert not rref((), 64).contains_array(np.array([2**63], dtype=np.uint64)).any()
     # int64 input, as np.flatnonzero gives it
     w = rref([0b011, 0b110], 3)
     assert w.contains_array(np.arange(8)).tolist() == [w.contains(x) for x in range(8)]
 
 
 def test_contains_array_refuses_above_64_coordinates():
-    for v in (Subspace.zero(65), Subspace.full(65)):
+    for v in (rref((), 65), Subspace.full(65)):
         with pytest.raises(BudgetExceeded):
             v.contains_array(np.zeros(1, dtype=np.uint64))
 
@@ -183,7 +183,7 @@ def test_contains_array_refuses_above_64_coordinates():
 def test_count_small_support_examples():
     s = rref([1, 2, 4, 8], 10)
     assert count_small_support(s, 1) == 5  # zero plus four basis vectors
-    assert count_small_support(Subspace.zero(6), 3) == 1
+    assert count_small_support(rref((), 6), 3) == 1
 
 
 def test_count_small_support_bound_random():

@@ -16,7 +16,6 @@ from closurelab.tensor import (
     TensorShape,
     axis_subsets,
     degenerate_decide,
-    embed_blowup,
     lsystem_intersect,
     rank1,
     rank_one_counter,
@@ -206,20 +205,60 @@ def test_simple_set_translation_consistency():
         assert c0.member(Tensor(shape, x)) == shifted.member(Tensor(shape, x ^ t))
 
 
-def test_embed_blowup_membership_semantics():
-    shape = TensorShape((2, 3))
-    h = rref([0b01], 2)  # span{e1} on axis 0
-    blown = embed_blowup(shape, (0,), h)
-    for x in range(1 << 6):
-        cols_in_h = all(((x >> j) & 1, (x >> (3 + j)) & 1) != (0, 1) or False
-                        for j in range(3))
-        # direct slice check: columns (fixing axis-1 index j) must lie in h
+def _blowup_by_slices(shape: TensorShape, axes: tuple[int, ...], h: Subspace) -> set[int]:
+    """The tensors whose every I^c-indexed slice along the I = ``axes`` axes
+    lies in h, from the definition."""
+    comp = [a for a in range(shape.d) if a not in axes]
+    out = set()
+    for x in range(1 << shape.total):
         ok = True
-        for j in range(3):
-            col = ((x >> j) & 1) | (((x >> (3 + j)) & 1) << 1)
-            if not h.contains(col):
-                ok = False
-        assert blown.contains(x) == ok
+        for rest in product(*(range(shape.dims[a]) for a in comp)):
+            col = 0
+            for k, idx in enumerate(product(*(range(shape.dims[a]) for a in axes))):
+                index = dict(zip(axes, idx)) | dict(zip(comp, rest))
+                col |= ((x >> shape.flat(tuple(index[a] for a in range(shape.d)))) & 1) << k
+            ok = ok and h.contains(col)
+        if ok:
+            out.add(x)
+    return out
+
+
+def test_sum_of_blowups_is_the_membership_definition_and_one_rref():
+    rng = np.random.default_rng(8)
+    cases = [(TensorShape((2, 3)), {(0,): rref([0b01], 2)})]  # span{e1} on axis 0
+    for dims, count in (((2, 3), 2), ((2, 2, 2), 2), ((2, 2, 2), 3), ((3, 2), 3)):
+        shape = TensorShape(dims)
+        subsets = axis_subsets(shape.d)
+        for _ in range(2):
+            picked = rng.choice(len(subsets), size=count, replace=False)
+            spaces = {}
+            for i in sorted(picked.tolist()):
+                amb = math.prod(dims[a] for a in subsets[i])
+                spaces[subsets[i]] = random_subspace(amb, int(rng.integers(0, amb)), rng)
+            cases.append((shape, spaces))
+    for shape, spaces in cases:
+        singles = {axes: sum_of_blowups(shape, {axes: h}) for axes, h in spaces.items()}
+        want = {0}
+        for axes, h in spaces.items():
+            blown = _blowup_by_slices(shape, axes, h)
+            assert set(singles[axes].enumerate()) == blown
+            want = {a ^ b for a in want for b in blown}
+        got = sum_of_blowups(shape, spaces)
+        assert got == rref([r for single in singles.values() for r in single.rows], shape.total)
+        assert set(got.enumerate()) == want
+    with pytest.raises(DimensionMismatch, match="ambient"):
+        sum_of_blowups(TensorShape((2, 3)), {(0,): rref([1], 2), (1,): Subspace.full(2)})
+
+
+def test_lsystem_refuses_a_long_prefix_and_a_wrong_ambient():
+    shape = TensorShape((2, 3))
+    LSystem(shape, {(): Subspace.full(2), (1,): Subspace.full(3)})
+    with pytest.raises(DimensionMismatch, match="prefix"):
+        LSystem(shape, {(): Subspace.full(2), (1, 0): Subspace.full(3)})
+    with pytest.raises(DimensionMismatch, match="differs"):
+        LSystem(shape, {(): Subspace.full(3)})
+    with pytest.raises(DimensionMismatch, match="differs"):
+        LSystem(shape, {(): Subspace.full(2), (1,): Subspace.full(2)})
 
 
 def test_lsystem_elements_and_intersect():
@@ -230,14 +269,12 @@ def test_lsystem_elements_and_intersect():
         root_b = random_subspace(3, 2, rng)
         a = LSystem(
             shape,
-            root_a,
-            {(u,): random_subspace(3, 2, rng) for u in root_a.enumerate()},
+            {(): root_a, **{(u,): random_subspace(3, 2, rng) for u in root_a.enumerate()}},
             bound=1,
         )
         b = LSystem(
             shape,
-            root_b,
-            {(u,): random_subspace(3, 2, rng) for u in root_b.enumerate()},
+            {(): root_b, **{(u,): random_subspace(3, 2, rng) for u in root_b.enumerate()}},
             bound=1,
         )
         meet = lsystem_intersect(a, b)
@@ -248,28 +285,23 @@ def test_lsystem_elements_and_intersect():
             assert t in elems_a and t in elems_b
         # codim additivity bound at every node
         assert meet.root.codim <= a.root.codim + b.root.codim
-        for prefix, space in meet.children.items():
-            assert space.codim <= a.child(prefix).codim + b.child(prefix).codim
+        for prefix, space in meet.spaces.items():
+            assert space.codim <= a.spaces[prefix].codim + b.spaces[prefix].codim
 
 
 def _random_system(shape: TensorShape, rng) -> LSystem:
-    """Every subspace of codimension 0 or 1, a child at every prefix."""
-    children = {}
+    """Every subspace of codimension 0 or 1, one at every prefix."""
+    spaces = {}
 
-    def draw(axis: int) -> Subspace:
-        n = shape.dims[axis]
-        return random_subspace(n, n - int(rng.integers(0, 2)), rng)
+    def fill(prefix: tuple[int, ...]):
+        n = shape.dims[len(prefix)]
+        spaces[prefix] = random_subspace(n, n - int(rng.integers(0, 2)), rng)
+        if len(prefix) < shape.d - 1:
+            for u in spaces[prefix].enumerate():
+                fill(prefix + (u,))
 
-    def fill(prefix: tuple[int, ...], space: Subspace):
-        if len(prefix) == shape.d - 1:
-            return
-        for u in space.enumerate():
-            children[prefix + (u,)] = draw(len(prefix) + 1)
-            fill(prefix + (u,), children[prefix + (u,)])
-
-    root = draw(0)
-    fill((), root)
-    return LSystem(shape, root, children, bound=1)
+    fill(())
+    return LSystem(shape, spaces, bound=1)
 
 
 def test_lsystem_intersect_of_three_and_four_is_the_nested_pairwise_meet():
@@ -284,7 +316,7 @@ def test_lsystem_intersect_of_three_and_four_is_the_nested_pairwise_meet():
                 for q in systems[1:]:
                     nested = lsystem_intersect(nested, q)
                 assert got.root == nested.root
-                assert list(got.children.items()) == list(nested.children.items())
+                assert list(got.spaces.items()) == list(nested.spaces.items())
                 assert got.bound == nested.bound == count
     with pytest.raises(DimensionMismatch):
         lsystem_intersect(systems[0], systems[1], _random_system(TensorShape((2, 3, 3)), rng))
@@ -295,16 +327,17 @@ def test_lsystem_self_intersection_is_identity_on_elements():
     rng = np.random.default_rng(11)
     root = random_subspace(3, 2, rng)
     q = LSystem(
-        shape, root, {(u,): random_subspace(3, 2, rng) for u in root.enumerate()}
+        shape, {(): root, **{(u,): random_subspace(3, 2, rng) for u in root.enumerate()}}
     )
     assert lsystem_intersect(q, q).element_counter() == q.element_counter()
 
 
 def test_lsystem_of_full_spaces_is_every_rank_one_tensor():
     shape = TensorShape((2, 2, 2))
-    children = {(u,): Subspace.full(2) for u in range(4)}
-    children.update({(u, v): Subspace.full(2) for u in range(4) for v in range(4)})
-    full = LSystem(shape, Subspace.full(2), children)
+    spaces = {(): Subspace.full(2)}
+    spaces.update({(u,): Subspace.full(2) for u in range(4)})
+    spaces.update({(u, v): Subspace.full(2) for u in range(4) for v in range(4)})
+    full = LSystem(shape, spaces)
     assert full.element_counter() == rank_one_counter(shape)
     meet = lsystem_intersect(full, full)
     assert meet.element_counter() == full.element_counter()
@@ -420,7 +453,7 @@ def test_degenerate_decide_corrupted_witness_raises(monkeypatch):
     # column spaces that lose their rows no longer span the tensor
     monkeypatch.setattr(
         tensor_module, "_column_space",
-        lambda shape, axes, data: Subspace.zero(math.prod(shape.dims[a] for a in axes)),
+        lambda shape, axes, data: rref((), math.prod(shape.dims[a] for a in axes)),
     )
     with pytest.raises(VerificationFailure, match="does not verify"):
         degenerate_decide(Tensor(shape, diag), 1)

@@ -3,8 +3,11 @@
     python3 tools/bench_artifact.py --parent ../parent --out BENCH_11.json
 
 Run from the root of this checkout; ``--parent`` is a checkout of the parent
-commit (``git archive`` or ``git clone`` it).  Both sides run with the same
-interpreter.  The artifact has four parts:
+commit (``git archive`` or ``git clone`` it).  The change side runs from a
+fresh copy of this checkout in a temporary directory, without ``.git``,
+caches, benchmark output or ``BENCH_*.json``, so like a fresh parent
+checkout it starts without compiled bytecode or earlier results.  Both
+sides run with the same interpreter.  The artifact has four parts:
 
 * ``perfbench``: result lines of ``perfbench/run.py --trace 0`` at the
   benchmark's ``run_seconds``, in pairs that alternate which side runs first
@@ -53,9 +56,11 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -201,8 +206,14 @@ def _run(cmd: list[str], root: Path, env_src: bool = False) -> str:
                           env=env).stdout
 
 
-def perfbench_pair(workload: str, seed: int, seconds: float, parent: Path, first: str) -> dict:
-    sides = {"parent": parent, "change": CHANGE}
+def fresh_copy(root: Path, dest: Path) -> Path:
+    """``root`` copied to ``dest`` without what building, testing and benchmarking leave."""
+    shutil.copytree(root, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out", "BENCH_*.json"))
+    return dest
+
+
+def perfbench_pair(workload: str, seed: int, seconds: float, sides: dict, first: str) -> dict:
     order = [first, "change" if first == "parent" else "parent"]
     pair = {"workload": workload, "seed": seed, "first": first}
     for side in order:
@@ -215,9 +226,8 @@ def perfbench_pair(workload: str, seed: int, seconds: float, parent: Path, first
     return pair
 
 
-def kernel_rounds(parent: Path) -> dict:
+def kernel_rounds(sides: dict) -> dict:
     """KERNEL_SNIPPET on both sides per round; even rounds run the parent first."""
-    sides = {"parent": parent, "change": CHANGE}
     rounds = []
     for k in range(KERNEL_ROUNDS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -286,18 +296,19 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    parent = args.parent.resolve()
     bench = json.loads((CHANGE / "BENCHMARK.json").read_text())
-
-    pairs = []
-    for workload, count in PAIRS.items():
-        for k in range(count):
-            first = "parent" if k % 2 == 0 else "change"
-            pairs.append(perfbench_pair(workload, SEED + k, bench["run_seconds"],
-                                        parent, first))
-            print(f"{workload} pair {k + 1}/{count} done", file=sys.stderr)
-    kernels = kernel_rounds(parent)
-    suites = {side: suite(root) for side, root in (("parent", parent), ("change", CHANGE))}
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"parent": args.parent.resolve(),
+                 "change": fresh_copy(CHANGE, Path(tmp) / "change")}
+        pairs = []
+        for workload, count in PAIRS.items():
+            for k in range(count):
+                first = "parent" if k % 2 == 0 else "change"
+                pairs.append(perfbench_pair(workload, SEED + k, bench["run_seconds"],
+                                            sides, first))
+                print(f"{workload} pair {k + 1}/{count} done", file=sys.stderr)
+        kernels = kernel_rounds(sides)
+        suites = {side: suite(root) for side, root in sides.items()}
     artifact = {
         "machine": machine(),
         "perfbench": {
