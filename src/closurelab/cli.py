@@ -271,10 +271,28 @@ def _delta(p: dict) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def build_groupset(n: int, spec: dict, rng) -> GroupSet:
+# kind -> the keys it reads besides ``kind``; any other key is refused
+_SET_KEYS = {"middle-layers": (), "layers": ("lo", "hi"), "random": ("size",),
+             "explicit": ("elements",)}
+_MULTISET_KEYS = {"basis": ("support",), "rank-one": ("dims", "nonzero"),
+                  "random": ("support_size", "max_mult"), "explicit": ("pairs",)}
+
+
+def _kind(spec, param: str, noun: str, keys: dict, default: str) -> str:
+    """The kind of a set or generator spec whose other keys that kind reads."""
     if not isinstance(spec, dict):
-        raise ManifestError(f"set must be a mapping: {spec!r}")
-    kind = spec.get("kind", "random")
+        raise ManifestError(f"{param} must be a mapping: {spec!r}")
+    kind = spec.get("kind", default)
+    if not isinstance(kind, str) or kind not in keys:
+        raise ManifestError(f"unknown {noun} kind {kind!r}")
+    foreign = set(spec) - {"kind", *keys[kind]}
+    if foreign:
+        raise ManifestError(f"{noun} kind {kind!r} does not read {sorted(foreign)}")
+    return kind
+
+
+def build_groupset(n: int, spec: dict, rng) -> GroupSet:
+    kind = _kind(spec, "set", "set", _SET_KEYS, "random")
     if kind == "middle-layers":
         if n % 2 == 0:
             raise ManifestError("middle-layers needs odd n")
@@ -285,15 +303,11 @@ def build_groupset(n: int, spec: dict, rng) -> GroupSet:
     if kind == "random":
         size = int(spec.get("size", (1 << n) // 2))
         return random_groupset(n, size, rng)
-    if kind == "explicit":
-        return GroupSet.from_elements(n, [int(v, 16) for v in spec["elements"]])
-    raise ManifestError(f"unknown set kind {kind!r}")
+    return GroupSet.from_elements(n, [int(v, 16) for v in spec["elements"]])
 
 
 def build_multiset(n: int, spec: dict, rng) -> GroupMultiset:
-    if not isinstance(spec, dict):
-        raise ManifestError(f"generators must be a mapping: {spec!r}")
-    kind = spec.get("kind", "basis")
+    kind = _kind(spec, "generators", "multiset", _MULTISET_KEYS, "basis")
     if kind == "basis":
         support = spec.get("support")
         return standard_basis_multiset(n, None if support is None else int(support))
@@ -312,11 +326,7 @@ def build_multiset(n: int, spec: dict, rng) -> GroupMultiset:
         return GroupMultiset.from_pairs(
             n, [(int(e), int(rng.integers(1, max_mult + 1))) for e in elems]
         )
-    if kind == "explicit":
-        return GroupMultiset.from_pairs(
-            n, [(int(e, 16), int(m)) for e, m in spec["pairs"]]
-        )
-    raise ManifestError(f"unknown multiset kind {kind!r}")
+    return GroupMultiset.from_pairs(n, [(int(e, 16), int(m)) for e, m in spec["pairs"]])
 
 
 # ---------------------------------------------------------------------------

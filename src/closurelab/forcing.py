@@ -6,7 +6,8 @@ high-agreement set in a sum of subspace blowups), and the constructive
 chain dense-pairs -> fibre subspaces -> structured multiset Q ->
 witnessed containment that realizes the d=2 analysis at desk scale.
 One fibre recursion builds the nested-subspace systems of every d
-(:func:`find_system`); the matrix structure finder is its d = 2 case.
+(:func:`find_system`); the matrix structure finder is its d = 2 case, an
+:class:`LSystem` with U at ``()`` and V_u at ``(u,)`` whose elements are Q.
 
 Rank-one multisets are handled as explicit factor tuples (u_1,..,u_d)
 rather than flattened tensors: fibre densities are part of every
@@ -81,9 +82,6 @@ def agreement_set(profile: AgreementProfile, alpha: Fraction) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ForcingCertificate:
-    q: GroupMultiset
-    alpha: Fraction
-    target: Subspace
     verified: bool
     counterexample: int | None = None
     agreement_set_size: int = 0
@@ -104,9 +102,7 @@ def check_forcing(
     candidates = agreement_set(profile, alpha)
     outside = np.flatnonzero(~target.contains_array(candidates))
     counterexample = int(candidates[outside[0]]) if outside.size else None
-    return ForcingCertificate(
-        profile.q, alpha, target, counterexample is None, counterexample, candidates.size
-    )
+    return ForcingCertificate(counterexample is None, counterexample, candidates.size)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +277,7 @@ def _four_splits(
 
 @dataclass(frozen=True)
 class StructureResult:
-    shape: TensorShape
-    u_space: Subspace
-    v_spaces: dict[int, Subspace]  # u -> V_u, common codimension
-    common_codim: int
+    system: LSystem  # U at (), V_u at (u,), every V_u of one codimension
     decompositions: dict[int, tuple[int, int, int, int]]  # u -> (t1..t4)
     witnesses: dict[tuple[int, int], list[int]]  # (u, v) -> 16-sum witness
 
@@ -299,46 +292,21 @@ def find_structure_matrix(
     The d = 2 case of :func:`find_system`'s fibre recursion: U is the
     system's root and V_u its subspace at prefix (u,), the meet of the
     fibre spaces W_t over the split u = t1+t2+t3+t4 (lexicographically
-    first over T), trimmed to the common codimension.  Every output pair
-    is certified by an explicit 16-term witness over B'.
+    first over T), trimmed to the common codimension.  Every factor tuple
+    of the trimmed system is certified by an explicit 16-term witness over B'.
     """
     if shape.d != 2:
         raise ValueError(f"shape {shape.dims} is not 2-dimensional, as a matrix shape must be")
     delta = Fraction(delta)
     pairs = _dense_tuples(pairs, shape, delta)
     system, decompositions = _find_system_inner(pairs, shape, delta)
-    n2 = shape.dims[1]
-    v_raw = {u: system.spaces[(u,)] for u in decompositions}
-    common = max(space.codim for space in v_raw.values())
-    v_spaces = {
-        u: space.drop_last_rows(n2 - common) for u, space in v_raw.items()
-    }
-    targets = {
-        (u, v): rank1_flat(shape.dims, (u, v))
-        for u, space in v_spaces.items()
-        for v in space.enumerate()
-    }
+    keep = shape.dims[1] - max(system.spaces[(u,)].codim for u in decompositions)
+    spaces = {(): system.root}
+    spaces.update(((u,), system.spaces[(u,)].drop_last_rows(keep)) for u in decompositions)
+    system = LSystem(shape, spaces, bound=system.bound)
+    targets = {tup: rank1_flat(shape.dims, tup) for tup in system.factor_tuples()}
     witnesses = _witnesses(pairs, shape, 16, targets)
-    return StructureResult(shape, system.root, v_spaces, common, decompositions, witnesses)
-
-
-def build_q_matrix(
-    u_space: Subspace, v_spaces: Mapping[int, Subspace], shape: TensorShape
-) -> GroupMultiset:
-    """The multiset union_{u in U} (u (x) V_u); |Q| = |U| * |V_.|."""
-    codims = {space.codim for space in v_spaces.values()}
-    if len(codims) > 1:
-        raise ValueError(f"V_u codimensions differ: {sorted(codims)}")
-    counter: Counter = Counter()
-    for u in u_space.enumerate():
-        space = v_spaces[u]
-        for v in space.enumerate():
-            counter[rank1_flat(shape.dims, (u, v))] += 1
-    q = GroupMultiset(shape.total, dict(counter))
-    expected = (1 << u_space.dim) * (1 << next(iter(v_spaces.values())).dim)
-    if q.total != expected:  # pragma: no cover - arithmetic identity
-        raise VerificationFailure("structured multiset size mismatch")
-    return q
+    return StructureResult(system, decompositions, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +321,20 @@ class ReducedWitness:
     x_list: list[int]
 
 
-def reduced_witness(
-    u_space: Subspace, v_spaces: Mapping[int, Subspace], l: int
-) -> ReducedWitness:
+def reduced_witness(system: LSystem, l: int) -> ReducedWitness:
     """W1 = U^perp; W2 = span{x : x in V_u^perp for >= |U|/(10*2^l) u's}.
 
-    |X| <= 10 * 2^(k+l) is guaranteed by counting and re-checked here.
+    U is ``system.root`` and V_u is ``system.spaces[(u,)]``.  |X| <= 10 * 2^(k+l),
+    k the largest codim of a V_u, is guaranteed by counting and re-checked here.
     """
-    u_elems = list(u_space.enumerate())
-    hits = Counter()
-    for u in u_elems:
-        for x in v_spaces[u].complement().enumerate():
-            hits[x] += 1
+    v_spaces = [system.spaces[(u,)] for u in system.root.enumerate()]
+    hits = Counter(x for space in v_spaces for x in space.complement().enumerate())
     scale = 10 * (1 << l)
-    x_list = sorted(x for x, c in hits.items() if c * scale >= len(u_elems))
-    k = max(space.codim for space in v_spaces.values())
+    x_list = sorted(x for x, c in hits.items() if c * scale >= len(v_spaces))
+    k = max(space.codim for space in v_spaces)
     if len(x_list) > 10 * (1 << (k + l)):  # pragma: no cover - counting bound
         raise VerificationFailure("|X| exceeded its counting bound")
-    n2 = v_spaces[0].ambient_dim  # 0 is in every U
-    return ReducedWitness(u_space.complement(), rref(x_list, n2), x_list)
+    return ReducedWitness(system.root.complement(), rref(x_list, system.shape.dims[1]), x_list)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +432,9 @@ def _find_system_inner(
 @dataclass
 class PipelineResult:
     shape: TensorShape
-    delta: Fraction
-    epsilon: Fraction
     rank_threshold: int
     structure: StructureResult
-    q: GroupMultiset
-    profile: AgreementProfile
+    profile: AgreementProfile  # profile.q is Q
     agreement_set: np.ndarray  # int64, ascending
     centers: list[int]
     w1: Subspace
@@ -542,7 +502,8 @@ def matrix_pipeline(
     if not 0 <= Fraction(epsilon) < 1:
         raise ValueError(f"epsilon {epsilon} is outside [0, 1)")
     structure = find_structure_matrix(pairs, shape, delta)
-    q = build_q_matrix(structure.u_space, structure.v_spaces, shape)
+    system = structure.system
+    q = GroupMultiset(shape.total, dict(system.element_counter()))
     profile = agreement_profile(q, shape)
     alpha = 1 - Fraction(epsilon)
     r_arr = agreement_set(profile, alpha)
@@ -551,14 +512,14 @@ def matrix_pipeline(
 
     # span(centers) + W1 (x) F2^{n2} + F2^{n1} (x) W2, blowup rows first:
     # rref stops eliminating once the target is the whole space
-    witness = reduced_witness(structure.u_space, structure.v_spaces, rank_threshold)
+    witness = reduced_witness(system, rank_threshold)
     blowups = sum_of_blowups(shape, {(0,): witness.w1, (1,): witness.w2})
     target = rref(blowups.rows + tuple(centers), shape.total)
     cert = check_forcing(profile, alpha, target)
 
     measured = {
-        "u_codim": structure.u_space.codim,
-        "v_common_codim": structure.common_codim,
+        "u_codim": system.root.codim,
+        "v_common_codim": system.spaces[(0,)].codim,  # 0 is in every U
         "q_total": q.total,
         "agreement_set_size": r_arr.size,
         "num_centers": len(centers),
@@ -569,11 +530,8 @@ def matrix_pipeline(
     }
     return PipelineResult(
         shape=shape,
-        delta=Fraction(delta),
-        epsilon=Fraction(epsilon),
         rank_threshold=rank_threshold,
         structure=structure,
-        q=q,
         profile=profile,
         agreement_set=r_arr,
         centers=centers,

@@ -144,6 +144,23 @@ def rank_one_matrices(n1: int, n2: int) -> list[int]:
     return sorted(out)
 
 
+def outer_product_counts(n1: int, n2: int, blocks) -> dict[int, int]:
+    """Count each packed u (x) v over blocks (u, vs), in first-seen order.
+
+    The matrix is numpy's outer product of the bit vectors of u and v,
+    flattened row-major and packed with bit k for entry k.
+    """
+    weights = [1 << k for k in range(n1 * n2)]
+    counts: dict[int, int] = {}
+    for u, vs in blocks:
+        u_bits = [(u >> i) & 1 for i in range(n1)]
+        for v in vs:
+            matrix = np.outer(u_bits, [(v >> j) & 1 for j in range(n2)])
+            elem = sum(w for w, bit in zip(weights, matrix.ravel().tolist()) if bit)
+            counts[elem] = counts.get(elem, 0) + 1
+    return counts
+
+
 def greedy_centers(points: list[int], low_rank: np.ndarray) -> list[int]:
     """Ascending greedy clustering: gather low_rank[points ^ c] per center."""
     arr = np.array(points, dtype=np.int64)

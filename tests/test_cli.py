@@ -561,6 +561,36 @@ def test_malformed_parameter_types_exit_1_with_one_line(raw, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("spectrum --n 6 --lo 1 --hi 2", "set kind 'random' does not read ['hi', 'lo']"),
+    ("spectrum --n 7 --set-kind middle-layers --set-size 9",
+     "set kind 'middle-layers' does not read ['size']"),
+    ("closedness --n 16 --dims 4 4", "multiset kind 'basis' does not read ['dims']"),
+], ids=["random-lo-hi", "middle-layers-size", "basis-dims"])
+def test_set_and_generator_kinds_refuse_keys_they_do_not_read(argv, message, capsys):
+    assert cli.main(argv.split()) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("params, set_size, generators_total", [
+    ({"n": 5, "set": {"kind": "middle-layers"}}, 20, 5),
+    ({"n": 6, "set": {"kind": "layers", "lo": 1, "hi": 2}}, 21, 6),
+    ({"n": 6, "set": {"kind": "random", "size": 9}}, 9, 6),
+    ({"n": 6, "set": {"kind": "explicit", "elements": ["3", "5"]}}, 2, 6),
+    ({"n": 6, "generators": {"kind": "basis", "support": 0b111}}, 32, 3),
+    ({"n": 6, "generators": {"kind": "rank-one", "dims": [2, 3], "nonzero": True}}, 32, 21),
+    ({"n": 6, "generators": {"kind": "random", "support_size": 4, "max_mult": 1}}, 32, 4),
+    ({"n": 6, "generators": {"kind": "explicit", "pairs": [["3", 2], ["5", 1]]}}, 32, 3),
+], ids=["middle-layers", "layers", "random-set", "explicit-set", "basis", "rank-one",
+        "random-generators", "explicit-generators"])
+def test_every_set_and_generator_kind_reads_the_keys_it_declares(
+    params, set_size, generators_total, capsys
+):
+    assert run(Manifest.from_dict({"command": "closedness", "params": params})) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert (payload["set_size"], payload["generators_total"]) == (set_size, generators_total)
+
+
 @pytest.mark.parametrize("epsilon, code", [("1", 1), ("2", 1), ("-1/32", 1), ("0", 0)])
 def test_forcing_pipeline_refuses_epsilon_outside_0_1(epsilon, code, capsys):
     assert cli.main(["forcing-pipeline", "--shape", "3", "3", f"--epsilon={epsilon}"]) == code

@@ -16,7 +16,6 @@ from closurelab.forcing import (
     _four_splits,
     agreement_profile,
     agreement_threshold,
-    build_q_matrix,
     check_forcing,
     find_structure_matrix,
     find_system,
@@ -27,6 +26,7 @@ from closurelab.forcing import (
 from closurelab.gf2 import Subspace, random_subspace, rref
 from closurelab.spectral import GroupMultiset
 from closurelab.tensor import (
+    LSystem,
     TensorShape,
     rank1_flat,
     rank_one_counter,
@@ -41,8 +41,19 @@ from .oracles import (
     four_split_oracle,
     greedy_centers,
     layered_witness,
+    outer_product_counts,
     rank_one_matrices,
 )
+
+
+def _v_spaces(system: LSystem) -> dict[int, Subspace]:
+    """u -> V_u over the root U of a d = 2 system."""
+    return {u: system.spaces[(u,)] for u in system.root.enumerate()}
+
+
+def _q(system: LSystem) -> GroupMultiset:
+    """The structured multiset Q, as matrix_pipeline builds it."""
+    return GroupMultiset(system.shape.total, dict(system.element_counter()))
 
 
 def test_agreement_profile_constant_zero_multiset():
@@ -164,9 +175,9 @@ def test_find_structure_full_pairs_gives_full_spaces():
     shape = TensorShape((3, 3))
     pairs = {(u, v) for u in range(8) for v in range(8)}
     res = find_structure_matrix(pairs, shape, Fraction(1, 2))
-    assert res.u_space == Subspace.full(3)
-    assert all(space == Subspace.full(3) for space in res.v_spaces.values())
-    assert res.common_codim == 0
+    assert res.system.root == Subspace.full(3)
+    assert all(space == Subspace.full(3) for space in _v_spaces(res.system).values())
+    assert {space.codim for space in _v_spaces(res.system).values()} == {0}
 
 
 def test_find_structure_structured_halfspace():
@@ -174,8 +185,8 @@ def test_find_structure_structured_halfspace():
     pairs = {(u, v) for u in range(16) if u % 2 == 0 for v in range(16)}
     res = find_structure_matrix(pairs, shape, Fraction(1, 2))
     expect_u = rref([0b0010, 0b0100, 0b1000], 4)
-    assert res.u_space == expect_u
-    assert all(space == Subspace.full(4) for space in res.v_spaces.values())
+    assert res.system.root == expect_u
+    assert all(space == Subspace.full(4) for space in _v_spaces(res.system).values())
 
 
 def test_find_structure_random_witnesses_are_sound():
@@ -206,9 +217,11 @@ def test_find_structure_is_the_d2_system():
     pairs = random_factor_tuples((4, 4), 128, rng)
     res = find_structure_matrix(pairs, shape, Fraction(1, 2))
     system = find_system(pairs, shape, Fraction(1, 2)).system
-    assert res.u_space == system.root
-    for u, space in res.v_spaces.items():
-        assert space.codim == res.common_codim
+    common_codim = max(space.codim for space in _v_spaces(system).values())
+    assert res.system.root == system.root
+    assert set(res.system.spaces) == {(), *((u,) for u in system.root.enumerate())}
+    for u, space in _v_spaces(res.system).items():
+        assert space.codim == common_codim
         assert space == system.spaces[(u,)].drop_last_rows(space.dim)
     with pytest.raises(ValueError, match=r"\(2, 2, 4\) is not 2-dimensional"):
         find_structure_matrix(pairs, TensorShape((2, 2, 4)), Fraction(1, 2))
@@ -217,13 +230,11 @@ def test_find_structure_is_the_d2_system():
 def test_build_q_matrix_trivial_and_full():
     shape = TensorShape((3, 3))
     zero_u = rref((), 3)
-    q = build_q_matrix(zero_u, {0: rref([1, 2], 3)}, shape)
+    q = _q(LSystem(shape, {(): zero_u, (0,): rref([1, 2], 3)}))
     assert dict(q.counts) == {0: 4}
 
     full_u = Subspace.full(3)
-    q_full = build_q_matrix(
-        full_u, {u: Subspace.full(3) for u in range(8)}, shape
-    )
+    q_full = _q(LSystem(shape, {(): full_u, **{(u,): Subspace.full(3) for u in range(8)}}))
     assert dict(q_full.counts) == dict(rank_one_counter(shape))
 
 
@@ -234,20 +245,29 @@ def test_build_q_matrix_elements_are_rank_one():
     rng = np.random.default_rng(40)
     pairs = random_factor_tuples((4, 4), 128, rng)
     res = find_structure_matrix(pairs, shape, Fraction(1, 2))
-    q = build_q_matrix(res.u_space, res.v_spaces, shape)
-    assert q.total == (1 << res.u_space.dim) * (
-        1 << next(iter(res.v_spaces.values())).dim
+    q = _q(res.system)
+    assert q.total == (1 << res.system.root.dim) * (
+        1 << next(iter(_v_spaces(res.system).values())).dim
     )
     for elem in q.counts:
         assert matrix_rank_oracle(elem, 4, 4) <= 1
 
 
-def test_build_q_matrix_unequal_codims_rejected():
-    shape = TensorShape((3, 3))
-    spaces = {0: Subspace.full(3), 1: rref([1], 3)}
-    spaces.update({u: Subspace.full(3) for u in range(2, 8)})
-    with pytest.raises(ValueError):
-        build_q_matrix(Subspace.full(3), spaces, shape)
+@pytest.mark.parametrize("dims, delta", [
+    ((4, 4), "1/2"), ((4, 4), "3/4"), ((4, 5), "1/2"), ((4, 5), "3/4"),
+])
+def test_pipeline_q_is_the_outer_products_of_the_trimmed_system(dims, delta):
+    # seeds 2001 and 2007 include systems whose untrimmed V_u codims differ
+    shape, delta = TensorShape(dims), Fraction(delta)
+    for seed in (2001, 2007):
+        pairs = random_factor_tuples(
+            dims, math.ceil(delta * (1 << sum(dims))), np.random.default_rng(seed)
+        )
+        res = matrix_pipeline(pairs, shape, delta)
+        v_spaces = _v_spaces(res.structure.system)
+        want = outer_product_counts(*dims, ((u, v.enumerate()) for u, v in v_spaces.items()))
+        assert list(res.profile.q.counts.items()) == list(want.items())
+        assert {space.codim for space in v_spaces.values()} == {res.measured["v_common_codim"]}
 
 
 def test_check_forcing_certificate_matches_per_candidate_loop():
@@ -297,25 +317,29 @@ def test_pipeline_containment_fails_without_w2():
         assert cert.counterexample in res.agreement_set.tolist()
 
 
+def _fixed_v_system(shape: TensorShape, u_space: Subspace, v: Subspace) -> LSystem:
+    """The d = 2 system with root U and V_u = v for every u in U."""
+    return LSystem(shape, {(): u_space, **{(u,): v for u in u_space.enumerate()}})
+
+
 def _structured_fixture(rng, n1=4, n2=4, u_codim=1, v_codim=1):
     shape = TensorShape((n1, n2))
     u_space = random_subspace(n1, n1 - u_codim, rng)
     v = random_subspace(n2, n2 - v_codim, rng)
-    v_spaces = {u: v for u in u_space.enumerate()}
-    return shape, u_space, v_spaces
+    return shape, _fixed_v_system(shape, u_space, v)
 
 
 def test_reduced_witness_full_and_fixed_v():
     rng = np.random.default_rng(9)
+    shape = TensorShape((4, 4))
     u_space = random_subspace(4, 3, rng)
-    full_v = {u: Subspace.full(4) for u in u_space.enumerate()}
-    res = reduced_witness(u_space, full_v, 1)
+    res = reduced_witness(_fixed_v_system(shape, u_space, Subspace.full(4)), 1)
     assert res.w2 == rref((), 4)
     assert res.x_list == [0]
     assert res.w1 == u_space.complement()
 
     v = random_subspace(4, 2, rng)
-    res2 = reduced_witness(u_space, {u: v for u in u_space.enumerate()}, 1)
+    res2 = reduced_witness(_fixed_v_system(shape, u_space, v), 1)
     assert set(res2.x_list) == set(v.complement().enumerate())
     assert res2.w2 == v.complement()
 
@@ -323,9 +347,9 @@ def test_reduced_witness_full_and_fixed_v():
 def test_reduced_witness_low_rank_containment_exhaustive():
     # every rank<=1 matrix with >= 7/8 agreement lies in W1 (x) F2 + F2 (x) W2
     rng = np.random.default_rng(10)
-    shape, u_space, v_spaces = _structured_fixture(rng, v_codim=2)
-    q = build_q_matrix(u_space, v_spaces, shape)
-    res = reduced_witness(u_space, v_spaces, 1)
+    shape, system = _structured_fixture(rng, v_codim=2)
+    q = _q(system)
+    res = reduced_witness(system, 1)
     target = sum_of_blowups(shape, {(0,): res.w1, (1,): res.w2})
     profile = agreement_profile(q, shape)
     thresh = agreement_threshold(q.total, Fraction(7, 8))
@@ -413,7 +437,7 @@ def test_four_splits_match_the_triple_loop():
         res = find_structure_matrix(pairs, TensorShape(dims), delta)
         sizes = Counter(u for u, _ in pairs)
         t_set = sorted(u for u, c in sizes.items() if Fraction(c, 1 << dims[1]) >= delta / 2)
-        want = [(u, four_split_oracle(u, t_set)) for u in res.u_space.enumerate()]
+        want = [(u, four_split_oracle(u, t_set)) for u in res.system.root.enumerate()]
         assert list(res.decompositions.items()) == want
     # small random T, every target that has a split
     rng = np.random.default_rng(21)
