@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -109,6 +110,7 @@ class Manifest:
                            ("output", {} if output is None else output)):
             if not isinstance(value, dict):
                 raise ManifestError(f"{key} must be a mapping")
+        _refuse_unread(COMMANDS[command][0], params, f"command {command!r}")
         if set(budgets) - _BUDGET_KEYS:
             raise ManifestError(
                 f"unknown budget keys: {sorted(set(budgets) - _BUDGET_KEYS)}"
@@ -248,9 +250,7 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _parse_fraction(value, default: Fraction) -> Fraction:
-    if value is None:
-        return default
+def _parse_fraction(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, (int, float)):
@@ -258,12 +258,18 @@ def _parse_fraction(value, default: Fraction) -> Fraction:
     raise ManifestError(f"cannot parse fraction from {value!r}")
 
 
-def _delta(p: dict) -> Fraction:
-    """The density ``delta`` of a forcing manifest, refused outside (0, 1]."""
-    delta = _parse_fraction(p.get("delta"), Fraction(1, 2))
-    if not 0 < delta <= 1:
-        raise ManifestError(f"delta {delta} is outside (0, 1]")
-    return delta
+def _refuse_unread(fn, keys, noun: str) -> None:
+    """Refuse any of ``keys`` that is not a keyword of ``fn``, then the first
+    keyword of ``fn`` without a default that ``keys`` lacks: a function's
+    keywords are the keys it reads."""
+    params = inspect.signature(fn).parameters.values()
+    names = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+    foreign = set(keys) - names
+    if foreign:
+        raise ManifestError(f"{noun} does not read {sorted(foreign)}")
+    for p in params:
+        if p.name in names and p.default is p.empty and p.name not in keys:
+            raise ManifestError(f"missing parameter {p.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,77 +277,101 @@ def _delta(p: dict) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# kind -> the keys it reads besides ``kind``; any other key is refused
-_SET_KEYS = {"middle-layers": (), "layers": ("lo", "hi"), "random": ("size",),
-             "explicit": ("elements",)}
-_MULTISET_KEYS = {"basis": ("support",), "rank-one": ("dims", "nonzero"),
-                  "random": ("support_size", "max_mult"), "explicit": ("pairs",)}
+def _middle_layers(n, rng, /) -> GroupSet:
+    if n % 2 == 0:
+        raise ManifestError("middle-layers needs odd n")
+    return layer_groupset(n, (n - 1) // 2, (n + 1) // 2)
 
 
-def _kind(spec, param: str, noun: str, keys: dict, default: str) -> str:
-    """The kind of a set or generator spec whose other keys that kind reads."""
+def _rank_one(n, rng, /, *, dims=None, nonzero=False) -> GroupMultiset:
+    if dims is None:
+        raise ManifestError("rank-one generators need dims (--dims or generators.dims)")
+    dims = tuple(int(d) for d in dims)
+    if math.prod(dims) != n:
+        raise ManifestError("rank-one dims do not multiply to n")
+    counter = rank_one_counter(TensorShape(dims), bool(nonzero))
+    return GroupMultiset.from_pairs(n, counter.items())
+
+
+def _random_multiset(n, rng, /, *, support_size=8, max_mult=3) -> GroupMultiset:
+    elems = rng.choice(1 << n, size=int(support_size), replace=False)
+    return GroupMultiset.from_pairs(
+        n, [(int(e), int(rng.integers(1, int(max_mult) + 1))) for e in elems]
+    )
+
+
+# kind -> builder(n, rng, **keys): its keywords are the keys of the spec it
+# reads besides ``kind``, and any other key is refused
+_SET_KINDS = {
+    "middle-layers": _middle_layers,
+    "layers": lambda n, rng, /, *, lo, hi: layer_groupset(n, int(lo), int(hi)),
+    "random": lambda n, rng, /, *, size=None: random_groupset(
+        n, (1 << n) // 2 if size is None else int(size), rng),
+    "explicit": lambda n, rng, /, *, elements: GroupSet.from_elements(
+        n, [int(v, 16) for v in elements]),
+}
+_MULTISET_KINDS = {
+    "basis": lambda n, rng, /, *, support=None: standard_basis_multiset(
+        n, None if support is None else int(support)),
+    "rank-one": _rank_one,
+    "random": _random_multiset,
+    "explicit": lambda n, rng, /, *, pairs: GroupMultiset.from_pairs(
+        n, [(int(e, 16), int(m)) for e, m in pairs]),
+}
+
+
+def _build(n: int, spec, rng, param: str, noun: str, kinds: dict, default: str):
+    """The set or multiset of ``spec`` (of the default kind when None), built by its kind."""
+    spec = {} if spec is None else spec
     if not isinstance(spec, dict):
         raise ManifestError(f"{param} must be a mapping: {spec!r}")
     kind = spec.get("kind", default)
-    if not isinstance(kind, str) or kind not in keys:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ManifestError(f"unknown {noun} kind {kind!r}")
-    foreign = set(spec) - {"kind", *keys[kind]}
-    if foreign:
-        raise ManifestError(f"{noun} kind {kind!r} does not read {sorted(foreign)}")
-    return kind
+    keys = {key: value for key, value in spec.items() if key != "kind"}
+    _refuse_unread(kinds[kind], keys, f"{noun} kind {kind!r}")
+    return kinds[kind](n, rng, **keys)
 
 
-def build_groupset(n: int, spec: dict, rng) -> GroupSet:
-    kind = _kind(spec, "set", "set", _SET_KEYS, "random")
-    if kind == "middle-layers":
-        if n % 2 == 0:
-            raise ManifestError("middle-layers needs odd n")
-        half = (n - 1) // 2
-        return layer_groupset(n, half, half + 1)
-    if kind == "layers":
-        return layer_groupset(n, int(spec["lo"]), int(spec["hi"]))
-    if kind == "random":
-        size = int(spec.get("size", (1 << n) // 2))
-        return random_groupset(n, size, rng)
-    return GroupSet.from_elements(n, [int(v, 16) for v in spec["elements"]])
+def build_groupset(n: int, spec: dict | None, rng) -> GroupSet:
+    return _build(n, spec, rng, "set", "set", _SET_KINDS, "random")
 
 
-def build_multiset(n: int, spec: dict, rng) -> GroupMultiset:
-    kind = _kind(spec, "generators", "multiset", _MULTISET_KEYS, "basis")
-    if kind == "basis":
-        support = spec.get("support")
-        return standard_basis_multiset(n, None if support is None else int(support))
-    if kind == "rank-one":
-        if "dims" not in spec:
-            raise ManifestError("rank-one generators need dims (--dims or generators.dims)")
-        dims = tuple(int(d) for d in spec["dims"])
-        if math.prod(dims) != n:
-            raise ManifestError("rank-one dims do not multiply to n")
-        counter = rank_one_counter(TensorShape(dims), bool(spec.get("nonzero", False)))
-        return GroupMultiset.from_counter(n, counter)
-    if kind == "random":
-        size = int(spec.get("support_size", 8))
-        max_mult = int(spec.get("max_mult", 3))
-        elems = rng.choice(1 << n, size=size, replace=False)
-        return GroupMultiset.from_pairs(
-            n, [(int(e), int(rng.integers(1, max_mult + 1))) for e in elems]
-        )
-    return GroupMultiset.from_pairs(n, [(int(e, 16), int(m)) for e, m in spec["pairs"]])
+def build_multiset(n: int, spec: dict | None, rng) -> GroupMultiset:
+    return _build(n, spec, rng, "generators", "multiset", _MULTISET_KINDS, "basis")
 
 
-# ---------------------------------------------------------------------------
-# command handlers: manifest -> (payload dict, ok flag)
-# ---------------------------------------------------------------------------
-
-
-def cmd_closedness(manifest: Manifest):
-    p = manifest.params
-    n = int(p["n"])
+def _seeded_set(seed: int, n, spec):
+    """A command's group exponent, its set and the seeded rng that drew it."""
+    n = int(n)
     check_group_exponent(n)  # before the set spec, which may be malformed
-    rng = np.random.default_rng(manifest.seed)
-    a = build_groupset(n, p.get("set", {}), rng)
-    b = build_multiset(n, p.get("generators", {}), rng)
-    mode = p.get("mode", "exact")
+    rng = np.random.default_rng(seed)
+    return n, build_groupset(n, spec, rng), rng
+
+
+def _seeded_tuples(seed: int, shape, delta, count):
+    """A forcing command's shape, its density ``delta`` (refused outside
+    (0, 1]), its tuple count (default ceil(delta 2^(n_1 + ... + n_d))) and
+    that many seeded random factor tuples."""
+    shape = TensorShape(tuple(int(d) for d in shape))
+    delta = _parse_fraction(delta)
+    if not 0 < delta <= 1:
+        raise ManifestError(f"delta {delta} is outside (0, 1]")
+    count = math.ceil(delta * (1 << sum(shape.dims))) if count is None else int(count)
+    return shape, delta, count, random_factor_tuples(shape.dims, count,
+                                                     np.random.default_rng(seed))
+
+
+# ---------------------------------------------------------------------------
+# command handlers: (seed, params as keywords) -> (payload dict, ok flag); a
+# handler's keywords are the manifest parameters of its command
+# ---------------------------------------------------------------------------
+
+
+def cmd_closedness(seed, /, *, n, set=None, generators=None, mode="exact", samples=10**4,
+                   radius_method="hoeffding"):
+    n, a, rng = _seeded_set(seed, n, set)
+    b = build_multiset(n, generators, rng)
     if mode == "exact":
         report = closedness_exact(a, b)
         spectral = spectral_closedness(a, b)
@@ -355,33 +385,23 @@ def cmd_closedness(manifest: Manifest):
         }
         return payload, report.eta == spectral
     if mode == "sampled":
-        samples = int(p.get("samples", 10**4))
         member, sampler = groupset_oracle(a)
         report = closedness_sampled(
-            member, sampler, b, samples, manifest.seed,
-            radius_method=p.get("radius_method", "hoeffding"),
+            member, sampler, b, int(samples), seed, radius_method=radius_method
         )
         return {"n": n, "set_size": a.size, "report": report.to_json()}, True
     raise ManifestError(f"unknown closedness mode {mode!r}")
 
 
-def cmd_spectrum(manifest: Manifest):
-    p = manifest.params
-    n = int(p["n"])
-    check_group_exponent(n)  # before the set spec, which may be malformed
-    rng = np.random.default_rng(manifest.seed)
-    a = build_groupset(n, p.get("set", {}), rng)
+def cmd_spectrum(seed, /, *, n, set=None):
+    n, a, _ = _seeded_set(seed, n, set)
     spec = indicator_spectrum(a)
     rows = _Table(r=to_hex_array(np.arange(1 << n), n), coefficient=spec.coeffs.tolist())
     return {"n": n, "set_size": a.size, "rows": rows}, True
 
 
-def cmd_bogolyubov(manifest: Manifest):
-    p = manifest.params
-    n = int(p["n"])
-    check_group_exponent(n)  # before the set spec, which may be malformed
-    rng = np.random.default_rng(manifest.seed)
-    a = build_groupset(n, p.get("set", {"kind": "random"}), rng)
+def cmd_bogolyubov(seed, /, *, n, set=None):
+    n, a, _ = _seeded_set(seed, n, set)
     space = bogolyubov(a)  # verified internally; failure raises
     payload = {
         "n": n,
@@ -395,23 +415,18 @@ def cmd_bogolyubov(manifest: Manifest):
     return payload, True
 
 
-def cmd_forcing_pipeline(manifest: Manifest):
-    p = manifest.params
-    dims = tuple(int(d) for d in p.get("shape", (4, 4)))
-    shape = TensorShape(dims)
-    delta = _delta(p)
-    epsilon = _parse_fraction(p.get("epsilon"), Fraction(1, 32))
-    rank_threshold = int(p.get("rank_threshold", 1))
-    rng = np.random.default_rng(manifest.seed)
-    count = int(p.get("pairs", math.ceil(delta * (1 << sum(dims)))))
-    pairs = random_factor_tuples(dims, count, rng)
-    result = matrix_pipeline(pairs, shape, delta, epsilon, rank_threshold)
+def cmd_forcing_pipeline(seed, /, *, shape=(4, 4), delta="1/2", epsilon="1/32",
+                         rank_threshold=1, pairs=None):
+    shape, delta, count, tuples = _seeded_tuples(seed, shape, delta, pairs)
+    epsilon = _parse_fraction(epsilon)
+    rank_threshold = int(rank_threshold)
+    result = matrix_pipeline(tuples, shape, delta, epsilon, rank_threshold)
     values, freqs = np.unique(result.profile.counts, return_counts=True)
     histogram = [
         {"agreement": int(v), "arrays": int(f)} for v, f in zip(values, freqs)
     ]
     payload = {
-        "shape": list(dims),
+        "shape": list(shape.dims),
         "delta": str(delta),
         "epsilon": str(epsilon),
         "rank_threshold": rank_threshold,
@@ -427,12 +442,11 @@ def cmd_forcing_pipeline(manifest: Manifest):
     return payload, result.verified
 
 
-def cmd_simple_set(manifest: Manifest):
-    p = manifest.params
-    dims = tuple(int(d) for d in p.get("shape", (3, 3)))
+def cmd_simple_set(seed, /, *, shape=(3, 3), k=1):
+    dims = tuple(int(d) for d in shape)
     shape = TensorShape(dims)
-    k = int(p.get("k", 1))
-    rng = np.random.default_rng(manifest.seed)
+    k = int(k)
+    rng = np.random.default_rng(seed)
     spaces = {}
     for axes in axis_subsets(shape.d):
         amb = math.prod(dims[a] for a in axes)
@@ -456,17 +470,11 @@ def cmd_simple_set(manifest: Manifest):
     return payload, ok is not False
 
 
-def cmd_lsystem(manifest: Manifest):
-    p = manifest.params
-    dims = tuple(int(d) for d in p.get("shape", (4, 4)))
-    shape = TensorShape(dims)
-    delta = _delta(p)
-    rng = np.random.default_rng(manifest.seed)
-    count = int(p.get("tuples", math.ceil(delta * (1 << sum(dims)))))
-    tuples = random_factor_tuples(dims, count, rng)
-    result = find_system(tuples, shape, delta)
+def cmd_lsystem(seed, /, *, shape=(4, 4), delta="1/2", tuples=None):
+    shape, delta, count, factor_tuples = _seeded_tuples(seed, shape, delta, tuples)
+    result = find_system(factor_tuples, shape, delta)
     payload = {
-        "shape": list(dims),
+        "shape": list(shape.dims),
         "delta": str(delta),
         "tuples": count,
         "root_codim": result.system.root.codim,
@@ -479,21 +487,18 @@ def cmd_lsystem(manifest: Manifest):
     return payload, True
 
 
-def cmd_counterexample(manifest: Manifest):
-    p = manifest.params
-    mode = p.get("mode", "compatibility")
+def cmd_counterexample(seed, /, *, mode="compatibility", ns=(36, 49, 64), c=0.1,
+                       samples=10**5, n=None, w=None, threshold="98/100"):
     if mode == "compatibility":
-        ns = [int(v) for v in p.get("ns", (36, 49, 64))]
-        c = float(p.get("c", 0.1))
-        samples = int(p.get("samples", 10**5))
+        c, samples = float(c), int(samples)
         rows = []
-        for n in ns:
-            w = round(math.sqrt(n))  # exact on the perfect-square test grid
-            layer = LayerSet.below_cutoff(n, c)
-            rep = compatibility_fraction(layer, SliceSet(n, w), samples, manifest.seed)
+        for size in [int(v) for v in ns]:
+            width = round(math.sqrt(size))  # exact on the perfect-square test grid
+            layer = LayerSet.below_cutoff(size, c)
+            rep = compatibility_fraction(layer, SliceSet(size, width), samples, seed)
             rows.append(
                 {
-                    "n": n,
+                    "n": size,
                     "constant": c,
                     "estimate": rep.estimate,
                     "ci_lo": rep.estimate - rep.radius,
@@ -502,9 +507,10 @@ def cmd_counterexample(manifest: Manifest):
             )
         return {"mode": mode, "samples": samples, "rows": rows}, True
     if mode == "concentration":
-        n = int(p["n"])
-        w = int(p["w"])
-        threshold = _parse_fraction(p.get("threshold"), Fraction(98, 100))
+        if n is None or w is None:
+            raise ManifestError(f"missing parameter {'n' if n is None else 'w'!r}")
+        n, w = int(n), int(w)
+        threshold = _parse_fraction(threshold)
         res = fourier_concentration(SliceSet(n, w), threshold)
         rows = []
         for uw in res.members:
@@ -529,18 +535,15 @@ def cmd_counterexample(manifest: Manifest):
     raise ManifestError(f"unknown counterexample mode {mode!r}")
 
 
-def cmd_scenarios(manifest: Manifest):
-    p = manifest.params
-    rows = counterexample_scenarios(
-        two_layer_ns=tuple(int(v) for v in p.get("two_layer_ns", (5, 7, 9, 11))),
-        third_n=int(p.get("third_n", 15)),
-        translate_n=int(p.get("translate_n", 12)),
-        translate_seed=int(p.get("translate_seed", manifest.seed or 7)),
-        window_n=int(p.get("window_n", 17)),
-        window_m=int(p.get("window_m", 13)),
-    )
+def cmd_scenarios(seed, /, **sizes):
+    sizes.setdefault("translate_seed", seed or 7)
+    rows = counterexample_scenarios(**sizes)
     ok = all(row.passed is not False for row in rows)
     return {"rows": [row.to_json() for row in rows], "all_passed": ok}, ok
+
+
+# scenarios' sizes are the keywords of counterexample_scenarios, read through __wrapped__
+cmd_scenarios.__wrapped__ = counterexample_scenarios
 
 
 def _random_set(size: str) -> dict:
@@ -752,16 +755,13 @@ def run(manifest: Manifest, quiet: bool = False) -> int:
     start = time.monotonic()
     try:
         with using(manifest.budget()):
-            payload, ok = handler(manifest)
+            payload, ok = handler(manifest.seed, **manifest.params)
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
     except (VerificationFailure, DensityTooLow) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except KeyError as exc:
-        print(f"error: missing parameter {exc.args[0]!r}", file=sys.stderr)
-        return 1
     except (ManifestError, DimensionMismatch, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -783,27 +783,30 @@ def run(manifest: Manifest, quiet: bool = False) -> int:
 
 
 def _collect(args) -> Manifest:
-    """The manifest of ``--manifest`` (or an empty one), overridden by each flag given."""
-    base: dict = {"command": args.command}
+    """The manifest of ``--manifest`` (or an empty one), its ``params``
+    overridden by each flag given before :meth:`Manifest.from_dict` checks them."""
+    raw: dict = {"command": args.command}
     if args.manifest:
         with open(args.manifest) as fh:
-            base = json.load(fh)
-        if isinstance(base, dict):
-            if base.get("command") not in (None, args.command):
-                raise ManifestError(f"manifest command {base.get('command')!r} "
-                                    f"does not match {args.command!r}")
-            base["command"] = args.command
-    manifest = Manifest.from_dict(base)
-    given: dict = {}
-    for flag, param, _ in COMMANDS[args.command][2]:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None:
-            key, _, inner = param.partition(".")
-            if inner:
-                given.setdefault(key, {})[inner] = value
-            else:
-                given[key] = value
-    manifest.params.update(given)
+            raw = json.load(fh)
+    if isinstance(raw, dict):  # from_dict refuses anything else
+        if raw.get("command") not in (None, args.command):
+            raise ManifestError(f"manifest command {raw.get('command')!r} "
+                                f"does not match {args.command!r}")
+        raw["command"] = args.command
+        given: dict = {}
+        for flag, param, _ in COMMANDS[args.command][2]:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None:
+                key, _, inner = param.partition(".")
+                if inner:
+                    given.setdefault(key, {})[inner] = value
+                else:
+                    given[key] = value
+        params = raw.get("params") or {}
+        if isinstance(params, dict):  # from_dict refuses anything else
+            raw["params"] = {**params, **given}
+    manifest = Manifest.from_dict(raw)
     if args.seed is not None:
         manifest.seed = args.seed
     if args.out or args.format:

@@ -23,7 +23,7 @@ from .budgets import (
 )
 from .confidence import chernoff_radius, hoeffding_radius
 from .gf2 import Subspace, rref
-from .spectral import GroupMultiset, GroupSet, spectral_sum, subspace_elements, wht
+from .spectral import GroupMultiset, GroupSet, check_operands, spectral_sum, subspace_elements, wht
 from .tensor import rank1_flat
 
 EXACT_PAIR_LIMIT = 2**28  # most (a, b) pairs closedness_exact counts
@@ -67,10 +67,7 @@ class SampledEstimate:
 
 def closedness_exact(a: GroupSet, b: GroupMultiset) -> ClosednessReport:
     """Exact eta with multiplicities: |{(a,b): a+b in A}| / (|A| |B|)."""
-    if a.size < 1 or b.total < 1:
-        raise ValueError("A and B must be nonempty")
-    if a.n != b.n:
-        raise DimensionMismatch("A and B live in different groups")
+    check_operands(a, b)
     if a.size * b.support_size > EXACT_PAIR_LIMIT:
         raise BudgetExceeded("pair count exceeds compute budget")
     check_group_exponent(a.n)
@@ -208,10 +205,7 @@ def mixed_energy(a: GroupSet, b: GroupMultiset) -> Fraction:
     Always at most the density alpha of A; that ceiling is re-checked on
     every call because it is a theorem, not an input condition.
     """
-    if a.size < 1 or b.total < 1:
-        raise ValueError("A and B must be nonempty")
-    if a.n != b.n:
-        raise DimensionMismatch("A and B live in different groups")
+    check_operands(a, b)
     m = wht(b.counts_array(), b.n).coeffs
     m *= m  # each m^2 < 2^63: the transform's guard bounds the sum of them
     value = Fraction(spectral_sum(wht(a.bitmap(), a.n), m), (1 << (2 * a.n)) * b.total**2)

@@ -29,6 +29,8 @@ from .closure import (
 from .gf2 import rref
 from .spectral import GroupMultiset, GroupSet, mu_hat
 
+WINDOW_EPS = Fraction(1, 4)  # eps of the two almost-closed window scenarios
+
 
 def weight_bitmap(n: int, lo: int, hi: int, support: int | None = None) -> np.ndarray:
     """Bitmap of {v in F2^n : lo <= |v| <= hi}, and v inside ``support`` if given."""
@@ -491,7 +493,7 @@ def _convolution_floor(a_bitmap: np.ndarray, l: int) -> np.ndarray:
 
 def _window_rows(
     name: str, params: dict, window: np.ndarray, support: int, a_bitmap: np.ndarray,
-    l: int, eps: Fraction, target: Fraction, target_text: str,
+    l: int, target: Fraction, target_text: str,
 ) -> list[ScenarioRow]:
     """The two rows of an almost-closed window C (a bitmap): its eta against
     the basis vectors of ``support``, and min over x in C of the chance that
@@ -503,10 +505,10 @@ def _window_rows(
     return [
         ScenarioRow(
             name,
-            {**params, "eps": str(eps)},
+            {**params, "eps": str(WINDOW_EPS)},
             _frac(eta),
-            f"eta >= 1 - eps = {_frac(1 - eps)}",
-            eta >= 1 - eps,
+            f"eta >= 1 - eps = {_frac(1 - WINDOW_EPS)}",
+            eta >= 1 - WINDOW_EPS,
         ),
         ScenarioRow(
             f"{name}-reach",
@@ -518,9 +520,7 @@ def _window_rows(
     ]
 
 
-def bounded_support_middle_scenario(
-    n: int, m: int, eps: Fraction = Fraction(1, 4)
-) -> list[ScenarioRow]:
+def bounded_support_middle_scenario(n: int, m: int) -> list[ScenarioRow]:
     """The almost-closed set for the middle-layers example.
 
     C = {x : support in first m coords, (m-1)/2 - 1/eps <= |x| <= (m+1)/2 + 1/eps};
@@ -530,18 +530,16 @@ def bounded_support_middle_scenario(
     """
     if m % 2 == 0:
         raise ValueError("m must be odd")
-    l = int(1 / eps)
+    l = int(1 / WINDOW_EPS)
     mid = (m - 1) // 2
     support = (1 << m) - 1
     window = weight_bitmap(n, max(0, mid - l), min(m, mid + 1 + l), support)
     a_bitmap = weight_bitmap(n, mid, mid + 1, support)
     return _window_rows("bounded-support-window", {"n": n, "m": m}, window, support, a_bitmap,
-                        l, eps, Fraction(m, 2 * n) ** l, "(m/2n)^l")
+                        l, Fraction(m, 2 * n) ** l, "(m/2n)^l")
 
 
-def third_window_scenario(
-    n: int, eps: Fraction = Fraction(1, 4)
-) -> list[ScenarioRow]:
+def third_window_scenario(n: int) -> list[ScenarioRow]:
     """The almost-closed set for the at-most-n/3 example.
 
     C = {x : support in first 2n/3 coords, |x| <= n/3 + 1/eps};
@@ -550,12 +548,12 @@ def third_window_scenario(
     """
     if n % 3:
         raise ValueError("n must be divisible by 3")
-    l = int(1 / eps)
+    l = int(1 / WINDOW_EPS)
     m = 2 * n // 3
     support = (1 << m) - 1
     window = weight_bitmap(n, 0, min(m, n // 3 + l), support)
     return _window_rows("third-window", {"n": n}, window, support, weight_bitmap(n, 0, n // 3),
-                        l, eps, Fraction(1, 3) ** l, "(1/3)^l")
+                        l, Fraction(1, 3) ** l, "(1/3)^l")
 
 
 def counterexample_scenarios(
@@ -565,7 +563,6 @@ def counterexample_scenarios(
     translate_seed: int = 7,
     window_n: int = 17,
     window_m: int = 13,
-    eps: Fraction = Fraction(1, 4),
 ) -> list[ScenarioRow]:
     """Measure every closedness claim of the worked examples, as a table."""
     rows: list[ScenarioRow] = []
@@ -574,6 +571,6 @@ def counterexample_scenarios(
     rows.append(prefix_two_layer_scenario(16, 4))
     rows.append(third_weight_scenario(third_n))
     rows.append(random_translate_scenario(translate_n, 3, translate_seed))
-    rows.extend(bounded_support_middle_scenario(window_n, window_m, eps))
-    rows.extend(third_window_scenario(third_n, eps))
+    rows.extend(bounded_support_middle_scenario(window_n, window_m))
+    rows.extend(third_window_scenario(third_n))
     return rows

@@ -108,10 +108,6 @@ class GroupMultiset:
     def from_elements(cls, n: int, elems: Iterable[int]) -> "GroupMultiset":
         return cls.from_pairs(n, ((e, 1) for e in elems))
 
-    @classmethod
-    def from_counter(cls, n: int, counter: Mapping[int, int]) -> "GroupMultiset":
-        return cls.from_pairs(n, counter.items())
-
     @property
     def total(self) -> int:
         return sum(self.counts.values())
@@ -331,6 +327,14 @@ def mu_hat(b: GroupMultiset) -> RationalSpectrum:
     return RationalSpectrum(b.n, spec.coeffs, total)
 
 
+def check_operands(a: GroupSet, b: GroupMultiset) -> None:
+    """Refuse an empty A or B, then an A and B over different groups."""
+    if a.size < 1 or b.total < 1:
+        raise ValueError("A and B must be nonempty")
+    if a.n != b.n:
+        raise DimensionMismatch("A and B live in different groups")
+
+
 def spectral_closedness(a: GroupSet, b: GroupMultiset) -> Fraction:
     """(B,eta)-closedness of A computed entirely in Fourier space.
 
@@ -338,10 +342,7 @@ def spectral_closedness(a: GroupSet, b: GroupMultiset) -> Fraction:
     rational; by the convolution law this equals the combinatorial pair
     count |{(a,b): a+b in A}| / (|A| |B|).
     """
-    if a.size < 1 or b.total < 1:
-        raise ValueError("A and B must be nonempty")
-    if a.n != b.n:
-        raise DimensionMismatch("A and B live in different groups")
+    check_operands(a, b)
     spec = indicator_spectrum(a)
     num = spectral_sum(spec, wht(b.counts_array(), b.n).coeffs)
     return Fraction(num, b.total * spec.energy)

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -651,3 +652,73 @@ def test_bogolyubov_set_size_names_the_int_type(capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         "error: argument --set-size: invalid int value: 'x'\n")
+
+
+@pytest.mark.parametrize("command, params, key", [
+    ("closedness", {"n": 6}, "sampels"),
+    ("spectrum", {"n": 6}, "size"),
+    ("bogolyubov", {"n": 6}, "set_size"),
+    ("forcing-pipeline", {"shape": [3, 3]}, "tuples"),
+    ("simple-set", {"shape": [2, 2]}, "delta"),
+    ("lsystem", {"shape": [3, 3]}, "pairs"),
+    ("counterexample", {"mode": "concentration", "n": 20, "w": 4}, "treshold"),
+    ("scenarios", {}, "eps"),
+], ids=["closedness", "spectrum", "bogolyubov", "forcing-pipeline", "simple-set", "lsystem",
+        "counterexample", "scenarios"])
+def test_unread_params_key_exits_1_with_one_line(command, params, key, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"command": command, "params": {**params, key: 5}}))
+    assert cli.main([command, "--manifest", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: command {command!r} does not read "
+                                                f"[{key!r}]\n")
+
+
+def _payload(command, params, capsys) -> dict:
+    assert run(Manifest.from_dict({"command": command, "params": params})) == 0
+    return json.loads(capsys.readouterr().out)["payload"]
+
+
+def _scenario_params(payload) -> dict:
+    return {row["name"]: row["params"] for row in payload["rows"]}
+
+
+@pytest.mark.parametrize("command, params, read, expected", [
+    ("forcing-pipeline", {"shape": [3, 3], "pairs": 40}, lambda p: p["pairs"], 40),
+    ("lsystem", {"shape": [3, 3], "tuples": 40}, lambda p: p["tuples"], 40),
+    ("scenarios", {"two_layer_ns": [5, 7]},
+     lambda p: [row["params"] for row in p["rows"] if row["name"] == "two-middle-layers"],
+     [{"n": 5}, {"n": 7}]),
+    ("scenarios", {"third_n": 9},
+     lambda p: (_scenario_params(p)["at-most-n-third"], _scenario_params(p)["third-window"]),
+     ({"n": 9}, {"eps": "1/4", "n": 9})),
+    ("scenarios", {"translate_n": 9},
+     lambda p: _scenario_params(p)["random-translates"], {"n": 9, "parts": 3, "seed": 7}),
+    ("scenarios", {"translate_seed": 3},
+     lambda p: _scenario_params(p)["random-translates"], {"n": 12, "parts": 3, "seed": 3}),
+    ("scenarios", {"window_n": 15},
+     lambda p: _scenario_params(p)["bounded-support-window"], {"eps": "1/4", "m": 13, "n": 15}),
+    ("scenarios", {"window_m": 11},
+     lambda p: _scenario_params(p)["bounded-support-window"], {"eps": "1/4", "m": 11, "n": 17}),
+], ids=["pairs", "tuples", "two_layer_ns", "third_n", "translate_n", "translate_seed",
+        "window_n", "window_m"])
+def test_manifest_only_keys_are_read(command, params, read, expected, capsys):
+    assert read(_payload(command, params, capsys)) == expected
+
+
+def test_manifest_only_radius_method_is_read(capsys):
+    params = {"n": 6, "set": {"kind": "layers", "lo": 2, "hi": 3}, "mode": "sampled",
+              "samples": 1000}
+    reports = [_payload("closedness", {**params, "radius_method": method}, capsys)["report"]
+               for method in ("hoeffding", "chernoff")]
+    assert reports[0]["estimate"] == reports[1]["estimate"]
+    assert reports[0]["radius"] != reports[1]["radius"]
+
+
+def test_every_flag_writes_a_keyword_of_its_handler():
+    for command, (handler, _, flags) in cli.COMMANDS.items():
+        keywords = inspect.signature(handler).parameters
+        for flag, param, _ in flags:
+            top = param.partition(".")[0]
+            assert top in keywords and keywords[top].kind is inspect.Parameter.KEYWORD_ONLY, (
+                command, flag)

@@ -314,7 +314,7 @@ def test_basic_set_row_kind_size_and_closedness():
             assert (row & 0b001).bit_count() % 2 == 0
 
     shape = TensorShape((m, n))
-    b = GroupMultiset.from_counter(9, rank_one_counter(shape, nonzero_only=True))
+    b = GroupMultiset.from_pairs(9, rank_one_counter(shape, nonzero_only=True).items())
     got = closedness_exact(a, b).eta
     assert got == Fraction(3, 7)  # "roughly 1/2" in the source heuristic
     # independent full pair enumeration
@@ -349,7 +349,7 @@ def test_basic_set_intersection_lemma_bound():
     m = n = 4
     a = basic_set("row", 0b0011, 0b0101, (m, n))
     shape = TensorShape((m, n))
-    b = GroupMultiset.from_counter(16, rank_one_counter(shape, nonzero_only=True))
+    b = GroupMultiset.from_pairs(16, rank_one_counter(shape, nonzero_only=True).items())
     eta = closedness_exact(a, b).eta
     bound = Fraction(1, 2) * (1 - Fraction(1, 1 << (m - 1)))
     assert eta >= bound

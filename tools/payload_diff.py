@@ -14,7 +14,11 @@ The list:
   1/2, 5/8 and 3/4, seeds 2000-2003 and rank thresholds 0-2; (4,5) at the
   same deltas and thresholds, seeds 2000-2001; and (10,2) at seed 1;
 * ``lsystem`` and ``simple-set`` runs at d = 2 to 4;
-* one budget refusal.
+* one budget refusal;
+* ``--manifest`` runs, from files written to a temporary directory, that set
+  the keys no flag writes: ``pairs``, ``tuples``, ``radius_method``, the six
+  ``scenarios`` sizes, and the set and generator keys ``elements``,
+  ``support``, ``nonzero``, ``support_size``, ``max_mult`` and ``pairs``.
 
 Every run whose ``(exit code, payload_hash)`` differs between the sides is
 printed, and the exit code is 1 if any differs, else 0.
@@ -27,6 +31,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,17 +74,42 @@ REFUSAL_RUNS = ["spectrum --n 30 --set-kind random"]
 
 RUNS = README_RUNS + PIPELINE_RUNS + SYSTEM_RUNS + REFUSAL_RUNS
 
-# reads the runs as JSON on stdin; writes the module path and one
+# name -> a manifest that sets keys no flag writes
+MANIFESTS = {
+    "forcing-pairs": {"command": "forcing-pipeline", "seed": 2000,
+                      "params": {"shape": [3, 3], "delta": "5/8", "pairs": 48}},
+    "lsystem-tuples": {"command": "lsystem", "seed": 5,
+                       "params": {"shape": [3, 3], "tuples": 40}},
+    "closedness-chernoff": {"command": "closedness", "seed": 7, "params": {
+        "n": 7, "set": {"kind": "middle-layers"}, "mode": "sampled", "samples": 10000,
+        "radius_method": "chernoff"}},
+    "scenarios-sizes": {"command": "scenarios", "seed": 3, "params": {
+        "two_layer_ns": [5, 7], "third_n": 9, "translate_n": 9, "translate_seed": 2,
+        "window_n": 15, "window_m": 11}},
+    "closedness-explicit": {"command": "closedness", "params": {
+        "n": 6, "set": {"kind": "explicit", "elements": ["3", "5", "6", "2a"]},
+        "generators": {"kind": "explicit", "pairs": [["3", 2], ["5", 1]]}}},
+    "closedness-basis-support": {"command": "closedness", "params": {
+        "n": 6, "set": {"kind": "layers", "lo": 1, "hi": 2},
+        "generators": {"kind": "basis", "support": 7}}},
+    "closedness-rank-one-nonzero": {"command": "closedness", "seed": 4, "params": {
+        "n": 6, "generators": {"kind": "rank-one", "dims": [2, 3], "nonzero": True}}},
+    "closedness-random-generators": {"command": "closedness", "seed": 1, "params": {
+        "n": 6, "set": {"kind": "random", "size": 20},
+        "generators": {"kind": "random", "support_size": 5, "max_mult": 2}}},
+}
+
+# reads the argument lists as JSON on stdin; writes the module path and one
 # [exit code, payload_hash] per run as JSON on stdout
 CHILD = """
 import contextlib, io, json, sys
 from closurelab import cli
 results = []
-for run in json.load(sys.stdin):
+for argv in json.load(sys.stdin):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            code = cli.main(run.split())
+            code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
     text = out.getvalue()
@@ -88,11 +118,11 @@ json.dump({"module": cli.__file__, "results": results}, sys.stdout)
 """
 
 
-def _results(side: Path) -> list:
+def _results(side: Path, argvs: list[list[str]]) -> list:
     """[exit code, payload_hash] of every run, with ``side``'s ``src`` on the path."""
     env = dict(os.environ, PYTHONPATH=str(side / "src"))
     proc = subprocess.run([sys.executable, "-c", CHILD], cwd=side, env=env, text=True,
-                          input=json.dumps(RUNS), capture_output=True)
+                          input=json.dumps(argvs), capture_output=True)
     if proc.returncode:
         raise SystemExit(f"the runs at {side} exited {proc.returncode}:\n{proc.stderr}")
     report = json.loads(proc.stdout)
@@ -107,13 +137,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (args.parent / "src" / "closurelab").is_dir():
         parser.error(f"{args.parent} holds no src/closurelab")
-    parent, change = _results(args.parent.resolve()), _results(ROOT)
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = [run.split() for run in RUNS]
+        for name, manifest in MANIFESTS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(manifest))
+            argvs.append([manifest["command"], "--manifest", str(path)])
+        parent, change = _results(args.parent.resolve(), argvs), _results(ROOT, argvs)
     differ = 0
-    for run, old, new in zip(RUNS, parent, change):
+    for run, old, new in zip(RUNS + [f"--manifest {name}" for name in MANIFESTS], parent, change):
         if old != new:
             differ += 1
             print(f"{run}: parent {tuple(old)}, change {tuple(new)}")
-    print(f"{differ} of {len(RUNS)} runs differ in (exit code, payload_hash)")
+    print(f"{differ} of {len(argvs)} runs differ in (exit code, payload_hash)")
     return 1 if differ else 0
 
 
