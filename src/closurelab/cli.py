@@ -101,8 +101,6 @@ class Manifest:
         if unknown:
             raise ManifestError(f"unknown manifest keys: {sorted(unknown)}")
         command = raw.get("command")
-        if command not in COMMANDS:
-            raise ManifestError(f"unknown command {command!r}")
         params = raw.get("params") or {}
         budgets = raw.get("budgets") or {}
         output = raw.get("output")
@@ -110,7 +108,7 @@ class Manifest:
                            ("output", {} if output is None else output)):
             if not isinstance(value, dict):
                 raise ManifestError(f"{key} must be a mapping")
-        _refuse_unread(COMMANDS[command][0], params, f"command {command!r}")
+        _handler(command, params)
         if set(budgets) - _BUDGET_KEYS:
             raise ManifestError(
                 f"unknown budget keys: {sorted(set(budgets) - _BUDGET_KEYS)}"
@@ -258,18 +256,35 @@ def _parse_fraction(value) -> Fraction:
     raise ManifestError(f"cannot parse fraction from {value!r}")
 
 
-def _refuse_unread(fn, keys, noun: str) -> None:
-    """Refuse any of ``keys`` that is not a keyword of ``fn``, then the first
-    keyword of ``fn`` without a default that ``keys`` lacks: a function's
-    keywords are the keys it reads."""
-    params = inspect.signature(fn).parameters.values()
+def _select(table: dict, keys: dict, selector, noun: str):
+    """The function of ``table`` that ``keys[selector]`` names (the first when
+    absent) and the other keys. Refuses an unknown name, a key that is not a
+    keyword of the function and a keyword without a default that the keys
+    lack: a function's keywords are the keys it reads."""
+    keys = dict(keys)
+    name = keys.pop(selector, next(iter(table)))
+    if not isinstance(name, str) or name not in table:
+        raise ManifestError(f"unknown {noun} {name!r}")
+    params = inspect.signature(table[name]).parameters.values()
     names = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
     foreign = set(keys) - names
     if foreign:
-        raise ManifestError(f"{noun} does not read {sorted(foreign)}")
+        raise ManifestError(f"{noun} {name!r} does not read {sorted(foreign)}")
     for p in params:
         if p.name in names and p.default is p.empty and p.name not in keys:
             raise ManifestError(f"missing parameter {p.name!r}")
+    return table[name], keys
+
+
+def _handler(command, params: dict):
+    """The handler of ``command`` (of its mode, for a table of modes) and the
+    keywords ``params`` gives it."""
+    if command not in COMMANDS:
+        raise ManifestError(f"unknown command {command!r}")
+    handler = COMMANDS[command][0]
+    if isinstance(handler, dict):
+        return _select(handler, params, "mode", f"{command} mode")
+    return _select({command: handler}, params, None, "command")
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +315,13 @@ def _random_multiset(n, rng, /, *, support_size=8, max_mult=3) -> GroupMultiset:
     )
 
 
-# kind -> builder(n, rng, **keys): its keywords are the keys of the spec it
-# reads besides ``kind``, and any other key is refused
+# kind -> builder(n, rng, **keys), the default kind first: its keywords are
+# the keys of the spec it reads besides ``kind``, and any other key is refused
 _SET_KINDS = {
-    "middle-layers": _middle_layers,
-    "layers": lambda n, rng, /, *, lo, hi: layer_groupset(n, int(lo), int(hi)),
     "random": lambda n, rng, /, *, size=None: random_groupset(
         n, (1 << n) // 2 if size is None else int(size), rng),
+    "middle-layers": _middle_layers,
+    "layers": lambda n, rng, /, *, lo, hi: layer_groupset(n, int(lo), int(hi)),
     "explicit": lambda n, rng, /, *, elements: GroupSet.from_elements(
         n, [int(v, 16) for v in elements]),
 }
@@ -320,25 +335,21 @@ _MULTISET_KINDS = {
 }
 
 
-def _build(n: int, spec, rng, param: str, noun: str, kinds: dict, default: str):
-    """The set or multiset of ``spec`` (of the default kind when None), built by its kind."""
+def _build(n: int, spec, rng, param: str, noun: str, kinds: dict):
+    """The set or multiset of ``spec`` (of the first kind when None), built by its kind."""
     spec = {} if spec is None else spec
     if not isinstance(spec, dict):
         raise ManifestError(f"{param} must be a mapping: {spec!r}")
-    kind = spec.get("kind", default)
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ManifestError(f"unknown {noun} kind {kind!r}")
-    keys = {key: value for key, value in spec.items() if key != "kind"}
-    _refuse_unread(kinds[kind], keys, f"{noun} kind {kind!r}")
-    return kinds[kind](n, rng, **keys)
+    builder, keys = _select(kinds, spec, "kind", f"{noun} kind")
+    return builder(n, rng, **keys)
 
 
 def build_groupset(n: int, spec: dict | None, rng) -> GroupSet:
-    return _build(n, spec, rng, "set", "set", _SET_KINDS, "random")
+    return _build(n, spec, rng, "set", "set", _SET_KINDS)
 
 
 def build_multiset(n: int, spec: dict | None, rng) -> GroupMultiset:
-    return _build(n, spec, rng, "generators", "multiset", _MULTISET_KINDS, "basis")
+    return _build(n, spec, rng, "generators", "multiset", _MULTISET_KINDS)
 
 
 def _seeded_set(seed: int, n, spec):
@@ -364,33 +375,36 @@ def _seeded_tuples(seed: int, shape, delta, count):
 
 # ---------------------------------------------------------------------------
 # command handlers: (seed, params as keywords) -> (payload dict, ok flag); a
-# handler's keywords are the manifest parameters of its command
+# handler's keywords are the manifest parameters of its command, or of its
+# mode for a command with a table of modes
 # ---------------------------------------------------------------------------
 
 
-def cmd_closedness(seed, /, *, n, set=None, generators=None, mode="exact", samples=10**4,
-                   radius_method="hoeffding"):
+def _closedness_exact(seed, /, *, n, set=None, generators=None):
     n, a, rng = _seeded_set(seed, n, set)
     b = build_multiset(n, generators, rng)
-    if mode == "exact":
-        report = closedness_exact(a, b)
-        spectral = spectral_closedness(a, b)
-        payload = {
-            "n": n,
-            "set_size": a.size,
-            "generators_total": b.total,
-            "report": report.to_json(),
-            "spectral_eta_num": spectral.numerator,
-            "spectral_eta_den": spectral.denominator,
-        }
-        return payload, report.eta == spectral
-    if mode == "sampled":
-        member, sampler = groupset_oracle(a)
-        report = closedness_sampled(
-            member, sampler, b, int(samples), seed, radius_method=radius_method
-        )
-        return {"n": n, "set_size": a.size, "report": report.to_json()}, True
-    raise ManifestError(f"unknown closedness mode {mode!r}")
+    report = closedness_exact(a, b)
+    spectral = spectral_closedness(a, b)
+    payload = {
+        "n": n,
+        "set_size": a.size,
+        "generators_total": b.total,
+        "report": report.to_json(),
+        "spectral_eta_num": spectral.numerator,
+        "spectral_eta_den": spectral.denominator,
+    }
+    return payload, report.eta == spectral
+
+
+def _closedness_sampled(seed, /, *, n, set=None, generators=None, samples=10**4,
+                        radius_method="hoeffding"):
+    n, a, rng = _seeded_set(seed, n, set)
+    b = build_multiset(n, generators, rng)
+    member, sampler = groupset_oracle(a)
+    report = closedness_sampled(
+        member, sampler, b, int(samples), seed, radius_method=radius_method
+    )
+    return {"n": n, "set_size": a.size, "report": report.to_json()}, True
 
 
 def cmd_spectrum(seed, /, *, n, set=None):
@@ -487,56 +501,53 @@ def cmd_lsystem(seed, /, *, shape=(4, 4), delta="1/2", tuples=None):
     return payload, True
 
 
-def cmd_counterexample(seed, /, *, mode="compatibility", ns=(36, 49, 64), c=0.1,
-                       samples=10**5, n=None, w=None, threshold="98/100"):
-    if mode == "compatibility":
-        c, samples = float(c), int(samples)
-        rows = []
-        for size in [int(v) for v in ns]:
-            width = round(math.sqrt(size))  # exact on the perfect-square test grid
-            layer = LayerSet.below_cutoff(size, c)
-            rep = compatibility_fraction(layer, SliceSet(size, width), samples, seed)
-            rows.append(
-                {
-                    "n": size,
-                    "constant": c,
-                    "estimate": rep.estimate,
-                    "ci_lo": rep.estimate - rep.radius,
-                    "ci_hi": rep.estimate + rep.radius,
-                }
-            )
-        return {"mode": mode, "samples": samples, "rows": rows}, True
-    if mode == "concentration":
-        if n is None or w is None:
-            raise ManifestError(f"missing parameter {'n' if n is None else 'w'!r}")
-        n, w = int(n), int(w)
-        threshold = _parse_fraction(threshold)
-        res = fourier_concentration(SliceSet(n, w), threshold)
-        rows = []
-        for uw in res.members:
-            value = slice_mu_hat(n, w, uw)
-            rows.append(
-                {
-                    "u_weight": uw,
-                    "mu_hat_num": value.numerator,
-                    "mu_hat_den": value.denominator,
-                    "multiplicity": math.comb(n, uw),
-                }
-            )
-        payload = {
-            "mode": mode,
-            "n": n,
-            "w": w,
-            "threshold": str(threshold),
-            "count": res.count,
-            "rows": rows,
-        }
-        return payload, True
-    raise ManifestError(f"unknown counterexample mode {mode!r}")
+def _compatibility(seed, /, *, ns=(36, 49, 64), c=0.1, samples=10**5):
+    c, samples = float(c), int(samples)
+    rows = []
+    for size in [int(v) for v in ns]:
+        width = round(math.sqrt(size))  # exact on the perfect-square test grid
+        layer = LayerSet.below_cutoff(size, c)
+        rep = compatibility_fraction(layer, SliceSet(size, width), samples, seed)
+        rows.append(
+            {
+                "n": size,
+                "constant": c,
+                "estimate": rep.estimate,
+                "ci_lo": rep.estimate - rep.radius,
+                "ci_hi": rep.estimate + rep.radius,
+            }
+        )
+    return {"mode": "compatibility", "samples": samples, "rows": rows}, True
+
+
+def _concentration(seed, /, *, n, w, threshold="98/100"):
+    n, w = int(n), int(w)
+    threshold = _parse_fraction(threshold)
+    res = fourier_concentration(SliceSet(n, w), threshold)
+    rows = []
+    for uw in res.members:
+        value = slice_mu_hat(n, w, uw)
+        rows.append(
+            {
+                "u_weight": uw,
+                "mu_hat_num": value.numerator,
+                "mu_hat_den": value.denominator,
+                "multiplicity": math.comb(n, uw),
+            }
+        )
+    payload = {
+        "mode": "concentration",
+        "n": n,
+        "w": w,
+        "threshold": str(threshold),
+        "count": res.count,
+        "rows": rows,
+    }
+    return payload, True
 
 
 def cmd_scenarios(seed, /, **sizes):
-    sizes.setdefault("translate_seed", seed or 7)
+    sizes.setdefault("translate_seed", seed)
     rows = counterexample_scenarios(**sizes)
     ok = all(row.passed is not False for row in rows)
     return {"rows": [row.to_json() for row in rows], "all_passed": ok}, ok
@@ -545,13 +556,9 @@ def cmd_scenarios(seed, /, **sizes):
 # scenarios' sizes are the keywords of counterexample_scenarios, read through __wrapped__
 cmd_scenarios.__wrapped__ = counterexample_scenarios
 
-
-def _random_set(size: str) -> dict:
-    """bogolyubov's ``--set-size``: a random set of that size."""
-    return {"kind": "random", "size": int(size)}
-
-
-_random_set.__name__ = "int"  # argparse names the type in "invalid int value"
+# mode -> handler, the default mode first
+_CLOSEDNESS_MODES = {"exact": _closedness_exact, "sampled": _closedness_sampled}
+_COUNTEREXAMPLE_MODES = {"compatibility": _compatibility, "concentration": _concentration}
 
 # flag -> manifest parameter (``set.kind`` is key ``kind`` of ``params["set"]``)
 # -> argparse keywords; the flags given for a mapping replace it as a whole
@@ -559,27 +566,27 @@ _N = ("--n", "n", {"type": int})
 _SAMPLES = ("--samples", "samples", {"type": int})
 _DELTA = ("--delta", "delta", {})
 _SHAPE = ("--shape", "shape", {"type": int, "nargs": "+"})
+_SET_SIZE = ("--set-size", "set.size", {"type": int})
 _SET_FLAGS = (
     ("--set-kind", "set.kind", {"choices": ("middle-layers", "layers", "random")}),
     ("--lo", "set.lo", {"type": int}),
     ("--hi", "set.hi", {"type": int}),
-    ("--set-size", "set.size", {"type": int}),
+    _SET_SIZE,
 )
 
-# command -> (handler, help, flags), in the order of ``closurelab --help``
+# command -> (handler or table of modes, help, flags), in the order of
+# ``closurelab --help``
 COMMANDS = {
-    "closedness": (cmd_closedness, "exact or sampled (B,eta)-closedness", (
+    "closedness": (_CLOSEDNESS_MODES, "exact or sampled (B,eta)-closedness", (
         _N, *_SET_FLAGS,
         ("--generators", "generators.kind", {"choices": ("basis", "rank-one", "random")}),
         ("--dims", "generators.dims",
          {"type": int, "nargs": "+", "help": "rank-one factor dimensions"}),
-        ("--mode", "mode", {"choices": ("exact", "sampled")}),
+        ("--mode", "mode", {"choices": tuple(_CLOSEDNESS_MODES)}),
         _SAMPLES,
     )),
     "spectrum": (cmd_spectrum, "exact integer Walsh spectrum of a set", (_N, *_SET_FLAGS)),
-    "bogolyubov": (cmd_bogolyubov, "extract a verified subspace of 2S-2S", (
-        _N, ("--set-size", "set", {"type": _random_set}),
-    )),
+    "bogolyubov": (cmd_bogolyubov, "extract a verified subspace of 2S-2S", (_N, _SET_SIZE)),
     "forcing-pipeline": (cmd_forcing_pipeline, "matrix-case pipeline experiment", (
         ("--shape", "shape", {"type": int, "nargs": 2}),
         _DELTA,
@@ -590,8 +597,8 @@ COMMANDS = {
         _SHAPE, ("--k", "k", {"type": int}),
     )),
     "lsystem": (cmd_lsystem, "nested-subspace system from dense tuples", (_SHAPE, _DELTA)),
-    "counterexample": (cmd_counterexample, "layer compatibility / concentration", (
-        ("--mode", "mode", {"choices": ("compatibility", "concentration")}),
+    "counterexample": (_COUNTEREXAMPLE_MODES, "layer compatibility / concentration", (
+        ("--mode", "mode", {"choices": tuple(_COUNTEREXAMPLE_MODES)}),
         ("--ns", "ns", {"type": int, "nargs": "+"}),
         ("--c", "c", {"type": float, "help":
                       "cutoff constant c of the layer set {|u| <= n/2 - c*n^(3/4)} "
@@ -748,14 +755,11 @@ def emit(manifest: Manifest, payload: dict, elapsed: float) -> str:
 
 def run(manifest: Manifest, quiet: bool = False) -> int:
     """Dispatch one experiment; returns the process exit code."""
-    if manifest.command not in COMMANDS:
-        print(f"error: unknown command {manifest.command!r}", file=sys.stderr)
-        return 1
-    handler = COMMANDS[manifest.command][0]
     start = time.monotonic()
     try:
+        handler, params = _handler(manifest.command, manifest.params)
         with using(manifest.budget()):
-            payload, ok = handler(manifest.seed, **manifest.params)
+            payload, ok = handler(manifest.seed, **params)
     except BudgetExceeded as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3

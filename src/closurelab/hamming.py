@@ -12,7 +12,7 @@ parameter and measures trends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -365,13 +365,7 @@ class ScenarioRow:
     passed: bool | None  # None = reported, not asserted
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "measured": self.measured,
-            "claim": self.claim,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _frac(f: Fraction) -> str:

@@ -505,23 +505,34 @@ _SMALL_RUN = {
     "bogolyubov": ["--n", "8"],
     "forcing-pipeline": ["--shape", "3", "3"],
     "lsystem": ["--shape", "3", "3"],
-    "counterexample": ["--samples", "1000", "--n", "20", "--w", "4"],
+    "counterexample": ["--samples", "1000"],
+}
+# the flags of a small run of each --mode choice
+_MODE_RUN = {
+    "exact": ["--n", "8"],
+    "sampled": ["--n", "8", "--samples", "1000"],
+    "compatibility": ["--samples", "1000"],
+    "concentration": ["--n", "20", "--w", "4"],
 }
 
 
 def test_every_subcommand_and_choice_exits_with_a_clean_error(capsys):
     """Each subcommand at its defaults and once per choice of each flag: the
-    exit code is a documented one, and no error is a bare key name."""
+    exit code is a documented one, and no error is a bare key name. Each
+    ``--mode`` choice runs with flags of its own, and exits 0."""
     subcommands = next(action for action in cli._parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
     for command, sub in subcommands.choices.items():
         base = [command, *_SMALL_RUN.get(command, [])]
         argvs = [base] + [[*base, action.option_strings[0], choice]
-                          for action in sub._actions for choice in action.choices or ()]
-        for argv in argvs:
+                          for action in sub._actions if action.dest != "mode"
+                          for choice in action.choices or ()]
+        modes = [[command, *_MODE_RUN[choice], "--mode", choice]
+                 for action in sub._actions if action.dest == "mode" for choice in action.choices]
+        for argv in argvs + modes:
             code = cli.main(argv)
             err = capsys.readouterr().err
-            assert code in (0, 1, 2, 3), argv
+            assert code in ((0,) if argv in modes else (0, 1, 2, 3)), (argv, err)
             assert not re.search(r"^error: '[^']*'$", err, re.M), (argv, err)
 
 
@@ -615,20 +626,21 @@ def _flag_manifest(monkeypatch, argv) -> dict:
       "generators": {"kind": "rank-one", "dims": [2, 4]}, "mode": "sampled", "samples": 100}),
     ("spectrum --n 6 --set-kind layers --lo 1 --hi 2 --set-size 4",
      {"n": 6, "set": {"kind": "layers", "lo": 1, "hi": 2, "size": 4}}),
-    ("bogolyubov --n 8 --set-size 17", {"n": 8, "set": {"kind": "random", "size": 17}}),
+    ("bogolyubov --n 8 --set-size 17", {"n": 8, "set": {"size": 17}}),
     ("forcing-pipeline --shape 3 3 --delta 3/4 --epsilon 1/16 --rank-threshold 2",
      {"shape": [3, 3], "delta": "3/4", "epsilon": "1/16", "rank_threshold": 2}),
     ("simple-set --shape 2 2 2 --k 2", {"shape": [2, 2, 2], "k": 2}),
     ("lsystem --shape 3 3 --delta 3/4", {"shape": [3, 3], "delta": "3/4"}),
-    ("counterexample --mode concentration --ns 36 49 --c 0.2 --samples 100 --n 20 --w 4 "
-     "--threshold 9/10",
-     {"mode": "concentration", "ns": [36, 49], "c": 0.2, "samples": 100, "n": 20, "w": 4,
-      "threshold": "9/10"}),
+    ("counterexample --mode compatibility --ns 36 49 --c 0.2 --samples 100",
+     {"mode": "compatibility", "ns": [36, 49], "c": 0.2, "samples": 100}),
+    ("counterexample --mode concentration --n 20 --w 4 --threshold 9/10",
+     {"mode": "concentration", "n": 20, "w": 4, "threshold": "9/10"}),
     ("scenarios", {}),
     ("closedness --n 8 --set-size 9", {"n": 8, "set": {"size": 9}}),
     ("closedness --n 16 --dims 4 4", {"n": 16, "generators": {"dims": [4, 4]}}),
 ], ids=["closedness", "spectrum", "bogolyubov", "forcing-pipeline", "simple-set", "lsystem",
-        "counterexample", "scenarios", "set-size-without-kind", "dims-alone"])
+        "counterexample", "counterexample-concentration", "scenarios", "set-size-without-kind",
+        "dims-alone"])
 def test_flags_write_the_keys_they_name(argv, params, monkeypatch):
     manifest = _flag_manifest(monkeypatch, [*argv.split(), "--seed", "3", "--format", "csv"])
     assert manifest == {"command": argv.split()[0], "params": params, "seed": 3, "budgets": {},
@@ -654,24 +666,24 @@ def test_bogolyubov_set_size_names_the_int_type(capsys):
         "error: argument --set-size: invalid int value: 'x'\n")
 
 
-@pytest.mark.parametrize("command, params, key", [
-    ("closedness", {"n": 6}, "sampels"),
-    ("spectrum", {"n": 6}, "size"),
-    ("bogolyubov", {"n": 6}, "set_size"),
-    ("forcing-pipeline", {"shape": [3, 3]}, "tuples"),
-    ("simple-set", {"shape": [2, 2]}, "delta"),
-    ("lsystem", {"shape": [3, 3]}, "pairs"),
-    ("counterexample", {"mode": "concentration", "n": 20, "w": 4}, "treshold"),
-    ("scenarios", {}, "eps"),
+@pytest.mark.parametrize("command, params, key, reader", [
+    ("closedness", {"n": 6}, "sampels", "closedness mode 'exact'"),
+    ("spectrum", {"n": 6}, "size", "command 'spectrum'"),
+    ("bogolyubov", {"n": 6}, "set_size", "command 'bogolyubov'"),
+    ("forcing-pipeline", {"shape": [3, 3]}, "tuples", "command 'forcing-pipeline'"),
+    ("simple-set", {"shape": [2, 2]}, "delta", "command 'simple-set'"),
+    ("lsystem", {"shape": [3, 3]}, "pairs", "command 'lsystem'"),
+    ("counterexample", {"mode": "concentration", "n": 20, "w": 4}, "treshold",
+     "counterexample mode 'concentration'"),
+    ("scenarios", {}, "eps", "command 'scenarios'"),
 ], ids=["closedness", "spectrum", "bogolyubov", "forcing-pipeline", "simple-set", "lsystem",
         "counterexample", "scenarios"])
-def test_unread_params_key_exits_1_with_one_line(command, params, key, tmp_path, capsys):
+def test_unread_params_key_exits_1_with_one_line(command, params, key, reader, tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"command": command, "params": {**params, key: 5}}))
     assert cli.main([command, "--manifest", str(path)]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: command {command!r} does not read "
-                                                f"[{key!r}]\n")
+    assert (captured.out, captured.err) == ("", f"error: {reader} does not read [{key!r}]\n")
 
 
 def _payload(command, params, capsys) -> dict:
@@ -693,7 +705,7 @@ def _scenario_params(payload) -> dict:
      lambda p: (_scenario_params(p)["at-most-n-third"], _scenario_params(p)["third-window"]),
      ({"n": 9}, {"eps": "1/4", "n": 9})),
     ("scenarios", {"translate_n": 9},
-     lambda p: _scenario_params(p)["random-translates"], {"n": 9, "parts": 3, "seed": 7}),
+     lambda p: _scenario_params(p)["random-translates"], {"n": 9, "parts": 3, "seed": 0}),
     ("scenarios", {"translate_seed": 3},
      lambda p: _scenario_params(p)["random-translates"], {"n": 12, "parts": 3, "seed": 3}),
     ("scenarios", {"window_n": 15},
@@ -715,10 +727,94 @@ def test_manifest_only_radius_method_is_read(capsys):
     assert reports[0]["radius"] != reports[1]["radius"]
 
 
+def _keywords(handler, kinds=(inspect.Parameter.KEYWORD_ONLY,)) -> set:
+    """The parameters of one of ``kinds`` of a command's handler, or of any
+    handler of its table of modes."""
+    modes = handler.values() if isinstance(handler, dict) else [handler]
+    return {name for fn in modes for name, p in inspect.signature(fn).parameters.items()
+            if p.kind in kinds}
+
+
 def test_every_flag_writes_a_keyword_of_its_handler():
+    """A flag writes ``mode`` of a command with modes, or a keyword of some
+    mode's handler."""
     for command, (handler, _, flags) in cli.COMMANDS.items():
-        keywords = inspect.signature(handler).parameters
+        keywords = _keywords(handler) | ({"mode"} if isinstance(handler, dict) else set())
         for flag, param, _ in flags:
-            top = param.partition(".")[0]
-            assert top in keywords and keywords[top].kind is inspect.Parameter.KEYWORD_ONLY, (
-                command, flag)
+            assert param.partition(".")[0] in keywords, (command, flag)
+
+
+# command -> (mode -> params of a small run, key -> an alternative value), for
+# every key any mode of the command reads; a command without modes has mode None
+_LIVE = {
+    "closedness": ({"exact": {"n": 6}, "sampled": {"n": 6, "mode": "sampled", "samples": 500}}, {
+        "n": 5, "set": {"kind": "layers", "lo": 1, "hi": 2},
+        "generators": {"kind": "basis", "support": 3}, "samples": 5,
+        "radius_method": "chernoff"}),
+    "spectrum": ({None: {"n": 5}}, {"n": 4, "set": {"kind": "layers", "lo": 1, "hi": 2}}),
+    "bogolyubov": ({None: {"n": 6}}, {"n": 7, "set": {"kind": "random", "size": 40}}),
+    "forcing-pipeline": ({None: {"shape": [3, 3]}}, {
+        "shape": [3, 4], "delta": "5/8", "epsilon": "1/16", "rank_threshold": 0, "pairs": 40}),
+    "simple-set": ({None: {"shape": [2, 3]}}, {"shape": [3, 3], "k": 2}),
+    "lsystem": ({None: {"shape": [3, 3]}}, {"shape": [2, 3], "delta": "3/4", "tuples": 40}),
+    "counterexample": ({"compatibility": {"ns": [36], "samples": 500},
+                        "concentration": {"mode": "concentration", "n": 20, "w": 4}}, {
+        "ns": [49], "c": 0.3, "samples": 400, "n": 24, "w": 5, "threshold": "9/10"}),
+    "scenarios": ({None: {}}, {
+        "two_layer_ns": [5, 7], "third_n": 9, "translate_n": 9, "translate_seed": 3,
+        "window_n": 15, "window_m": 11}),
+}
+
+
+def _outcome(raw, tmp_path, capsys):
+    """The exit code of the run of manifest ``raw`` and its payload without the
+    manifest echo (None when it exits 1)."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(raw))
+    code = cli.main([raw["command"], "--manifest", str(path)])
+    out = capsys.readouterr().out
+    if code == 1:
+        return code, None
+    payload = json.loads(out)["payload"]
+    del payload["manifest"]
+    return code, payload
+
+
+def test_liveness_table_holds_every_key_of_every_command():
+    assert list(_LIVE) == list(cli.COMMANDS)
+    for command, (handler, _, _) in cli.COMMANDS.items():
+        modes, alternatives = _LIVE[command]
+        assert list(modes) == list(handler if isinstance(handler, dict) else [None]), command
+        kinds = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+        assert set(alternatives) == _keywords(handler, kinds), command
+
+
+_LIVE_RUNS = [(command, mode) for command, (modes, _) in _LIVE.items() for mode in modes]
+
+
+@pytest.mark.parametrize("command, mode", _LIVE_RUNS,
+                         ids=[f"{command}-{mode}" if mode else command
+                              for command, mode in _LIVE_RUNS])
+def test_every_key_a_run_may_set_exits_1_or_changes_the_payload(
+    command, mode, tmp_path, capsys
+):
+    """For every key any mode of the command reads (and ``mode`` itself, set to
+    each other mode), a run with its alternative value either is refused or
+    measures something else: no settable key acts on nothing."""
+    modes, alternatives = _LIVE[command]
+    base = modes[mode]
+    code, payload = _outcome({"command": command, "params": base}, tmp_path, capsys)
+    assert code == 0
+    others = [("mode", other) for other in modes if other not in (None, mode)]
+    for key, value in [*alternatives.items(), *others]:
+        raw = {"command": command, "params": {**base, key: value}}
+        changed, changed_payload = _outcome(raw, tmp_path, capsys)
+        assert changed == 1 or changed_payload != payload, (command, mode, key)
+
+
+def test_scenarios_seed_0_is_read(tmp_path, capsys):
+    """Seed 0 is the translate seed, not a stand-in for seed 7."""
+    runs = [_outcome({"command": "scenarios", "seed": seed}, tmp_path, capsys)
+            for seed in (0, 7)]
+    assert runs[0][0] == runs[1][0] == 0
+    assert runs[0][1] != runs[1][1]

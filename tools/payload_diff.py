@@ -15,6 +15,9 @@ The list:
   same deltas and thresholds, seeds 2000-2001; and (10,2) at seed 1;
 * ``lsystem`` and ``simple-set`` runs at d = 2 to 4;
 * one budget refusal;
+* ``scenarios`` at seed 0, and two runs that set a key of another mode
+  (``closedness --samples`` in exact mode, ``counterexample --ns --c`` in
+  concentration mode);
 * ``--manifest`` runs, from files written to a temporary directory, that set
   the keys no flag writes: ``pairs``, ``tuples``, ``radius_method``, the six
   ``scenarios`` sizes, and the set and generator keys ``elements``,
@@ -72,7 +75,13 @@ SYSTEM_RUNS = [
 
 REFUSAL_RUNS = ["spectrum --n 30 --set-kind random"]
 
-RUNS = README_RUNS + PIPELINE_RUNS + SYSTEM_RUNS + REFUSAL_RUNS
+SEED_AND_MODE_RUNS = [
+    "scenarios --seed 0",
+    "closedness --n 6 --samples 5",
+    "counterexample --mode concentration --n 20 --w 4 --ns 36 --c 0.3",
+]
+
+RUNS = README_RUNS + PIPELINE_RUNS + SYSTEM_RUNS + REFUSAL_RUNS + SEED_AND_MODE_RUNS
 
 # name -> a manifest that sets keys no flag writes
 MANIFESTS = {
