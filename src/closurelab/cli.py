@@ -154,12 +154,85 @@ _SEPARATORS = ("\x00", ":")
 
 
 class _Table(dict):
-    """Rows kept as columns: name -> list of JSON scalars, all lists of one
-    length, in header order. :func:`_json_texts` and :func:`_csv_text` write
-    it as the list of row dicts it stands for; true when it has rows."""
+    """Rows kept as columns: name -> 1-D int64 or fixed-width bytes (``S``)
+    array, all of one length, in header order. :func:`_json_texts` and
+    :func:`_csv_text` write it as the list of row dicts it stands for, an
+    ``S`` item as the str of its bytes; true when it has rows."""
 
     def __bool__(self) -> bool:
-        return any(self.values())
+        return len(self) > 0 and len(next(iter(self.values()))) > 0
+
+
+# the bytes an S item may hold: printable ASCII, less the two that json.dumps escapes
+_PLAIN = np.zeros(256, dtype=bool)
+_PLAIN[0x20:0x7F] = True
+_PLAIN[[ord('"'), ord("\\")]] = False
+_CHUNK = 1 << 12  # rows per chunk of text: a chunk's matrix stays in a core's L2
+
+
+def _cells(column: np.ndarray, csv_fields: int = 0) -> np.ndarray:
+    """The text of every item of a :class:`_Table` column: a uint8 matrix,
+    one row per item, whose NUL bytes are padding and no part of the text.
+
+    An int64 is a sign byte, then its decimal digits, right-aligned.  An
+    ``S`` item is its bytes (numpy pads it with trailing NULs) between two
+    '"': always in JSON (``csv_fields`` 0), and in a CSV row of
+    ``csv_fields`` fields only where the csv module quotes it: when it holds
+    a comma, or it is empty and alone in its row.  An ``S`` byte outside
+    :data:`_PLAIN`, an embedded NUL included, raises ValueError, so no item
+    needs escaping and the text holds no NUL.
+    """
+    if column.dtype.kind == "S":
+        body = column.view(np.uint8).reshape(column.size, -1)
+        used = body != 0
+        if not _PLAIN[body[used]].all() or (used[:, 1:] & ~used[:, :-1]).any():
+            raise ValueError("S columns hold printable ASCII without quotes or backslashes")
+        quote = np.full((column.size, 1), ord('"'), dtype=np.uint8)
+        if csv_fields:
+            quote[~(body == ord(",")).any(axis=1) & ((csv_fields > 1) | used[:, 0])] = 0
+        return np.hstack((quote, body, quote))
+    if column.dtype != np.int64:
+        raise TypeError(f"a table column is int64 or S, not {column.dtype}")
+    magnitude = np.abs(column).view(np.uint64)  # |-2^63| too, as uint64
+    width = len(str(int(magnitude.max())))
+    chars = np.empty((column.size, width + 1), dtype=np.uint8)
+    chars[:, 0] = (column < 0) * ord("-")
+    for j in range(width, 0, -1):
+        quotient = magnitude // 10
+        chars[:, j] = magnitude - quotient * 10 + ord("0")
+        if j < width:  # a leading zero is padding
+            chars[:, j] *= magnitude != 0
+        magnitude = quotient
+    return chars
+
+
+def _rows_text(cells: list[np.ndarray], pieces: list[str], separator: str, head: str,
+               tail: str) -> str:
+    """``head``, the rows joined by ``separator``, then ``tail``.  Row i is
+    pieces[0], row i of the first of the :func:`_cells` matrices,
+    pieces[1], ..., row i of the last, pieces[-1].
+
+    A chunk of rows is one uint8 matrix: the pieces are written into it
+    once and each chunk's cells into their slots, and its text is its bytes
+    without the NUL padding.  No Python object is made per row.
+    """
+    template, slots = b"", []
+    for piece, cell in zip(pieces, cells):
+        template += piece.encode()
+        slots.append(slice(len(template), len(template) + cell.shape[1]))
+        template += bytes(cell.shape[1])
+    template += (pieces[-1] + separator).encode()
+    count = cells[0].shape[0]
+    chars = np.tile(np.frombuffer(template, dtype=np.uint8), (min(count, _CHUNK), 1))
+    texts = [head]
+    for lo in range(0, count, _CHUNK):
+        rows = min(count - lo, _CHUNK)
+        for slot, cell in zip(slots, cells):
+            chars[:rows, slot] = cell[lo : lo + rows]
+        texts.append(chars[:rows].tobytes().translate(None, b"\0").decode("ascii"))
+    texts[-1] = texts[-1][: len(texts[-1]) - len(separator)]
+    texts.append(tail)
+    return "".join(texts)
 
 
 def _json_texts(obj, depth: int = 0) -> tuple[str, str]:
@@ -168,8 +241,8 @@ def _json_texts(obj, depth: int = 0) -> tuple[str, str]:
 
     Byte-identical to those two dumps, but built from C-encoded pieces:
     ``json.dumps`` runs its pure-Python encoder whenever it indents. A
-    :class:`_Table` is written as its list of row dicts: each column is one C
-    dump split at a sentinel separator, and its items are interleaved with the
+    :class:`_Table` is written as its list of row dicts from its arrays: the
+    byte matrices of its columns (:func:`_cells`) are interleaved with the
     constant key pieces, in sorted key order. A scalar is one C dump, the same
     in both texts. Dicts with str keys are walked in sorted key order, and a
     non-empty list of scalars is one C dump with sentinel separators.
@@ -186,13 +259,14 @@ def _json_texts(obj, depth: int = 0) -> tuple[str, str]:
         if not obj:
             return "[]", "[]"
         names = sorted(obj)
-        items = [json.dumps(obj[name], separators=_SEPARATORS)[1:-1].split("\x00")
-                 for name in names]
+        cells = [_cells(obj[name]) for name in names]
         keys = [json.dumps(name) for name in names]
         return (
-            _rows_text(items, [key + ":" for key in keys], "{", "}", "]"),
-            _rows_text(items, [inner + " " + key + ": " for key in keys],
-                       inner + "{", inner + "}", outer + "]"),
+            _rows_text(cells, ["{" + keys[0] + ":", *("," + key + ":" for key in keys[1:]), "}"],
+                       ",", "[", "]"),
+            _rows_text(cells, [inner + "{" + inner + " " + keys[0] + ": ",
+                               *("," + inner + " " + key + ": " for key in keys[1:]),
+                               inner + "}"], ",", "[", outer + "]"),
         )
     if kind is dict and obj and set(map(type, obj)) == {str}:
         return _object_texts(
@@ -227,21 +301,6 @@ def _object_texts(items: list[tuple[str, tuple[str, str]]], depth: int) -> tuple
     canon[-1] = "}"
     indented[-1] = inner[:-1] + "}"
     return "".join(canon), "".join(indented)
-
-
-def _rows_text(items: list[list[str]], keys: list[str], open_row: str, close_row: str,
-               end: str) -> str:
-    """One JSON list of rows: row j holds item j of every column, each item
-    after its key piece, every row between ``open_row`` and ``close_row``."""
-    count, width = len(items[0]), 2 * len(items)
-    parts = [""] * (count * width + 1)
-    parts[::width] = [close_row + "," + open_row + keys[0]] * count + [close_row + end]
-    parts[0] = "[" + open_row + keys[0]
-    for j, column in enumerate(items):
-        if j:
-            parts[2 * j::width] = ["," + keys[j]] * count
-        parts[2 * j + 1::width] = column
-    return "".join(parts)
 
 
 def _sha256(text: str) -> str:
@@ -410,7 +469,7 @@ def _closedness_sampled(seed, /, *, n, set=None, generators=None, samples=10**4,
 def cmd_spectrum(seed, /, *, n, set=None):
     n, a, _ = _seeded_set(seed, n, set)
     spec = indicator_spectrum(a)
-    rows = _Table(r=to_hex_array(np.arange(1 << n), n), coefficient=spec.coeffs.tolist())
+    rows = _Table(r=to_hex_array(np.arange(1 << n), n), coefficient=spec.coeffs)
     return {"n": n, "set_size": a.size, "rows": rows}, True
 
 
@@ -705,9 +764,11 @@ def _atomic_write(path: str, data: str) -> None:
 def _csv_text(rows: list[dict] | _Table) -> str:
     buf = io.StringIO()
     if type(rows) is _Table:
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(rows)
-        writer.writerows(zip(*rows.values()))
+        csv.writer(buf, lineterminator="\r\n").writerow(rows)
+        if rows:
+            fields = len(rows)
+            cells = [_cells(column, fields) for column in rows.values()]
+            buf.write(_rows_text(cells, ["", *[","] * (fields - 1), "\r\n"], "", "", ""))
     else:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\r\n")
         writer.writeheader()

@@ -32,14 +32,15 @@ def to_hex(v: int, length: int) -> str:
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
-def to_hex_array(values: np.ndarray, length: int) -> list[str]:
-    """:func:`to_hex` of every entry of a 1-d integer array, length <= 63."""
+def to_hex_array(values: np.ndarray, length: int) -> np.ndarray:
+    """:func:`to_hex` of every entry of a 1-d integer array, length <= 63, as
+    one fixed-width bytes (``S``) array."""
     values = np.asarray(values, dtype=np.int64)
     if values.size and (values.min() < 0 or values.max() >> length):
         raise ValueError(f"vectors do not fit in {length} coordinates")
     digits = max((length + 3) // 4, 1)
     nibbles = (values[:, None] >> (4 * np.arange(digits))) & 15
-    return _HEX_DIGITS[nibbles].view(f"S{digits}").ravel().astype(f"U{digits}").tolist()
+    return _HEX_DIGITS[nibbles].view(f"S{digits}").ravel()
 
 
 def from_hex(s: str, length: int) -> int:

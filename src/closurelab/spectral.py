@@ -10,15 +10,16 @@ sum_r coeffs[r]^2 w[r] (closedness, mixed energy), which ``spectral_sum``
 takes exactly: modulo 2^64 in one pass, and modulo at most three primes
 more when the bound passes 2^63.
 
-The transform's levels are float64 matrix products: H_{2^n} is a Kronecker
-product of 16x16 Sylvester factors, so every four levels are one GEMM.
-float64 is exact because every value and every partial sum is a signed sum
-of input entries, at most the input's l1 norm: below 2^31.5 under the
-transform's guard, and at most 2^2n <= 2^52 in ``sumset_support``, which
-refuses n > 26.  Transforms above 2^16 points are cache-blocked: the low
-16 levels run inside each 2^16-point block (512 KiB of int64, resident in
-a core's L2) and the remaining levels across the blocks, a slab of columns
-at a time.
+The transform's levels are matrix products: H_{2^n} is a Kronecker product
+of 16x16 Sylvester factors, so every four levels are one GEMM.  The GEMMs
+are exact because every value and every partial sum is a signed sum of
+input entries, at most the input's l1 norm.  Each caller passes a bound on
+it: below 2^24 the GEMMs run in float32, otherwise in float64.  The
+transform's guard keeps its bound below 2^31.5, and ``sumset_support``'s
+product pass is at most 2^2n <= 2^52, since it refuses n > 26.  Transforms
+above 2^16 points are cache-blocked: the low 16 levels run inside each
+2^16-point block (512 KiB of int64, resident in a core's L2) and the
+remaining levels across the blocks, a slab of columns at a time.
 """
 
 from __future__ import annotations
@@ -149,13 +150,20 @@ class RationalSpectrum:
 
 _BLOCK = 1 << 16  # points per cache-resident block: 512 KiB of int64, a quarter of L2
 _SLAB = 1 << 12  # columns per slab in the levels across blocks
-# multiply-adds per GEMM: OpenBLAS runs up to 2^18 on the calling thread; threaded, a
-# 2^20 transform ran 30 times slower on a 2-core host that two other busy processes shared
+# multiply-adds per GEMM: OpenBLAS runs up to 2^18 on the calling thread, in sgemm as in
+# dgemm (a float32 2^20 transform took 1.0 CPU-s per s at 2^18 and 2.0 at 2^19, on a 2-core
+# host with OPENBLAS_NUM_THREADS unset); threaded, a float64 2^20 transform ran 30 times
+# slower on such a host that two other busy processes shared
 _GEMM_MULADDS = 1 << 18
-# the Sylvester factors H_{2^k}[i, j] = (-1)^(i.j), k <= 4, in float64 for BLAS
-_FACTORS = tuple(
-    (-1.0) ** np.bitwise_count(np.arange(1 << k)[:, None] & np.arange(1 << k)) for k in range(5)
-)
+_FLOAT32_EXACT = 1 << 24  # float32 holds every integer of magnitude up to 2^24
+# the Sylvester factors H_{2^k}[i, j] = (-1)^(i.j), k <= 4, in both BLAS widths
+_FACTORS = {
+    dtype: tuple(
+        ((-1.0) ** np.bitwise_count(np.arange(1 << k)[:, None] & np.arange(1 << k))).astype(dtype)
+        for k in range(5)
+    )
+    for dtype in (np.float32, np.float64)
+}
 
 
 def _levels(v: np.ndarray, bufs: np.ndarray) -> None:
@@ -163,26 +171,28 @@ def _levels(v: np.ndarray, bufs: np.ndarray) -> None:
 
     H_{2^L} is the Kronecker product of Sylvester factors H_{2^k}, k <= 4
     (Van Loan, *Computational Frameworks for the FFT*, 1992), so every four
-    levels are one float64 GEMM.  ``bufs`` holds two float64 arrays of
+    levels are one GEMM.  ``bufs`` holds two float32 or float64 arrays of
     ``v``'s shape: ``v`` is copied into the first, the GEMMs ping-pong
-    between them, and the result is written back into ``v``.  A 1-D block
-    takes each factor as ``H @ x.reshape(-1, 2^k).T``: that transforms the
-    low k index bits and rotates the index right by k, so after all the
-    levels every bit is back in place.  Further axes of ``v`` are columns
-    transformed side by side: the factor is applied batched along axis 0,
-    to the index bits of stride ``step``.  Each GEMM is split by columns
-    into calls of at most _GEMM_MULADDS multiply-adds.
+    between them in that width, and the result is written back into ``v``.
+    A 1-D block takes each factor as ``H @ x.reshape(-1, 2^k).T``: that
+    transforms the low k index bits and rotates the index right by k, so
+    after all the levels every bit is back in place.  Further axes of ``v``
+    are columns transformed side by side: the factor is applied batched
+    along axis 0, to the index bits of stride ``step``.  Each GEMM is split
+    by columns into calls of at most _GEMM_MULADDS multiply-adds.
 
-    float64 is exact here: every value and every partial sum inside a GEMM
-    is a signed sum of distinct input entries, so it is at most the input's
-    l1 norm, which the callers keep below 2^53.
+    The width is exact here: every value and every partial sum inside a
+    GEMM is a signed sum of distinct input entries, so it is at most the
+    input's l1 norm, which the caller keeps below 2^24 for float32 and
+    below 2^53 for float64.
     """
     src, dst = bufs
     src[...] = v
+    factors = _FACTORS[bufs.dtype.type]
     levels, step = v.shape[0].bit_length() - 1, v.size // v.shape[0]
     while levels:
         k = min(levels, 4)
-        h, size = _FACTORS[k], 1 << k
+        h, size = factors[k], 1 << k
         if v.ndim == 1:
             x, out = src.reshape(-1, size).T, dst.reshape(size, -1)
         else:
@@ -196,27 +206,30 @@ def _levels(v: np.ndarray, bufs: np.ndarray) -> None:
     v[...] = src
 
 
-def _butterfly(a: np.ndarray) -> np.ndarray:
+def _butterfly(a: np.ndarray, bound: int) -> np.ndarray:
     """In-place Walsh-Hadamard butterfly over a contiguous int64 array.
 
-    Up to _BLOCK points it is one run of GEMM levels over the whole array.
-    Above, each pass over the whole array would stream it through the
-    last-level cache, so the transform is blocked (the "four-step" order of
-    Bailey, *FFTs in external or hierarchical memory*, 1990): the low 16
-    levels inside each cache-resident row of the (size / _BLOCK, _BLOCK)
-    view, then the remaining levels along its axis 0, one slab of _SLAB
-    columns at a time.  The two float64 work buffers are allocated once per
-    call, sized to one block or one slab, so peak memory is the array plus
-    them.  The levels commute, so the output is the same in every order.
+    ``bound`` is at least the l1 norm of ``a``, and it picks the GEMMs'
+    width: float32 below 2^24, float64 otherwise.  Up to _BLOCK points the
+    transform is one run of GEMM levels over the whole array.  Above, each
+    pass over the whole array would stream it through the last-level cache,
+    so the transform is blocked (the "four-step" order of Bailey, *FFTs in
+    external or hierarchical memory*, 1990): the low 16 levels inside each
+    cache-resident row of the (size / _BLOCK, _BLOCK) view, then the
+    remaining levels along its axis 0, one slab of _SLAB columns at a time.
+    The two work buffers are allocated once per call, sized to one block or
+    one slab, so peak memory is the array plus them.  The levels commute,
+    so the output is the same in every order.
     """
+    dtype = np.float32 if bound < _FLOAT32_EXACT else np.float64
     if a.size <= _BLOCK:
-        _levels(a, np.empty((2, a.size)))
+        _levels(a, np.empty((2, a.size), dtype))
         return a
     rows = a.reshape(-1, _BLOCK)
     if not np.shares_memory(rows, a):
         raise ValueError("the butterfly needs a contiguous array to work in place")
     slab = rows.shape[0] * _SLAB
-    work = np.empty(2 * max(_BLOCK, slab))
+    work = np.empty(2 * max(_BLOCK, slab), dtype)
     bufs = work[: 2 * _BLOCK].reshape(2, _BLOCK)
     for row in rows:
         _levels(row, bufs)
@@ -263,9 +276,12 @@ def spectral_sum(spec: Spectrum, w) -> int:
 def wht(f, n: int | None = None) -> Spectrum:
     """Exact Walsh-Hadamard transform: coeffs[r] = sum_x f(x)(-1)^(r.x).
 
-    O(N log N) integer butterflies; applying it twice returns 2^n * f.
-    Raises BudgetExceeded if the exact result might not fit int64,
-    and VerificationFailure if the integer Parseval identity fails.
+    O(N log N) work in GEMM levels, float32 when the input's l1 norm is
+    below 2^24 and float64 otherwise; applying it twice returns 2^n * f.
+    The energy sum f^2 bounds the l1 norm of an integer f, so the norm
+    itself is summed only when the energy reaches 2^24.  Raises
+    BudgetExceeded if the exact result might not fit int64, and
+    VerificationFailure if the integer Parseval identity fails.
     """
     arr = np.array(f, dtype=np.int64, copy=True)
     if n is None:
@@ -274,15 +290,16 @@ def wht(f, n: int | None = None) -> Spectrum:
         raise DimensionMismatch(f"array length {arr.size} is not 2^{n}")
     check_group_exponent(n)
     if isinstance(f, np.ndarray) and f.dtype == bool:  # a bitmap: sum(f^2) counts its ones
-        s_in = int(np.count_nonzero(f))
+        s_in = l1 = int(np.count_nonzero(f))
     else:
         peak = max(int(arr.max()), -int(arr.min()))
         if (1 << n) * peak**2 >= 2**63:
             raise BudgetExceeded(f"2^{n} * max|f|^2 = {(1 << n) * peak**2} exceeds signed-64 range")
         s_in = int(np.dot(arr, arr))  # every partial sum is at most 2^n peak^2
+        l1 = s_in if s_in < _FLOAT32_EXACT else int(np.abs(arr).sum())
     if (1 << n) * s_in >= 2**63:
         raise BudgetExceeded(f"2^{n} * sum(f^2) = {(1 << n) * s_in} exceeds signed-64 range")
-    out = _butterfly(arr)
+    out = _butterfly(arr, l1)
     s_out = int(np.dot(out, out))  # nonnegative terms bounded by the exact total
     if s_out != (1 << n) * s_in:
         raise VerificationFailure(
@@ -298,11 +315,13 @@ def indicator_spectrum(a: GroupSet) -> Spectrum:
 def sumset_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Bitmap of A + B = {x + y}, the support of the convolution 1_A * 1_B.
 
-    ``a`` and ``b`` are 0/1 bitmaps over F2^n.  The butterfly of the product
-    of their transforms is 2^n * #{(x, y) in A x B : x + y = z}.  Every partial
-    sum of it is at most sum_r |a^(r) b^(r)| <= 2^n sqrt(|A| |B|) <= 2^2n
-    (Cauchy-Schwarz and Parseval), so the butterfly's float64 GEMMs are exact
-    up to n = 26; a larger n raises BudgetExceeded.
+    ``a`` and ``b`` are 0/1 bitmaps over F2^n, so their butterflies' l1
+    bounds are |A| and |B|.  The butterfly of the product of their
+    transforms is 2^n * #{(x, y) in A x B : x + y = z}.  Every partial sum
+    of it is at most sum_r |a^(r) b^(r)| <= 2^n sqrt(|A| |B|) <= 2^2n
+    (Cauchy-Schwarz and Parseval).  That is its butterfly's l1 bound, so
+    its GEMMs are float64 once the bound reaches 2^24, and exact up to
+    n = 26; a larger n raises BudgetExceeded.
     """
     if a.shape != b.shape or a.ndim != 1 or not a.size or a.size & (a.size - 1):
         raise DimensionMismatch("bitmaps must be equal-length arrays of 2^n entries")
@@ -310,9 +329,11 @@ def sumset_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     check_group_exponent(n)
     if n > 26:
         raise BudgetExceeded(f"a sumset over F2^{n} reaches 2^{2 * n}, past float64's 2^53")
-    fa = _butterfly(a.astype(np.int64))
-    fb = fa if b is a else _butterfly(b.astype(np.int64))
-    return _butterfly(np.multiply(fa, fb, out=fa)) > 0
+    size_a, size_b = int(np.count_nonzero(a)), int(np.count_nonzero(b))
+    fa = _butterfly(a.astype(np.int64), size_a)
+    fb = fa if b is a else _butterfly(b.astype(np.int64), size_b)
+    bound = (1 << n) * (math.isqrt(size_a * size_b) + 1)
+    return _butterfly(np.multiply(fa, fb, out=fa), bound) > 0
 
 
 def mu_hat(b: GroupMultiset) -> RationalSpectrum:
@@ -361,7 +382,10 @@ def large_spectrum(spec: Spectrum, sq_threshold: Fraction) -> list[int]:
     bound = -(-sq_threshold.numerator * (1 << 2 * spec.n) // sq_threshold.denominator)
     t = math.isqrt(bound - 1) + 1
     c = spec.coeffs
-    return np.flatnonzero((c >= t) | (c <= -t)).tolist()
+    large = c >= t
+    for lo in range(0, c.size, _BLOCK):  # a block at a time: no second 2^n-entry temporary
+        large[lo : lo + _BLOCK] |= c[lo : lo + _BLOCK] <= -t
+    return np.flatnonzero(large).tolist()
 
 
 def bogolyubov(s: GroupSet) -> Subspace:
@@ -378,6 +402,7 @@ def bogolyubov(s: GroupSet) -> Subspace:
     bits = s.bitmap()
     v = rref(large_spectrum(wht(bits, s.n), s.density**3 / 2), s.n).complement()
     two = sumset_support(bits, bits)
+    del bits  # 2^n bytes less at the peak of the second sumset
     four = sumset_support(two, two)  # S+S+S+S = 2S - 2S over F2
     if v.codim == 0 and four.all():  # V is the whole group: no need to list it
         return v

@@ -198,8 +198,8 @@ def test_criterion_4_integer_parseval_always_on(monkeypatch):
 
         real = spectral._butterfly
 
-        def corrupted(a):
-            out = real(a)
+        def corrupted(a, bound):
+            out = real(a, bound)
             out[0] += 2
             return out
 

@@ -253,8 +253,8 @@ def test_selftest_passes_and_detects_faults(monkeypatch, capsys):
 
     real = spectral._butterfly
 
-    def corrupted(a):
-        out = real(a)
+    def corrupted(a, bound):
+        out = real(a, bound)
         out[-1] += 2
         return out
 
@@ -461,21 +461,31 @@ def test_csv_sidecar_and_selftest_are_indented_sorted_json(tmp_path, capsys):
 
 def test_table_texts_and_csv_match_its_rows():
     """A table writes exactly what its list of row dicts would, keys sorted."""
-    rnd = random.Random(11)
+    rng = np.random.default_rng(11)
     big = 1 << 12
-    odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, True, False, None, 2**63, -(2**64) - 1,
-           10**30, 1e300, -2.5]
+    extremes = np.array([-(2**63), 2**63 - 1, 0, 1, -1, 9, -9, 10, -10], dtype=np.int64)
+    hexes = np.array([format(i, "03x").encode() for i in range(big)])
+    # an S item may hold a comma (csv quotes it) and be shorter than its width
+    words = np.array([b"", b"a", b"x,y", b",", b"spaced out", b"~!#$%&'()*+-./:;<=>?@[]^_`{|}",
+                      b"0123456789"])
     tables = [
-        _Table(r=["0"], coefficient=[5]),
-        _Table(r=[format(i, "03x") for i in range(big)],
-               coefficient=[rnd.randint(-big, big) for _ in range(big)]),
-        _Table(**{"s": _TRICKY_STRINGS, "}\x00{": _TRICKY_STRINGS[::-1],
-                  'k"': list(range(len(_TRICKY_STRINGS)))}),
-        _Table(value=odd, name=[repr(v) for v in odd]),
-        _Table(only=odd),
+        _Table(r=np.array([b"0"]), coefficient=np.array([5])),
+        _Table(r=hexes, coefficient=rng.integers(-big, big + 1, size=big)),
+        _Table(r=hexes, coefficient=rng.integers(-(2**63), 2**63 - 1, size=big,
+                                                  endpoint=True)),
+        _Table(value=extremes),
+        _Table(word=words),
+        _Table(word=words, count=np.arange(words.size)),
+        _Table(**{name: (extremes[:1] if j % 2 else words[j % words.size :][:1])
+                  for j, name in enumerate(_TRICKY_STRINGS)}),
+        _Table(**{name: rng.integers(-10, 11, size=big) if j % 2 else hexes
+                  for j, name in enumerate(_TRICKY_STRINGS)}),
     ]
     for table in tables:
-        rows = [dict(zip(table, values)) for values in zip(*table.values())]
+        columns = [column.tolist() for column in table.values()]
+        columns = [[v.decode() if isinstance(v, bytes) else v for v in column]
+                   for column in columns]
+        rows = [dict(zip(table, values)) for values in zip(*columns)]
         assert len(rows) == len(next(iter(table.values())))
         for depth in range(4):
             canon, indented = _json_texts(table, depth)
@@ -487,8 +497,16 @@ def test_table_texts_and_csv_match_its_rows():
         writer.writeheader()
         writer.writerows(rows)
         assert _csv_text(table) == buf.getvalue()
-    empty = _Table(r=[], coefficient=[])
+    empty = _Table(r=np.array([], dtype="S1"), coefficient=np.array([], dtype=np.int64))
     assert not empty and _json_texts(empty, 2) == ("[]", "[]")
+    # bytes json.dumps would escape, or that are not text, are refused
+    for bad in (b'q"uote', b"back\\slash", b"nul\x00x", b"new\nline", b"tab\t", b"del\x7f",
+                "\u00e9".encode()):
+        table = _Table(r=np.array([b"ok", bad]), coefficient=np.array([1, 2]))
+        with pytest.raises(ValueError):
+            _json_texts(table, 1)
+        with pytest.raises(ValueError):
+            _csv_text(table)
 
 
 def test_spectrum_payload_hash_pinned(capsys):
@@ -496,6 +514,18 @@ def test_spectrum_payload_hash_pinned(capsys):
     assert run(Manifest.from_dict({"command": "spectrum", "params": {"n": 9}, "seed": 3})) == 0
     assert json.loads(capsys.readouterr().out)["meta"]["payload_hash"] == (
         "d8b13862a58c82bd4ef1bfa916bd6f495fe6d7e94ef104bac723f2859e5d413e")
+
+
+def test_benchmark_spectrum_bytes_pinned(capsys):
+    """The benchmark's n = 16 spectrum: its payload hash, and its CSV stdout."""
+    raw = {"command": "spectrum", "seed": 100,
+           "params": {"n": 16, "set": {"kind": "random", "size": 1 << 15}}}
+    assert run(Manifest.from_dict(raw)) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["payload_hash"] == (
+        "f368cd95b444f2588d48b452dc63ebedb489a4f9e142406ab633a92ee3d3afac")
+    assert run(Manifest.from_dict({**raw, "output": {"format": "csv"}})) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "4f50dbd196bce872a7f6259095026e345f2e1bd27f6749818a2a589d4cbf501c")
 
 
 # flags that keep a subcommand's default run small, or give it a required value

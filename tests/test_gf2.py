@@ -226,12 +226,14 @@ def test_hex_roundtrip_and_orientation():
 
 def test_to_hex_array_matches_to_hex():
     for n in range(1, 17):
-        assert to_hex_array(np.arange(1 << n), n) == [to_hex(r, n) for r in range(1 << n)]
+        hexes = to_hex_array(np.arange(1 << n), n)
+        assert hexes.dtype == np.dtype(f"S{(n + 3) // 4}")
+        assert hexes.tolist() == [to_hex(r, n).encode() for r in range(1 << n)]
     rng = np.random.default_rng(30)
     for n in (17, 33, 63):
         values = rng.integers(0, 1 << n, size=200, dtype=np.int64)
-        assert to_hex_array(values, n) == [to_hex(int(v), n) for v in values]
-    assert to_hex_array(np.array([], dtype=np.int64), 8) == []
+        assert to_hex_array(values, n).tolist() == [to_hex(int(v), n).encode() for v in values]
+    assert to_hex_array(np.array([], dtype=np.int64), 8).tolist() == []
     for bad in ([-1], [1 << 8], [3, 256]):
         with pytest.raises(ValueError):
             to_hex_array(np.array(bad), 8)

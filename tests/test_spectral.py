@@ -91,8 +91,8 @@ def test_wht_parseval_assertion_detects_fault(monkeypatch):
 
     real = spectral._butterfly
 
-    def corrupted(a):
-        out = real(a)
+    def corrupted(a, bound):
+        out = real(a, bound)
         out[0] += 1
         return out
 
@@ -296,7 +296,9 @@ def test_sumset_support_matches_pairwise_sums():
         assert set(np.flatnonzero(doubled).tolist()) == {int(x) ^ int(y) for x in a for y in a}
 
 
-def test_sumset_support_matches_naive_sumset_up_to_n12():
+def test_sumset_support_matches_naive_sumset_up_to_n12(monkeypatch):
+    import closurelab.spectral as spectral
+
     rng = np.random.default_rng(32)
     for n in range(1, 13):
         # the whole group reaches the 2^2n peak of the second transform
@@ -306,6 +308,30 @@ def test_sumset_support_matches_naive_sumset_up_to_n12():
             bits_a, bits_b = np.zeros((2, 1 << n), dtype=bool)
             bits_a[a], bits_b[b] = True, True
             assert np.array_equal(sumset_support(bits_a, bits_b), naive_sumset(a, b, n))
+    # at n = 13 the products reach 2^26, past float32's exact 2^24; a rounding
+    # error there stays far inside the 2^n step between counts, so the support
+    # cannot show it, and each butterfly is checked against the reference too
+    butterfly = spectral._butterfly
+
+    def checked(a, bound):
+        want = radix2_wht(a)
+        out = butterfly(a, bound)
+        assert np.array_equal(out, want)
+        return out
+
+    monkeypatch.setattr(spectral, "_butterfly", checked)
+    n = 13
+    for missing in (0, 3):  # the whole group, then all of it but three points: odd products
+        a = np.arange(missing, 1 << n)
+        bits = np.zeros(1 << n, dtype=bool)
+        bits[a] = True
+        assert np.array_equal(sumset_support(bits, bits), naive_sumset(a, a, n))
+
+
+def test_wht_above_float32_range_matches_radix2_reference():
+    """An l1 norm of 2^24 + 2 needs float64: float32 rounds 2^24 + 1 to 2^24."""
+    f = [2**24 + 1, 1, 0, 0]
+    assert np.array_equal(wht(f).coeffs, radix2_wht(f))
 
 
 def test_sumset_support_refuses_n27_under_a_raised_budget():
@@ -361,8 +387,8 @@ def test_bogolyubov_full_group_at_n20_reaches_the_int64_bound(monkeypatch):
     peaks = []
     butterfly = spectral._butterfly
 
-    def recording(a):
-        out = butterfly(a)
+    def recording(a, bound):
+        out = butterfly(a, bound)
         peaks.append(int(np.abs(out).max()))
         return out
 

@@ -5,8 +5,8 @@
 Run from anywhere; ``--parent`` is a checkout of the parent commit (``git
 archive`` or ``git clone`` it).  Each side runs the same fixed list of CLI
 runs in one subprocess with ``PYTHONPATH=<side>/src``, and each run gives
-its exit code and ``meta.payload_hash`` (None when it prints no payload).
-The list:
+its exit code and ``meta.payload_hash`` (None when it prints no payload),
+or for a ``--format csv`` run the sha256 of its stdout.  The list:
 
 * the README examples (their ``--out`` and ``--format`` dropped: the payload
   hash does not depend on the output options);
@@ -15,6 +15,13 @@ The list:
   same deltas and thresholds, seeds 2000-2001; and (10,2) at seed 1;
 * ``lsystem`` and ``simple-set`` runs at d = 2 to 4;
 * one budget refusal;
+* ``spectrum`` at n = 1, 4, 13 and 16, of a random set and of two or three
+  layers;
+* the large transforms of the ``dense-spectra`` benchmark: ``closedness`` at
+  n = 20 (layers 9-11, the standard basis) and at n = 16 (a random set and
+  the (4,4) rank-one generators), and ``bogolyubov`` at n = 16 on 2^15
+  elements;
+* ``spectrum --n 3`` and ``--n 16`` written with ``--format csv``;
 * ``scenarios`` at seed 0, and two runs that set a key of another mode
   (``closedness --samples`` in exact mode, ``counterexample --ns --c`` in
   concentration mode);
@@ -81,7 +88,21 @@ SEED_AND_MODE_RUNS = [
     "counterexample --mode concentration --n 20 --w 4 --ns 36 --c 0.3",
 ]
 
-RUNS = README_RUNS + PIPELINE_RUNS + SYSTEM_RUNS + REFUSAL_RUNS + SEED_AND_MODE_RUNS
+SPECTRUM_RUNS = [f"spectrum --n {n} --seed 5" for n in (1, 4, 13, 16)] + [
+    f"spectrum --n {n} --set-kind layers --lo {lo} --hi {hi}"
+    for n, lo, hi in ((1, 0, 1), (4, 1, 2), (13, 6, 7), (16, 7, 9))
+]
+
+DENSE_RUNS = [
+    "closedness --n 20 --set-kind layers --lo 9 --hi 11 --generators basis",
+    "closedness --n 16 --generators rank-one --dims 4 4",
+    "bogolyubov --n 16 --set-size 32768",
+]
+
+CSV_RUNS = ["spectrum --n 3 --format csv", "spectrum --n 16 --format csv"]
+
+RUNS = (README_RUNS + PIPELINE_RUNS + SYSTEM_RUNS + REFUSAL_RUNS + SPECTRUM_RUNS + DENSE_RUNS
+        + CSV_RUNS + SEED_AND_MODE_RUNS)
 
 # name -> a manifest that sets keys no flag writes
 MANIFESTS = {
@@ -109,9 +130,9 @@ MANIFESTS = {
 }
 
 # reads the argument lists as JSON on stdin; writes the module path and one
-# [exit code, payload_hash] per run as JSON on stdout
+# [exit code, payload_hash or the sha256 of a CSV stdout] per run as JSON on stdout
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, hashlib, io, json, sys
 from closurelab import cli
 results = []
 for argv in json.load(sys.stdin):
@@ -122,7 +143,10 @@ for argv in json.load(sys.stdin):
         except SystemExit as exc:
             code = exc.code
     text = out.getvalue()
-    results.append([code, json.loads(text)["meta"]["payload_hash"] if text else None])
+    if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+        results.append([code, hashlib.sha256(text.encode()).hexdigest()])
+    else:
+        results.append([code, json.loads(text)["meta"]["payload_hash"] if text else None])
 json.dump({"module": cli.__file__, "results": results}, sys.stdout)
 """
 
@@ -158,7 +182,7 @@ def main(argv=None) -> int:
         if old != new:
             differ += 1
             print(f"{run}: parent {tuple(old)}, change {tuple(new)}")
-    print(f"{differ} of {len(argvs)} runs differ in (exit code, payload_hash)")
+    print(f"{differ} of {len(argvs)} runs differ in (exit code, payload_hash or CSV sha256)")
     return 1 if differ else 0
 
 
