@@ -63,7 +63,7 @@ class GroupSet:
 
     @classmethod
     def from_bitmap(cls, n: int, bitmap: np.ndarray) -> "GroupSet":
-        return cls(n, np.flatnonzero(bitmap).astype(np.int64))
+        return cls(n, np.flatnonzero(bitmap).astype(np.int64, copy=False))
 
     @property
     def size(self) -> int:

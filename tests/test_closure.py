@@ -6,7 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from closurelab import closure
+from closurelab.budgets import BudgetExceeded, DimensionMismatch
 from closurelab.closure import (
+    EXACT_PAIR_LIMIT,
     basic_set,
     SampledEstimate,
     closedness_exact,
@@ -15,11 +18,11 @@ from closurelab.closure import (
     inversion_sampler,
     mixed_energy,
     subspace_groupset,
-    translation_deficit,
     triangle_compose,
 )
 from closurelab.gf2 import random_subspace, rref
 from closurelab.spectral import (
+    _BLOCK,
     GroupMultiset,
     GroupSet,
     random_groupset,
@@ -84,6 +87,86 @@ def test_exact_equals_spectral_on_random_instances():
             n, [(int(e), int(rng.integers(1, 4))) for e in support]
         )
         assert closedness_exact(a, b).eta == spectral_closedness(a, b)
+
+
+def keys_in_every_low_class(n, rng):
+    """All of F2^n below n = 6; else one key per value of the low six bits
+    (random high bits), with 0 and 2^n - 1 added."""
+    if n < 6:
+        return list(range(1 << n))
+    high = rng.integers(0, 1 << (n - 6), size=64).tolist()
+    return sorted({h << 6 | low for low, h in enumerate(high)} | {0, (1 << n) - 1})
+
+
+def test_packed_pair_count_matches_naive_oracle_for_n_1_to_12():
+    """Sub-word bitmaps below n = 6, every delta swap of the in-word
+    permutation, keys 0 and 2^n - 1, multiplicities above 1, and sets of
+    density 1/2 and of three elements (most words of W zero)."""
+    rng = np.random.default_rng(28)
+    for n in range(1, 13):
+        keys = keys_in_every_low_class(n, rng)
+        b = GroupMultiset.from_pairs(n, [(k, 1 + i % 3) for i, k in enumerate(keys)])
+        assert 0 in b.counts and (1 << n) - 1 in b.counts
+        assert len({k & 63 for k in b.counts}) == min(64, 1 << n)
+        for size in (max(1, (1 << n) // 2), min(3, 1 << n)):
+            a = random_groupset(n, size, rng)
+            pairs, denom = naive_closedness(set(a.elements.tolist()), dict(b.counts))
+            report = closedness_exact(a, b)
+            assert report.pair_count == pairs
+            assert report.eta == Fraction(pairs, denom)
+
+
+def test_packed_pair_count_over_several_gather_blocks():
+    """All 256 rank-one generators of (4,4) at n = 16, and every key whose
+    low six bits are 0: that class spans 16 gather blocks of 64 keys."""
+    n = 16
+    a = random_groupset(n, 1 << 15, np.random.default_rng(2000))
+    rank_one = rank_one_counter(TensorShape((4, 4)), False)
+    b = GroupMultiset.from_pairs(n, [*rank_one.items(), *((h << 6, 1) for h in range(1 << 10))])
+    assert sum(rank_one.values()) == 256 and max(b.counts.values()) > 1
+    keys = np.fromiter(b.counts, dtype=np.int64)
+    assert np.bincount(keys & 63)[0] == 1 << 10 == 16 * (_BLOCK >> (n - 6))
+    bitmap = a.bitmap()
+    hits = [int(np.count_nonzero(bitmap[a.elements ^ k])) for k in keys.tolist()]
+    report = closedness_exact(a, b)
+    assert report.pair_count == sum(h * m for h, m in zip(hits, b.counts.values()))
+    assert report.eta == spectral_closedness(a, b)
+
+
+def direct_deficit(a, b):
+    """1 - |A & (A+b)| / |A|, from a Python set of A."""
+    elems = set(a.elements.tolist())
+    return 1 - Fraction(sum((x ^ b) in elems for x in elems), len(elems))
+
+
+def test_triangle_deficits_match_a_direct_count():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 5, 6, 7, 11):
+        a = random_groupset(n, max(1, (1 << n) // 2), rng)
+        for b1, b2 in rng.integers(0, 1 << n, size=(8, 2)).tolist():
+            expected = tuple(direct_deficit(a, b) for b in (b1, b2, b1 ^ b2))
+            assert triangle_compose(a, b1, b2) == expected
+        with pytest.raises(DimensionMismatch):
+            triangle_compose(a, 1 << n, 0)
+
+
+def test_exact_pair_limit_admits_its_edge_and_refuses_before_any_work(monkeypatch):
+    """The full group at n = 20: 256 generators reach the limit exactly
+    and run; 257 are refused before a word is counted."""
+    n = 20
+    full = GroupSet.from_bitmap(n, np.ones(1 << n, dtype=bool))
+    keys = np.random.default_rng(6).choice(1 << n, size=257, replace=False).tolist()
+    b = GroupMultiset.from_pairs(n, [(k, 1 + i % 3) for i, k in enumerate(keys[:256])])
+    assert full.size * b.support_size == EXACT_PAIR_LIMIT
+    report = closedness_exact(full, b)
+    assert report.eta == 1 and report.pair_count == full.size * b.total
+
+    def no_work(*args):
+        raise AssertionError("counted past the limit")
+
+    monkeypatch.setattr(closure, "_overlap_counts", no_work)
+    with pytest.raises(BudgetExceeded):
+        closedness_exact(full, GroupMultiset.from_elements(n, keys))
 
 
 def test_closedness_sampled_full_group():
@@ -300,7 +383,7 @@ def test_triangle_inequality_random():
         b2 = int(rng.integers(0, 1 << n))
         d1, d2, d12 = triangle_compose(a, b1, b2)
         assert d12 <= d1 + d2
-        assert d1 == translation_deficit(a, b1)
+        assert d1 == direct_deficit(a, b1)
 
 
 def test_basic_set_row_kind_size_and_closedness():

@@ -23,7 +23,9 @@ sides run with the same interpreter.  The artifact has four parts:
   n = 4/8/16/17/18/20 (17 and 18 on either side of the butterfly's 2^16-point
   block), ``bogolyubov`` on dense 1/2 sets at n = 12/13/16/20/22,
   ``closedness_exact`` against ``spectral_closedness`` and ``mixed_energy``
-  on the n = 20 layers 9..11 against the standard basis, the ``spectrum``
+  on the n = 20 layers 9..11 against the standard basis, ``closedness_exact``
+  on 2^15 random elements of F2^16 (seed 2000) against the (4,4) rank-one
+  generators, the ``spectrum``
   CLI run of perfbench's ``spectrum-n16`` slot with stdout captured,
   the same run written with ``--format csv`` to a temporary file,
   ``GroupSet.from_elements`` on 2^15 and 2^19 distinct elements,
@@ -78,7 +80,7 @@ import numpy as np
 from closurelab import cli, closure, forcing, hamming, spectral
 from closurelab.forcing import (
     find_structure_matrix, find_system, matrix_pipeline, random_factor_tuples)
-from closurelab.tensor import Tensor, TensorShape, degenerate_decide, rank1_flat
+from closurelab.tensor import Tensor, TensorShape, degenerate_decide, rank1_flat, rank_one_counter
 
 
 def median_s(call, repeats):
@@ -115,6 +117,10 @@ for name, call in (("closedness_exact_n20", lambda: closure.closedness_exact(a, 
                    ("mixed_energy_n20", lambda: closure.mixed_energy(a, b))):
     out[name], value = median_s(call, 7)
     out[name]["value"] = str(value)
+a = spectral.random_groupset(16, 1 << 15, np.random.default_rng(2000))
+b = spectral.GroupMultiset.from_pairs(16, rank_one_counter(TensorShape((4, 4)), False).items())
+out["closedness_exact_rank_one_n16"], value = median_s(lambda: closure.closedness_exact(a, b).eta, 7)
+out["closedness_exact_rank_one_n16"]["value"] = str(value)
 
 
 def spectrum_n16():

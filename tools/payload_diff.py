@@ -21,6 +21,8 @@ or for a ``--format csv`` run the sha256 of its stdout.  The list:
   n = 20 (layers 9-11, the standard basis) and at n = 16 (a random set and
   the (4,4) rank-one generators), and ``bogolyubov`` at n = 16 on 2^15
   elements;
+* exact ``closedness`` at n = 1, 3 and 5 (bitmaps shorter than one 64-bit
+  word) and, with random generators, at n = 6 and 7 (one and two words);
 * ``spectrum --n 3`` and ``--n 16`` written with ``--format csv``;
 * ``scenarios`` at seed 0, and two runs that set a key of another mode
   (``closedness --samples`` in exact mode, ``counterexample --ns --c`` in
@@ -28,7 +30,9 @@ or for a ``--format csv`` run the sha256 of its stdout.  The list:
 * ``--manifest`` runs, from files written to a temporary directory, that set
   the keys no flag writes: ``pairs``, ``tuples``, ``radius_method``, the six
   ``scenarios`` sizes, and the set and generator keys ``elements``,
-  ``support``, ``nonzero``, ``support_size``, ``max_mult`` and ``pairs``.
+  ``support``, ``nonzero``, ``support_size``, ``max_mult`` and ``pairs``;
+  and exact ``closedness`` at n = 12 against 64 random generators and
+  against the (3,4) rank-one generators with the zero tensor (key 0).
 
 Every run whose ``(exit code, payload_hash)`` differs between the sides is
 printed, and the exit code is 1 if any differs, else 0.
@@ -99,10 +103,13 @@ DENSE_RUNS = [
     "bogolyubov --n 16 --set-size 32768",
 ]
 
+WORD_RUNS = [f"closedness --n {n}" for n in (1, 3, 5)] + [
+    f"closedness --n {n} --generators random" for n in (6, 7)]
+
 CSV_RUNS = ["spectrum --n 3 --format csv", "spectrum --n 16 --format csv"]
 
 RUNS = (README_RUNS + PIPELINE_RUNS + SYSTEM_RUNS + REFUSAL_RUNS + SPECTRUM_RUNS + DENSE_RUNS
-        + CSV_RUNS + SEED_AND_MODE_RUNS)
+        + WORD_RUNS + CSV_RUNS + SEED_AND_MODE_RUNS)
 
 # name -> a manifest that sets keys no flag writes
 MANIFESTS = {
@@ -127,6 +134,10 @@ MANIFESTS = {
     "closedness-random-generators": {"command": "closedness", "seed": 1, "params": {
         "n": 6, "set": {"kind": "random", "size": 20},
         "generators": {"kind": "random", "support_size": 5, "max_mult": 2}}},
+    "closedness-n12-random-generators": {"command": "closedness", "seed": 12, "params": {
+        "n": 12, "generators": {"kind": "random", "support_size": 64}}},
+    "closedness-n12-rank-one-with-zero": {"command": "closedness", "seed": 12, "params": {
+        "n": 12, "generators": {"kind": "rank-one", "dims": [3, 4], "nonzero": False}}},
 }
 
 # reads the argument lists as JSON on stdin; writes the module path and one
